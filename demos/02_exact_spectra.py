@@ -9,24 +9,33 @@ from srgddg.graphcore import adjacency_matrix, cycle
 
 A = adjacency_matrix(petersen())
 
-# the characteristic polynomial is computed by an exact division-free
-# recurrence; for the Petersen graph it factors as (x-3)(x-1)^5(x+2)^4
-poly = char_poly(A)
-print("char poly coefficients (ascending):", poly.coeffs)
-
+# the spectrum is certified by ranks: a symmetric matrix is
+# diagonalizable, so mult(theta) = n - rank(A - theta*I), computed with
+# fraction-free elimination; candidates theta come from the
+# characteristic polynomial modulo a large prime
 spec = integral_spectrum(A)
 print("spectrum:", spec.as_dict())
-
-# multiplicities can be cross-checked against a second, independent
-# algorithm: mult(theta) = n - rank(A - theta*I) with fraction-free
-# elimination
 for theta, mult in spec.pairs:
     r = rank(add_scaled_identity(A, -theta))
-    print(f"  theta={theta}: synthetic-division mult {mult}, "
-          f"rank complement {10 - r}")
+    print(f"  theta={theta}: multiplicity {mult} = 10 - rank {r}")
+
+# an independent second route: the exact characteristic polynomial by a
+# division-free recurrence; for the Petersen graph it factors as
+# (x-3)(x-1)^5(x+2)^4, and synthetic division recovers each multiplicity
+poly = char_poly(A)
+print("\nchar poly coefficients (ascending):", poly.coeffs)
+for theta, mult in spec.pairs:
+    q, k = poly, 0
+    while True:
+        q2, rem = q.synthetic_div(theta)
+        if rem:
+            break
+        q, k = q2, k + 1
+    print(f"  theta={theta}: (x - theta) divides it exactly {k} times")
+    assert k == mult
 
 # an irrational spectrum is an informative outcome, not an error
 res = integral_spectrum(adjacency_matrix(cycle(5)))
 assert isinstance(res, NonIntegral)
-print("\nC5: integer roots", res.found,
-      "+ residual factor of degree", res.residual.degree)
+print("\nC5: integer eigenvalues", res.found,
+      "+", res.residual_degree, "non-integral eigenvalues")

@@ -14,6 +14,7 @@ Exit codes: 0 success, 1 domain error (reported in the JSON), 2 usage.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -21,7 +22,7 @@ import sys
 import time
 
 from . import assembly, coclique, galois, graphcore, iso, recognize, theory
-from .errors import SrgddgError
+from .errors import BudgetExceeded, SrgddgError
 
 SCHEMA = "srgddg-report/1"
 
@@ -204,7 +205,7 @@ def _cmd_spectrum(args, t0):
             rows.append({
                 "integral": False,
                 "integer_roots": [list(p) for p in sp.found],
-                "residual_degree": sp.residual.degree,
+                "residual_degree": sp.residual_degree,
             })
     _emit(_report("spectrum", {"file": args.file, "sha256": digest}, {"graphs": rows}, diags, t0))
     return 0
@@ -266,17 +267,38 @@ def _cmd_decompose(args, t0):
     mode = "all" if args.all else "first"
     rows = []
     for g in graphs:
+        row = {}
         try:
             decs = assembly.decompose(g, coclique.CocliqueQuery(mode=mode, node_budget=budget))
         except assembly.AssemblyError as exc:
             rows.append({"error": str(exc)})
             continue
+        except BudgetExceeded as exc:
+            decs = exc.partial
+            row["budget_exhausted"] = True
         rows.append({
             "count": len(decs),
+            **row,
             "decompositions": [_decomposition_json(d) for d in decs],
         })
     _emit(_report("decompose", {"file": args.file, "sha256": digest}, {"graphs": rows}, diags, t0))
     return 0
+
+
+def _read_int_lists(path: str, key: str) -> tuple[list[list[int]], dict]:
+    """The list of lists of vertex numbers under ``key`` in a JSON object
+    file, and the object itself; ValueError names what is malformed."""
+    with open(path, "r", encoding="utf-8") as fh:
+        data = json.load(fh)
+    lists = data.get(key) if isinstance(data, dict) else None
+    if not isinstance(lists, list) or not all(
+        isinstance(x, list) and all(type(i) is int and i >= 0 for i in x) for x in lists
+    ):
+        raise ValueError(
+            f"{path}: expected a JSON object whose {key!r} is a list of lists "
+            "of non-negative integers"
+        )
+    return lists, data
 
 
 def _cmd_construct(args, t0):
@@ -284,16 +306,15 @@ def _cmd_construct(args, t0):
     if len(graphs) != 1:
         raise _Usage("construct needs exactly one graph in --ddg")
     ddg = graphs[0]
-    with open(args.partition, "r", encoding="utf-8") as fh:
-        pdata = json.load(fh)
-    part = recognize.CanonicalPartition(
-        tuple(graphcore.mask_of(cl) for cl in pdata["classes"])
-    )
-    with open(args.design, "r", encoding="utf-8") as fh:
-        ddata = json.load(fh)
+    classes, _ = _read_int_lists(args.partition, "classes")
+    part = recognize.CanonicalPartition(tuple(graphcore.mask_of(cl) for cl in classes))
+    blocks, ddata = _read_int_lists(args.design, "blocks")
+    v = ddata.get("v")
+    if v is not None and (type(v) is not int or v < 1):
+        raise ValueError(f"{args.design}: \"v\" must be a positive integer")
     from .designs import design_from_blocks
 
-    design = design_from_blocks(ddata["blocks"], ddata.get("v"))
+    design = design_from_blocks(blocks, v)
     phi = tuple(int(x) for x in args.phi.split(","))
     built = assembly.attach_coclique(ddg, part, design, phi)
     if args.json:
@@ -367,13 +388,19 @@ def _cmd_canon(args, t0):
     return 0
 
 
-def _census_one(g):
+def _census_one(g, budget: int):
+    """Row and sorted DDG certificates of one graph.  A budget hit keeps
+    the witnesses found before it and flags the row as incomplete."""
+    row = {}
     try:
-        decs = assembly.decompose(g)
+        decs = assembly.decompose(g, coclique.CocliqueQuery(node_budget=budget))
     except assembly.AssemblyError as exc:
         return {"error": str(exc)}, []
+    except BudgetExceeded as exc:
+        decs = exc.partial
+        row["budget_exhausted"] = True
     certs = sorted({iso.canonical_form(d.ddg).certificate.decode() for d in decs})
-    return {"decompositions": len(decs)}, certs
+    return {"decompositions": len(decs), **row}, certs
 
 
 def _census_decode(args, diags, hasher):
@@ -397,11 +424,12 @@ def _cmd_census(args, t0):
     total = 0
     decomposable = 0
     stream = _census_decode(args, diags, hasher)
+    one = functools.partial(_census_one, budget=_budget_from_env(args))
     if args.threads > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=args.threads) as pool:
-            outcomes = pool.map(_census_one, stream)
+            outcomes = pool.map(one, stream)
             for row, certs in outcomes:
                 total += 1
                 per_graph.append(row)
@@ -410,7 +438,7 @@ def _cmd_census(args, t0):
                 all_certs.update(certs)
     else:
         for g in stream:
-            row, certs = _census_one(g)
+            row, certs = one(g)
             total += 1
             per_graph.append(row)
             if row.get("decompositions"):
@@ -485,7 +513,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("feasible", help="enumerate feasible (n, s) families")
     p.add_argument("--s", type=int, default=None)
     p.add_argument("--s-range", default=None, help="e.g. --s-range=-12..-2")
-    p.add_argument("--n-max", type=int, default=100)
+    p.add_argument("--n-max", type=int, default=None, help="list only n <= N (default: all)")
     p.add_argument("--brc", action="store_true", help="annotate with Bruck-Ryser-Chowla (advisory)")
     p.add_argument("--json", action="store_true")  # reports are always JSON
     p.set_defaults(fn=_cmd_feasible)
@@ -519,17 +547,41 @@ def run(argv: list[str]) -> int:
         return 2 if exc.code else 0
     t0 = time.monotonic()
     try:
-        return args.fn(args, t0)
-    except _Usage as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
-    except (SrgddgError, assembly.AssemblyError, OSError, ValueError) as exc:
-        _emit(_report(args.cmd, {}, {"error": str(exc)}, [], t0))
+        try:
+            return args.fn(args, t0)
+        except BrokenPipeError:
+            raise
+        except _Usage as exc:
+            print(f"usage error: {exc}", file=sys.stderr)
+            return 2
+        except (SrgddgError, assembly.AssemblyError, OSError, ValueError) as exc:
+            _emit(_report(args.cmd, {}, {"error": str(exc)}, [], t0))
+            return 1
+    except BrokenPipeError:
+        return _stdout_closed()
+
+
+def _stdout_closed() -> int:
+    """The reader of stdout went away (``srgddg ... | head``): send what
+    is still buffered to the null device, so that the final flush at
+    exit stays quiet, and fail without a traceback."""
+    try:
+        fd = sys.stdout.fileno()
+    except (OSError, ValueError):  # stdout is not backed by a file descriptor
         return 1
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+    return 1
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    code = run(sys.argv[1:])
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        code = _stdout_closed()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -2,18 +2,29 @@
 spectra, and fraction-free rank.
 
 Everything here runs on arbitrary-precision Python ints; there is no
-floating point and no tolerance anywhere.  A matrix whose characteristic
-polynomial does not split over the integers is a legitimate outcome,
-reported as :class:`NonIntegral`, never approximated.
+floating point and no tolerance anywhere.  A matrix whose spectrum is not
+all integers is a legitimate outcome, reported as :class:`NonIntegral`,
+never approximated.
+
+Integral spectra are certified by ranks.  A symmetric integer matrix is
+diagonalizable, so the multiplicity of an integer eigenvalue theta is the
+nullity n - rank(A - theta I).  Candidates theta are screened with the
+characteristic polynomial modulo one word-size prime (O(n^3) word-size
+work by Hessenberg reduction), and each survivor's nullity is computed
+exactly by Bareiss elimination, except for the costliest one, which two
+trace identities pin down; the spectrum is integral exactly when the
+nullities sum to n.  :func:`char_poly` (Faddeev-LeVerrier, Theta(n^4)
+big-int work) is kept as an independent route to the same answer.
+Operations refuse to run above a configurable size cap instead of
+silently crawling.
 
 Matrices are plain nested lists of ints (``IntMatrix`` is an alias).
-Characteristic polynomials cost Theta(n^4) big-int work, so operations
-refuse to run above a configurable size cap instead of silently crawling.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 from .errors import SizeCapExceeded
 
@@ -114,14 +125,15 @@ class Spectrum:
 
 @dataclass(frozen=True)
 class NonIntegral:
-    """Characteristic polynomial did not split over the integers.
+    """The spectrum is not all integers.
 
-    ``found`` holds the integer roots extracted so far; ``residual`` is
-    the remaining factor with no integer root.
+    ``found`` holds every integer eigenvalue with its multiplicity,
+    sorted descending; the other ``residual_degree`` eigenvalues are not
+    integers.
     """
 
     found: tuple[tuple[int, int], ...]
-    residual: IntPoly
+    residual_degree: int
 
     def __bool__(self):
         return False
@@ -174,55 +186,122 @@ def char_poly(m: IntMatrix, size_cap: int = DEFAULT_SIZE_CAP) -> IntPoly:
     return IntPoly(tuple(coeffs))
 
 
+# Screening modulus, the Mersenne prime 2^61 - 1.  Any prime is sound;
+# a large one makes false positives (candidates that are roots only
+# modulo the prime) rare.
+SCREEN_PRIME = (1 << 61) - 1
+
+
+def char_poly_mod(m: IntMatrix, p: int) -> list[int]:
+    """Coefficients of det(xI - M) modulo the prime p, ascending degree.
+
+    Reduces M to upper Hessenberg form by similarity transforms over
+    GF(p), then expands the Hessenberg determinant row by row:
+    O(n^3) operations on word-size residues, with no big-int growth.
+    """
+    n = _check_square(m)
+    a = [[x % p for x in row] for row in m]
+    for j in range(n - 2):
+        k = j + 1
+        piv = next((r for r in range(k, n) if a[r][j]), None)
+        if piv is None:
+            continue
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            for row in a:
+                row[k], row[piv] = row[piv], row[k]
+        inv = pow(a[k][j], p - 2, p)
+        tail = a[k][j:]
+        mults = []
+        for i in range(k + 1, n):
+            ai = a[i]
+            u = ai[j] * inv % p
+            mults.append(u)
+            if u:
+                ai[j:] = [(x - u * y) % p for x, y in zip(ai[j:], tail)]
+        # the inverse transform adds u_i times column i to column k
+        if any(mults):
+            for row in a:
+                row[k] = (row[k] + sum(map(mul, mults, row[k + 1:]))) % p
+    polys = [[1]]
+    for r in range(n):
+        prev = polys[r]
+        cur = [0] + prev
+        cur[: r + 1] = [x - a[r][r] * y for x, y in zip(cur, prev)]
+        t = 1
+        for i in range(1, r + 1):
+            t = t * a[r - i + 1][r - i] % p
+            if not t:
+                break
+            c = t * a[r - i][r] % p
+            if c:
+                q = polys[r - i]
+                cur[: len(q)] = [x - c * y for x, y in zip(cur, q)]
+        polys.append([x % p for x in cur])
+    return polys[n]
+
+
 def integral_spectrum(
     m: IntMatrix, size_cap: int = DEFAULT_SIZE_CAP
 ) -> Spectrum | NonIntegral:
     """Full integer spectrum of a symmetric matrix, or NonIntegral.
 
-    Roots are searched among the divisors of the constant term of each
-    deflated factor (bounded by the Gershgorin row-sum radius), and
-    multiplicities extracted by repeated synthetic division.
+    A symmetric matrix is diagonalizable, so an integer theta has
+    multiplicity n - rank(A - theta I).  Candidates are the theta in
+    [-D, D] (D the largest absolute row sum) that are roots of the
+    characteristic polynomial modulo SCREEN_PRIME, a set that holds every
+    integer eigenvalue.  Going down from the top, each candidate's
+    multiplicity is computed exactly by Bareiss elimination; candidates
+    of multiplicity 0 drop out.
+
+    The candidate t of largest absolute value, whose rank costs the most,
+    is first given the multiplicity left over, n minus the others'.  That
+    guess is exact when it passes both trace identities
+    sum(theta * mult) = tr A and sum(theta^2 * mult) = sum(a_ij^2): the r
+    eigenvalues it would wrongly cover are real non-integers x with
+    sum(x) = r t and sum(x^2) = r t^2, so sum((x - t)^2) = 0 and r = 0.
+    Otherwise t's rank is computed too.
     """
     n = _check_square(m)
     if not is_symmetric(m):
         raise ValueError("integral_spectrum requires a symmetric matrix")
-    poly = char_poly(m, size_cap=size_cap)
+    if n > size_cap:
+        raise SizeCapExceeded(f"integral_spectrum: dimension {n} exceeds cap {size_cap}")
+    p = SCREEN_PRIME
+    poly = char_poly_mod(m, p)
     bound = max(sum(abs(x) for x in row) for row in m)
-    found: list[tuple[int, int]] = []
-
-    mult = 0
-    while poly.degree > 0 and poly.coeffs[0] == 0:
-        poly, rem = poly.synthetic_div(0)
-        assert rem == 0
-        mult += 1
-    if mult:
-        found.append((0, mult))
-
-    for cand in range(-bound, bound + 1):
-        if cand == 0:
-            continue
-        if poly.degree == 0:
-            break
-        if poly.coeffs[0] % cand:
-            continue
-        mult = 0
-        while poly.degree > 0:
-            q, rem = poly.synthetic_div(cand)
-            if rem != 0:
-                break
-            poly = q
-            mult += 1
-        if mult:
-            found.append((cand, mult))
-
-    found.sort(key=lambda p: -p[0])
-    if poly.degree > 0:
-        return NonIntegral(tuple(found), poly)
-    spec = Spectrum(tuple(found))
+    cands = []
+    for theta in range(bound, -bound - 1, -1):
+        acc = 0
+        for c in reversed(poly):
+            acc = (acc * theta + c) % p
+        if not acc:
+            cands.append(theta)
     tr = sum(m[i][i] for i in range(n))
-    if spec.n != n or spec.power_sum(1) != tr:
+    sq = sum(x * x for row in m for x in row)
+
+    def traces_match(mults):
+        return (sum(t * k for t, k in mults.items()) == tr
+                and sum(t * t * k for t, k in mults.items()) == sq)
+
+    top = max(cands, key=abs, default=None)
+    mults = {}
+    left = n
+    for theta in cands:
+        if theta != top and left:
+            mults[theta] = n - rank(add_scaled_identity(m, -theta))
+            left -= mults[theta]
+    if top is not None:
+        mults[top] = left
+        if not traces_match(mults):
+            mults[top] = n - rank(add_scaled_identity(m, -top))
+        left -= mults[top]
+    found = tuple(sorted(((t, k) for t, k in mults.items() if k), reverse=True))
+    if left:
+        return NonIntegral(found, left)
+    if not traces_match(mults):
         raise ArithmeticError("spectrum failed trace cross-check")
-    return spec
+    return Spectrum(found)
 
 
 def rank(m: IntMatrix) -> int:
@@ -241,15 +320,14 @@ def rank(m: IntMatrix) -> int:
         if piv != row:
             a[row], a[piv] = a[piv], a[row]
         pv = a[row][col]
+        tail = a[row][col + 1:]
         for r in range(row + 1, nrows):
-            arc = a[r][col]
+            ar = a[r]
+            arc = ar[col]
             if arc == 0 and pv == prev:
                 # row already reduced; scaling by pv/prev == 1 is a no-op
                 continue
-            ar = a[r]
-            ap = a[row]
-            for c in range(col + 1, ncols):
-                ar[c] = (ar[c] * pv - arc * ap[c]) // prev
+            ar[col + 1:] = [(x * pv - arc * y) // prev for x, y in zip(ar[col + 1:], tail)]
             ar[col] = 0
         prev = pv
         rk += 1

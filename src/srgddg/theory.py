@@ -521,10 +521,14 @@ class FeasibleEntry:
 
 
 def enumerate_feasible(
-    s_min: int, s_max: int, n_max: int, with_brc: bool = False
+    s_min: int, s_max: int, n_max: int | None = None, with_brc: bool = False
 ) -> list[FeasibleEntry]:
-    """All families with s_min <= s <= s_max <= -2 and 2 <= n <= n_max
-    passing the integrality conditions.
+    """All families with s_min <= s <= s_max <= -2 passing the
+    integrality conditions, optionally only those with n <= n_max.
+
+    The list is complete without any bound on n: n + s divides
+    (-s)(n-1) = (-s)(n+s) + s(s+1), hence divides s(s+1), so n = d - s
+    for a positive divisor d of s(s+1).
 
     Entries eliminated by the handshake parity filter (each canonical
     class induces an (n+s)-regular graph on n vertices, so n(n+s) must
@@ -535,7 +539,12 @@ def enumerate_feasible(
         raise ValueError("need s_max <= -2")
     out = []
     for s in range(s_min, s_max + 1):
-        for n in range(2, n_max + 1):
+        N = s * (s + 1)
+        small = [d for d in range(1, isqrt(N) + 1) if N % d == 0]
+        for d in set(small + [N // d for d in small]):
+            n = d - s
+            if n_max is not None and n > n_max:
+                continue
             fam = family_from(n, s)
             if not fam:
                 continue

@@ -2,7 +2,9 @@ import json
 import subprocess
 import sys
 
-from srgddg import cli, graphcore as gc
+import pytest
+
+from srgddg import assembly as asm, cli, coclique as cq, graphcore as gc
 
 
 def run_json(capsys, argv):
@@ -140,6 +142,39 @@ class TestDecomposeConstruct:
         assert recognize.srg_params(g).tuple4 == (15, 8, 4, 4)
 
 
+class TestConstructJson:
+    @pytest.fixture
+    def files(self, tmp_path, sp42):
+        dec = asm.decompose(sp42, cq.CocliqueQuery(mode="first"))[0]
+        ddg = tmp_path / "ddg.g6"
+        ddg.write_bytes(gc.encode_graph6(dec.ddg) + b"\n")
+        return tmp_path, str(ddg)
+
+    def run_construct(self, capsys, files, partition, design):
+        tmp_path, ddg = files
+        (tmp_path / "part.json").write_text(json.dumps(partition))
+        (tmp_path / "design.json").write_text(json.dumps(design))
+        return run_json(capsys, [
+            "construct", "--ddg", ddg, "--phi", "0,1,2",
+            "--partition", str(tmp_path / "part.json"),
+            "--design", str(tmp_path / "design.json"),
+        ])
+
+    @pytest.mark.parametrize("partition, design, bad", [
+        ({"parts": [[0]]}, {"blocks": [[0, 1]]}, "part.json"),
+        ({"classes": 5}, {"blocks": [[0, 1]]}, "part.json"),
+        ({"classes": [[0, "x"]]}, {"blocks": [[0, 1]]}, "part.json"),
+        ([[0, 1]], {"blocks": [[0, 1]]}, "part.json"),
+        ({"classes": [[0, 1]]}, {"v": 3}, "design.json"),
+        ({"classes": [[0, 1]]}, {"blocks": "012"}, "design.json"),
+        ({"classes": [[0, 1]]}, {"blocks": [[0, 1]], "v": "3"}, "design.json"),
+    ])
+    def test_malformed_gives_error_report(self, capsys, files, partition, design, bad):
+        code, rep = self.run_construct(capsys, files, partition, design)
+        assert code == 1
+        assert bad in rep["results"]["error"]
+
+
 class TestFeasible:
     def test_s_minus_6(self, capsys):
         code, rep = run_json(capsys, ["feasible", "--s", "-6", "--n-max", "40"])
@@ -154,6 +189,16 @@ class TestFeasible:
         assert code == 0
         fams = rep["results"]["families"]
         assert {(f["s"], f["n"]) for f in fams} == {(-4, 8), (-4, 16), (-3, 9), (-2, 4)}
+
+    def test_no_n_bound_by_default(self, capsys):
+        # Sp(4,11): n = 121 lies above any fixed default bound
+        code, rep = run_json(capsys, ["feasible", "--s", "-11"])
+        assert code == 0
+        fams = rep["results"]["families"]
+        assert 121 in [f["n"] for f in fams]
+        assert {"q": 11, "d": 2} in [f["prime_power"] for f in fams]
+        _, rep = run_json(capsys, ["feasible", "--s", "-6"])
+        assert [f["n"] for f in rep["results"]["families"]] == [9, 12, 36]
 
     def test_needs_s(self, capsys):
         assert cli.run(["feasible", "--n-max", "5"]) == 2
@@ -198,6 +243,56 @@ class TestCensus:
         )
         res = json.loads(out.stdout)["results"]
         assert (res["graphs"], res["decomposable"], res["distinct_ddg_certificates"]) == (2, 1, 1)
+
+
+    def test_budget_hit_gives_rows(self, tmp_path, capsys, sp42, grid66):
+        f = tmp_path / "cat.g6"
+        f.write_bytes(gc.encode_graph6(sp42) + b"\n" + gc.encode_graph6(grid66) + b"\n")
+        code, rep = run_json(capsys, ["census", str(f), "--budget-nodes", "5"])
+        assert code == 0
+        res = rep["results"]
+        assert res["graphs"] == 2
+        assert all(row["budget_exhausted"] for row in res["per_graph"])
+        assert res["per_graph"][0]["decompositions"] < 15
+        out = subprocess.run(
+            [sys.executable, "-m", "srgddg.cli", "census", str(f), "--threads", "2",
+             "--budget-nodes", "5"],
+            capture_output=True, check=True,
+        )
+        assert json.loads(out.stdout)["results"] == res
+
+    def test_budget_from_environment(self, tmp_path, capsys, monkeypatch, sp42):
+        f = tmp_path / "cat.g6"
+        f.write_bytes(gc.encode_graph6(sp42) + b"\n")
+        monkeypatch.setenv("SRGDDG_BUDGET_NODES", "5")
+        _, rep = run_json(capsys, ["census", str(f)])
+        row = rep["results"]["per_graph"][0]
+        assert row["budget_exhausted"] and row["decompositions"] < 15
+
+    def test_partial_witnesses_kept(self, tmp_path, capsys, sp62):
+        # the budget runs out after some Hoffman cocliques were found
+        f = tmp_path / "cat.g6"
+        f.write_bytes(gc.encode_graph6(sp62) + b"\n")
+        _, rep = run_json(capsys, ["census", str(f), "--budget-nodes", "200"])
+        row = rep["results"]["per_graph"][0]
+        assert row["budget_exhausted"] and 0 < row["decompositions"] < 135
+        assert rep["results"]["decomposable"] == 1
+        _, rep = run_json(capsys, ["decompose", str(f), "--budget-nodes", "200"])
+        row = rep["results"]["graphs"][0]
+        assert row["budget_exhausted"] and row["count"] == len(row["decompositions"]) > 0
+
+
+class TestClosedStdout:
+    def test_reader_gone_exits_quietly(self, petersen):
+        # the read end of stdout is closed before the report is written
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "srgddg.cli", "spectrum", "-"],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        proc.stdout.close()
+        _, err = proc.communicate((gc.encode_graph6(petersen) + b"\n") * 200)
+        assert err == b""
+        assert proc.returncode == 1
 
 
 class TestGraphFileHandling:

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+from srgddg import assembly as asm
+from srgddg import coclique as cq
 from srgddg import exact as ex
 from srgddg import graphcore as gc
 from srgddg.errors import SizeCapExceeded
@@ -40,6 +42,49 @@ def fraction_rank(m):
         if row == nrows:
             break
     return rk
+
+
+def random_regular(n, d, rng):
+    """Seeded random d-regular simple graph (configuration model)."""
+    while True:
+        pts = [v for v in range(n) for _ in range(d)]
+        rng.shuffle(pts)
+        edges = list(zip(pts[::2], pts[1::2]))
+        if all(a != b for a, b in edges) and len({frozenset(e) for e in edges}) == len(edges):
+            return gc.from_edges(n, edges)
+
+
+def oracle_spectrum(m):
+    """Independent spectrum oracle: factor char_poly by synthetic division
+    over every integer in the row-sum radius.  Returns (integer roots
+    with multiplicities, descending; degree of the unsplit remainder)."""
+    poly = ex.char_poly(m)
+    bound = max(sum(abs(x) for x in row) for row in m)
+    found = []
+    for theta in range(bound, -bound - 1, -1):
+        mult = 0
+        while poly.degree > 0:
+            q, rem = poly.synthetic_div(theta)
+            if rem:
+                break
+            poly, mult = q, mult + 1
+        if mult:
+            found.append((theta, mult))
+    return tuple(found), poly.degree
+
+
+@pytest.fixture(scope="module")
+def corpus(petersen, t6, grid66, sp42, sp43, sp62):
+    """Graphs of order <= 63: SRGs, the DDGs left by a Hoffman coclique,
+    and controls whose spectra do not split over the integers."""
+    rng = random.Random(2023)
+    graphs = [
+        petersen, t6, grid66, sp42, sp43, sp62,
+        gc.complete(1), gc.complete(5), gc.edgeless(4), gc.grid(3, 3), gc.cycle(6),
+        gc.cycle(5), gc.cycle(60), gc.path(10), random_regular(20, 3, rng),
+    ]
+    graphs += [asm.decompose(g, cq.CocliqueQuery(mode="first"))[0].ddg for g in (sp42, sp43, sp62)]
+    return graphs
 
 
 class TestIntPoly:
@@ -114,6 +159,18 @@ class TestCharPoly:
         with pytest.raises(SizeCapExceeded):
             ex.char_poly([[0] * 13 for _ in range(13)], size_cap=12)
 
+    def test_mod_p_matches_exact(self, petersen):
+        # Hessenberg reduction over GF(p) against the integer polynomial,
+        # on non-symmetric matrices too, for a tiny and a word-size prime
+        rng = random.Random(31)
+        mats = [gc.adjacency_matrix(petersen), [[0]]]
+        mats += [[[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+                 for n in (2, 3, 5, 8, 8, 11)]
+        for m in mats:
+            want = ex.char_poly(m).coeffs
+            for p in (3, 7, ex.SCREEN_PRIME):
+                assert ex.char_poly_mod(m, p) == [c % p for c in want]
+
 
 class TestIntegralSpectrum:
     def test_complete_4(self):
@@ -133,7 +190,7 @@ class TestIntegralSpectrum:
         assert isinstance(res, ex.NonIntegral)
         assert not res
         assert res.found == ((2, 1),)
-        assert res.residual.degree == 4
+        assert res.residual_degree == 4
 
     def test_requires_symmetric(self):
         with pytest.raises(ValueError, match="symmetric"):
@@ -144,6 +201,69 @@ class TestIntegralSpectrum:
         assert spec.n == 10
         assert spec.power_sum(1) == 0
         assert spec.power_sum(2) == 10 * 3  # n*K for K-regular
+
+    def test_agrees_with_char_poly_oracle(self, corpus):
+        kinds = set()
+        for g in corpus:
+            assert g.order <= 63
+            A = gc.adjacency_matrix(g)
+            res = ex.integral_spectrum(A)
+            found, residual = oracle_spectrum(A)
+            kinds.add(bool(res))
+            if res:
+                assert residual == 0 and res.pairs == found, g
+            else:
+                assert (res.found, res.residual_degree) == (found, residual), g
+        assert kinds == {True, False}
+
+    def test_random_symmetric_vs_oracle(self):
+        rng = random.Random(5)
+        for _ in range(40):
+            m = random_symmetric(rng.randint(1, 7), -3, 3, rng)
+            res = ex.integral_spectrum(m)
+            found, residual = oracle_spectrum(m)
+            got = (res.pairs, 0) if res else (res.found, res.residual_degree)
+            assert got == (found, residual), m
+
+    def test_false_positives_dropped(self, corpus, monkeypatch):
+        # modulo 3 many candidates are roots of the characteristic
+        # polynomial without being eigenvalues; their exact nullity is 0
+        want = [ex.integral_spectrum(gc.adjacency_matrix(g)) for g in corpus]
+        dropped = []
+        real_rank = ex.rank
+
+        def counting_rank(m):
+            r = real_rank(m)
+            dropped.append(r == len(m))
+            return r
+
+        monkeypatch.setattr(ex, "SCREEN_PRIME", 3)
+        monkeypatch.setattr(ex, "rank", counting_rank)
+        got = [ex.integral_spectrum(gc.adjacency_matrix(g)) for g in corpus]
+        assert got == want
+        assert any(dropped)
+
+    def test_costliest_rank_deduced(self, sp62, monkeypatch):
+        # the multiplicity of the top eigenvalue k = 32 follows from the
+        # trace identities; C5's residual forces every rank
+        shifts = []
+        real_rank = ex.rank
+
+        def recording_rank(m):
+            shifts.append(-m[0][0])
+            return real_rank(m)
+
+        monkeypatch.setattr(ex, "rank", recording_rank)
+        spec = ex.integral_spectrum(gc.adjacency_matrix(sp62))
+        assert spec.pairs == ((32, 1), (4, 27), (-4, 35))
+        assert sorted(shifts) == [-4, 4]
+        shifts.clear()
+        assert not ex.integral_spectrum(gc.adjacency_matrix(gc.cycle(5)))
+        assert shifts == [2]
+
+    def test_size_cap(self):
+        with pytest.raises(SizeCapExceeded):
+            ex.integral_spectrum([[0] * 13 for _ in range(13)], size_cap=12)
 
     def test_multiplicity_rank_cross_check(self, petersen, t6):
         for g in (petersen, t6, gc.complete(5), gc.grid(3, 3)):

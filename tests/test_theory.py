@@ -324,6 +324,19 @@ class TestEnumerateFeasible:
         got = [e.n for e in th.enumerate_feasible(-2, -2, 50)]
         assert got == brute == [4]
 
+    def test_divisor_enumeration_complete(self):
+        # n + s divides s(s+1), so no n beyond s(s+1) - s can be feasible;
+        # scan every n up to there and compare with the unbounded list
+        for s in range(-20, -1):
+            brute = [n for n in range(2, s * (s + 1) - s + 1) if th.family_from(n, s)]
+            assert [e.n for e in th.enumerate_feasible(s, s)] == brute
+
+    def test_sp4_11_needs_no_bound(self):
+        es = th.enumerate_feasible(-11, -11)
+        assert [e.n for e in es] == [121]
+        assert es[0].prime_power == th.PrimePowerResolution(11, 2)
+        assert th.enumerate_feasible(-11, -11, 120) == []
+
     def test_sorted_output(self):
         es = th.enumerate_feasible(-8, -2, 120)
         keys = [(e.s, e.n) for e in es]
