@@ -14,6 +14,7 @@ Exit codes: 0 success, 1 domain error (reported in the JSON), 2 usage.
 from __future__ import annotations
 
 import argparse
+import collections
 import functools
 import hashlib
 import json
@@ -414,6 +415,27 @@ def _census_decode(args, diags, hasher):
             diags.append(f"line {lineno}: {exc}")
 
 
+def _census_outcomes(one, graphs, threads: int):
+    """``one(g)`` for each graph, in input order.  With threads > 1 a
+    process pool works on at most 2 x threads graphs ahead of the
+    consumer, so a long catalog is read only as fast as it is processed."""
+    if threads <= 1:
+        yield from map(one, graphs)
+        return
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    spawn = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(max_workers=threads, mp_context=spawn) as pool:
+        pending: collections.deque = collections.deque()
+        for g in graphs:
+            pending.append(pool.submit(one, g))
+            if len(pending) >= 2 * threads:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+
+
 def _cmd_census(args, t0):
     # catalogs are processed one graph at a time with bounded memory;
     # only counters and certificates accumulate
@@ -425,25 +447,12 @@ def _cmd_census(args, t0):
     decomposable = 0
     stream = _census_decode(args, diags, hasher)
     one = functools.partial(_census_one, budget=_budget_from_env(args))
-    if args.threads > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=args.threads) as pool:
-            outcomes = pool.map(one, stream)
-            for row, certs in outcomes:
-                total += 1
-                per_graph.append(row)
-                if row.get("decompositions"):
-                    decomposable += 1
-                all_certs.update(certs)
-    else:
-        for g in stream:
-            row, certs = one(g)
-            total += 1
-            per_graph.append(row)
-            if row.get("decompositions"):
-                decomposable += 1
-            all_certs.update(certs)
+    for row, certs in _census_outcomes(one, stream, args.threads):
+        total += 1
+        per_graph.append(row)
+        if row.get("decompositions"):
+            decomposable += 1
+        all_certs.update(certs)
     results = {
         "graphs": total,
         "decomposable": decomposable,

@@ -45,14 +45,16 @@ def _cover_bound(cand: VertexSet, rows: tuple[int, ...]) -> int:
     """Greedy clique cover of the candidate set; #cliques bounds any
     independent subset's size."""
     classes: list[int] = []
+    covered = 0  # union of the classes; v can join none if it misses it
     for v in bits(cand):
         rv = rows[v]
-        for i, cl in enumerate(classes):
+        for i, cl in enumerate(classes if rv & covered else ()):
             if cl & ~rv == 0:  # v adjacent to the whole clique
                 classes[i] = cl | (1 << v)
                 break
         else:
             classes.append(1 << v)
+        covered |= 1 << v
     return len(classes)
 
 
@@ -137,30 +139,29 @@ def max_independent_set(g: Graph, query: CocliqueQuery | None = None) -> VertexS
     """A maximum independent set by branch and bound.
 
     Branches on the candidate vertex of maximum degree (ties broken by
-    lowest index); prunes with the greedy clique-cover bound.  On budget
+    lowest index), first taking it and then leaving it out; prunes with
+    the greedy clique-cover bound.  The search runs on an explicit stack,
+    so its depth is not limited by Python's recursion limit.  On budget
     exhaustion raises BudgetExceeded carrying the best set found.
     """
     if query is None:
         query = CocliqueQuery(mode="maximum")
     rows = g.rows
-    full = (1 << g.order) - 1
-    best = [0, 0]  # mask, size
+    best, best_size = 0, 0
     state = _Search(rows, query.node_budget, query.time_budget)
-
-    def rec(chosen_mask: int, chosen_size: int, cand: int):
-        try:
-            state.tick(best[0])
-        except BudgetExceeded as exc:
-            exc.partial = best[0]
-            raise
-        if chosen_size > best[1]:
-            best[0], best[1] = chosen_mask, chosen_size
+    # (chosen set, its size, candidates); the top is the next node visited
+    stack = [(0, 0, (1 << g.order) - 1)]
+    while stack:
+        chosen_mask, chosen_size, cand = stack.pop()
+        state.tick(best)
+        if chosen_size > best_size:
+            best, best_size = chosen_mask, chosen_size
         if not cand:
-            return
-        if chosen_size + cand.bit_count() <= best[1]:
-            return
-        if chosen_size + _cover_bound(cand, rows) <= best[1]:
-            return
+            continue
+        if chosen_size + cand.bit_count() <= best_size:
+            continue
+        if chosen_size + _cover_bound(cand, rows) <= best_size:
+            continue
         # branch vertex: max degree within candidates, lowest index on ties
         bv, bd = -1, -1
         for v in bits(cand):
@@ -168,8 +169,6 @@ def max_independent_set(g: Graph, query: CocliqueQuery | None = None) -> VertexS
             if d > bd:
                 bv, bd = v, d
         low = 1 << bv
-        rec(chosen_mask | low, chosen_size + 1, cand & ~rows[bv] & ~low)
-        rec(chosen_mask, chosen_size, cand & ~low)
-
-    rec(0, 0, full)
-    return best[0]
+        stack.append((chosen_mask, chosen_size, cand & ~low))
+        stack.append((chosen_mask | low, chosen_size + 1, cand & ~rows[bv] & ~low))
+    return best

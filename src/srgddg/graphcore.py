@@ -21,6 +21,7 @@ reproducible across runs:
 
 from __future__ import annotations
 
+import binascii
 from itertools import combinations
 from typing import Iterable, Iterator
 
@@ -326,22 +327,51 @@ def _encode_order(n: int) -> bytes:
     raise ValueError(f"graph6 cannot encode order {n}")
 
 
+# the base64 alphabet mapped onto the graph6 bytes 63..126
+_B64_TO_G6 = bytes.maketrans(
+    b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/", bytes(range(63, 127))
+)
+
+
+_PACK_PIECE = 6144  # bits packed at a time by pack_graph6
+
+
+def _pack_bits(text: str) -> bytes:
+    """graph6 bytes of a "0"/"1" string whose length is a multiple of 24."""
+    data = int(text, 2).to_bytes(len(text) // 8, "big")
+    return binascii.b2a_base64(data, newline=False).translate(_B64_TO_G6)
+
+
+def pack_graph6(n: int, columns: Iterable[str]) -> bytes:
+    """graph6 of an n-vertex graph from the columns of its upper
+    triangle: column j is a string of j characters "0"/"1", the i-th
+    for x(i, j).
+
+    ``binascii`` packs the bits 24 at a time, and its 6-bit groups are then
+    moved to the graph6 range.  Columns are packed a few thousand bits at
+    a time, so memory stays small for any n."""
+    out = [_encode_order(n)]
+    held: list[str] = []
+    size = 0
+    for column in columns:
+        held.append(column)
+        size += len(column)
+        if size >= _PACK_PIECE:
+            text = "".join(held)
+            cut = size - size % 24
+            out.append(_pack_bits(text[:cut]))
+            held = [text[cut:]]
+            size -= cut
+    if size:
+        text = "".join(held)
+        out.append(_pack_bits(text + "0" * (-size % 24))[: (size + 5) // 6])
+    return b"".join(out)
+
+
 def encode_graph6(g: Graph) -> bytes:
-    out = bytearray(_encode_order(g.order))
-    acc = 0
-    nbits = 0
-    for j in range(1, g.order):
-        col = g.rows[j]
-        for i in range(j):
-            acc = acc << 1 | (col >> i & 1)
-            nbits += 1
-            if nbits == 6:
-                out.append(acc + 63)
-                acc = 0
-                nbits = 0
-    if nbits:
-        out.append((acc << (6 - nbits)) + 63)
-    return bytes(out)
+    return pack_graph6(
+        g.order, (format(g.rows[j] & ((1 << j) - 1), f"0{j}b")[::-1] for j in range(1, g.order))
+    )
 
 
 def _decode_order(data: bytes) -> tuple[int, int]:

@@ -3,31 +3,69 @@
 Individualization-refinement search over equitable ordered partitions.
 Plain colour refinement cannot split strongly regular graphs (they are
 1-WL homogeneous), so the search always starts from the uniform
-partition and relies on individualization.  Discovered automorphisms
-prune the search two ways: sibling branches lying in a common orbit are
-skipped, and finding an automorphism at a leaf abandons the current
-subtree back to where its path diverged from the first leaf's path
-(the two subtrees are images of each other, so nothing new is there).
+partition and relies on individualization.  The search tree is fixed by
+three rules: equitable refinement (:func:`_refine`), the target cell
+(the first smallest non-singleton cell), and one child per vertex of the
+target cell.
 
 The certificate is the lexicographically least graph6 encoding over the
-relabelings reached at the surviving search leaves; equal certificates
-mean isomorphic graphs, and the certificate is invariant under
-relabeling of the input.
+relabelings at the leaves of that tree; equal certificates mean
+isomorphic graphs, and the certificate is invariant under relabeling of
+the input.  Pruning skips only subtrees whose leaves repeat certificates
+of leaves already seen, so the least certificate does not depend on it.
+
+Two leaves with equal certificates give the same labeled graph, so
+mapping the vertex at position i of one to the vertex at position i of
+the other is an automorphism.  Two pruning rules use the automorphisms
+found:
+
+* Orbit pruning: at a node, skip a child vertex in the same orbit as an
+  already searched child, under the found automorphisms that fix every
+  cell of the node.  Proof: such an automorphism fixes the node and maps
+  the searched child's subtree onto the skipped child's.
+* Backjumping: when a leaf's certificate equals that of the first leaf
+  or of the best leaf so far, return to the node where the two paths
+  part.  Proof: the automorphism fixes each vertex individualized above
+  that node (it sits at the same position in both leaves), so it maps
+  the earlier leaf's child of that node, whose subtree is already
+  searched, onto the current child.
+
+Refinement repeats no work: a partition equitable with respect to a
+vertex set stays equitable when refined further, so a node refines its
+parent's equitable partition with only the two cells made by
+individualization, and the cells split off after them, as splitters.
+Splitting by any other splitter would change nothing, so the cells and
+their order are those of refining with every cell.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .errors import SizeCapExceeded
-from .graphcore import Graph, bits, encode_graph6
+from .graphcore import Graph, bits, pack_graph6
 
 DEFAULT_SIZE_CAP = 512
 
 
 @dataclass(frozen=True)
 class CanonicalForm:
+    """A certificate and what the search found on the way.
+
+    Only the certificate takes part in equality and hashing.  The rest
+    depends on the input labeling: ``generators`` are the automorphisms
+    found, each as the list of images of vertices 0..n-1; ``leaves``
+    counts the leaves reached, ``automorphisms`` the leaves that gave an
+    automorphism, and ``backjumps`` those whose jump abandoned the
+    remaining siblings of at least one ancestor above the leaf's parent.
+    """
+
     certificate: bytes
+    generators: tuple[tuple[int, ...], ...] = field(default=(), compare=False, repr=False)
+    leaves: int = field(default=0, compare=False)
+    automorphisms: int = field(default=0, compare=False)
+    backjumps: int = field(default=0, compare=False)
 
 
 class _Backjump(Exception):
@@ -35,55 +73,70 @@ class _Backjump(Exception):
         self.level = level
 
 
-def _refine(rows: tuple[int, ...], cells: list[int]) -> list[int]:
+def _refine(rows: tuple[int, ...], cells: list[int], queue: list[int]) -> list[int]:
     """Equitable refinement of an ordered partition.
 
-    Repeatedly splits cells by neighbour counts into active splitter
-    cells; new sub-cells are ordered by ascending count, which keeps the
-    procedure isomorphism-invariant.
+    ``queue`` must hold every cell of ``cells`` with respect to which
+    ``cells`` may not be equitable yet.  Each popped splitter splits every
+    cell by the number of neighbours in the splitter; the sub-cells, in
+    ascending order of that count, take the cell's place and join the
+    queue.  This order keeps the procedure isomorphism-invariant.  Once
+    every cell is a singleton, no splitter can change anything.
+
+    The counts are bit-sliced: bit v of ``planes[i]`` is bit i of the
+    count for vertex v, and each splitter vertex adds its row with a
+    ripple carry.
     """
-    cells = list(cells)
-    queue = list(cells)
-    while queue:
+    multi = [i for i, cell in enumerate(cells) if cell & (cell - 1)]  # non-singletons
+    while queue and multi:
         splitter = queue.pop()
-        out: list[int] = []
-        changed = False
-        for cell in cells:
-            if cell.bit_count() <= 1:
-                out.append(cell)
+        planes: list[int] = []
+        for u in bits(splitter):
+            carry = rows[u]
+            for i, plane in enumerate(planes):
+                planes[i] = plane ^ carry
+                carry &= plane
+                if not carry:
+                    break
+            else:
+                if carry:
+                    planes.append(carry)
+        if not planes:
+            continue
+        touched = 0
+        for plane in planes:
+            touched |= plane
+        planes.reverse()  # most significant first: 0-bits sort before 1-bits
+        splits: list[tuple[int, list[int]]] = []
+        for i in multi:
+            cell = cells[i]
+            if not cell & touched:
                 continue
-            groups: dict[int, int] = {}
-            for v in bits(cell):
-                d = (rows[v] & splitter).bit_count()
-                groups[d] = groups.get(d, 0) | (1 << v)
-            if len(groups) == 1:
-                out.append(cell)
-                continue
-            changed = True
-            parts = [groups[d] for d in sorted(groups)]
-            out.extend(parts)
-            queue.extend(parts)
-        if changed:
-            cells = out
+            parts = [cell]
+            for plane in planes:
+                if not cell & plane or cell & plane == cell:
+                    continue  # this count bit is the same on the whole cell
+                split: list[int] = []
+                for part in parts:
+                    high = part & plane
+                    if high and high != part:
+                        split += (part ^ high, high)
+                    else:
+                        split.append(part)
+                parts = split
+            if len(parts) > 1:
+                splits.append((i, parts))
+                queue += parts
+        if splits:
+            out: list[int] = []
+            start = 0
+            for i, parts in splits:
+                out += cells[start:i]
+                out += parts
+                start = i + 1
+            cells = out + cells[start:]
+            multi = [i for i, cell in enumerate(cells) if cell & (cell - 1)]
     return cells
-
-
-def _leaf_permutation(cells: list[int]) -> list[int]:
-    """position-of-vertex array for a discrete ordered partition."""
-    perm = [0] * len(cells)
-    for pos, cell in enumerate(cells):
-        perm[cell.bit_length() - 1] = pos
-    return perm
-
-
-def _apply_perm(g: Graph, perm: list[int]) -> Graph:
-    rows = [0] * g.order
-    for x in range(g.order):
-        row = 0
-        for y in bits(g.rows[x]):
-            row |= 1 << perm[y]
-        rows[perm[x]] = row
-    return Graph(g.order, rows)
 
 
 def _target_cell(cells: list[int]) -> int:
@@ -98,20 +151,130 @@ def _target_cell(cells: list[int]) -> int:
     return best
 
 
-class _OrbitUnion:
-    def __init__(self, n: int):
+class _NodeOrbits:
+    """Orbits on a node's target cell under the found automorphisms that
+    fix every cell of the node, with the automorphisms folded in as they
+    are found.  Such an automorphism maps the target cell to itself, so
+    the pairs (v, a[v]) with v in the cell generate its orbits there."""
+
+    def __init__(self, cells: list[int], target: int, n: int):
+        self.cell_of = [0] * n
+        for i, cell in enumerate(cells):
+            for v in bits(cell):
+                self.cell_of[v] = i
+        self.target = target
         self.parent = list(range(n))
+        self.folded = 0
 
     def find(self, x: int) -> int:
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
+        parent = self.parent
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
         return x
 
-    def union(self, a: int, b: int):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
+    def fold(self, autos: list[tuple[int, ...]]) -> bool:
+        """Take in the automorphisms found since the last call; whether
+        any orbit grew."""
+        grew = False
+        cell_of = self.cell_of
+        for a in autos[self.folded :]:
+            if [cell_of[x] for x in a] != cell_of:
+                continue
+            for v in bits(self.target):
+                ra, rb = self.find(v), self.find(a[v])
+                if ra != rb:
+                    self.parent[ra] = rb
+                    grew = True
+        self.folded = len(autos)
+        return grew
+
+
+def _leaf_certificate(n: int, matrix: list[str], order: list[int]) -> bytes:
+    """graph6 of the relabeling that puts vertex order[i] at position i.
+
+    ``matrix[x]`` is row x as a string whose character y is "1" iff
+    x ~ y; column j of the upper triangle is the first j characters of
+    row order[j] read in the new order."""
+    pick = itemgetter(*order)
+    return pack_graph6(n, ["".join(pick(matrix[w]))[:j] for j, w in enumerate(order)])
+
+
+class _Search:
+    """Depth-first search of one graph's tree, keeping the first and the
+    best leaf as (certificate, vertex order, path)."""
+
+    def __init__(self, g: Graph):
+        self.n = n = g.order
+        self.rows = g.rows
+        self.matrix = [format(row, f"0{n}b")[::-1] for row in g.rows]
+        self.first: tuple[bytes, list[int], list[int]] | None = None
+        self.best: tuple[bytes, list[int], list[int]] | None = None
+        self.path: list[int] = []
+        self.autos: list[tuple[int, ...]] = []
+        self.leaves = 0
+        self.backjumps = 0
+
+    def leaf(self, cells: list[int]):
+        self.leaves += 1
+        order = [cell.bit_length() - 1 for cell in cells]
+        cert = _leaf_certificate(self.n, self.matrix, order)
+        path = self.path
+        first, best = self.first, self.best
+        if first is None:
+            self.first = self.best = (cert, order, list(path))
+            return
+        if cert == first[0]:
+            ref = first
+        elif cert == best[0]:
+            ref = best
+        else:
+            if cert < best[0]:
+                self.best = (cert, order, list(path))
+            return
+        # both orders give the same labeled graph: position i of this
+        # leaf to position i of the earlier one is an automorphism
+        image = [0] * self.n
+        for v, w in zip(order, ref[1]):
+            image[v] = w
+        self.autos.append(tuple(image))
+        level = next(lvl for lvl, (a, b) in enumerate(zip(ref[2], path)) if a != b)
+        if level < len(path) - 1:
+            self.backjumps += 1
+        raise _Backjump(level)
+
+    def node(self, cells: list[int], queue: list[int], depth: int):
+        cells = _refine(self.rows, cells, queue)
+        t = _target_cell(cells)
+        if t < 0:
+            self.leaf(cells)
+            return
+        target = cells[t]
+        autos, path = self.autos, self.path
+        orbits: _NodeOrbits | None = None
+        searched: set[int] = set()  # orbit roots of the children searched
+        branched: list[int] = []
+        for v in bits(target):
+            if branched and autos:
+                if orbits is None:
+                    orbits = _NodeOrbits(cells, target, self.n)
+                    searched = set(branched)
+                if orbits.fold(autos):
+                    searched = {orbits.find(u) for u in branched}
+                if orbits.find(v) in searched:
+                    continue
+            new = [1 << v, target ^ (1 << v)]
+            path.append(v)
+            try:
+                self.node(cells[:t] + new + cells[t + 1 :], new, depth + 1)
+            except _Backjump as bj:
+                if bj.level < depth:
+                    path.pop()
+                    raise
+            path.pop()
+            branched.append(v)
+            if orbits is not None:
+                searched.add(orbits.find(v))
 
 
 def canonical_form(g: Graph, size_cap: int = DEFAULT_SIZE_CAP) -> CanonicalForm:
@@ -120,78 +283,11 @@ def canonical_form(g: Graph, size_cap: int = DEFAULT_SIZE_CAP) -> CanonicalForm:
     n = g.order
     if n > size_cap:
         raise SizeCapExceeded(f"canonical_form: order {n} exceeds cap {size_cap}")
-    rows = g.rows
+    search = _Search(g)
     full = (1 << n) - 1
-
-    best: list[bytes | None] = [None]
-    first_perm: list[list[int] | None] = [None]
-    first_cert: list[bytes | None] = [None]
-    first_path: list[list[int]] = [[]]
-    path: list[int] = []
-    autos: list[list[int]] = []
-
-    def record_leaf(cells: list[int]):
-        perm = _leaf_permutation(cells)
-        cert = encode_graph6(_apply_perm(g, perm))
-        if best[0] is None or cert < best[0]:
-            best[0] = cert
-        if first_perm[0] is None:
-            first_perm[0] = perm
-            first_cert[0] = cert
-            first_path[0] = list(path)
-            return
-        if cert == first_cert[0] and perm != first_perm[0]:
-            # both permutations produce the same labeled graph, so
-            # fperm^-1 . perm is an automorphism of g
-            fperm = first_perm[0]
-            inv = [0] * n
-            for v, pos in enumerate(fperm):
-                inv[pos] = v
-            autos.append([inv[pos] for pos in perm])
-            for lvl, (a, b) in enumerate(zip(first_path[0], path)):
-                if a != b:
-                    raise _Backjump(lvl)
-
-    def stabilizing_orbits(cells: list[int]) -> _OrbitUnion | None:
-        """Orbits of the discovered automorphisms fixing every cell."""
-        if not autos:
-            return None
-        uf = _OrbitUnion(n)
-        useful = False
-        for a in autos:
-            if all(all(cell >> a[v] & 1 for v in bits(cell)) for cell in cells):
-                useful = True
-                for v in range(n):
-                    uf.union(v, a[v])
-        return uf if useful else None
-
-    def search(cells: list[int], depth: int):
-        cells = _refine(rows, cells)
-        t = _target_cell(cells)
-        if t < 0:
-            record_leaf(cells)
-            return
-        branched: list[int] = []
-        for v in bits(cells[t]):
-            if branched:
-                uf = stabilizing_orbits(cells)
-                if uf is not None and any(uf.find(v) == uf.find(u) for u in branched):
-                    continue
-            nxt = cells[:t] + [1 << v, cells[t] ^ (1 << v)] + cells[t + 1 :]
-            path.append(v)
-            try:
-                search(nxt, depth + 1)
-            except _Backjump as bj:
-                if bj.level < depth:
-                    path.pop()
-                    branched.append(v)
-                    raise
-            path.pop()
-            branched.append(v)
-
-    search([full], 0)
-    assert best[0] is not None
-    return CanonicalForm(best[0])
+    search.node([full], [full], 0)
+    autos = search.autos
+    return CanonicalForm(search.best[0], tuple(autos), search.leaves, len(autos), search.backjumps)
 
 
 def are_isomorphic(g: Graph, h: Graph, size_cap: int = DEFAULT_SIZE_CAP) -> bool:

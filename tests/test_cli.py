@@ -244,6 +244,38 @@ class TestCensus:
         res = json.loads(out.stdout)["results"]
         assert (res["graphs"], res["decomposable"], res["distinct_ddg_certificates"]) == (2, 1, 1)
 
+    def test_threads_same_report_as_serial(self, tmp_path, sp42, sp43, grid66, petersen, t6):
+        # more graphs than the submit window of 2 x threads
+        f = tmp_path / "cat.g6"
+        graphs = [sp42, grid66, sp43, petersen, t6, sp42, grid66]
+        f.write_bytes(b"".join(gc.encode_graph6(g) + b"\n" for g in graphs))
+        reports = []
+        for extra in ([], ["--threads", "2"]):
+            out = subprocess.run(
+                [sys.executable, "-m", "srgddg.cli", "census", str(f), *extra],
+                capture_output=True, check=True,
+            )
+            rep = json.loads(out.stdout)
+            del rep["timing_ms"]
+            reports.append(rep)
+        assert reports[0] == reports[1]
+        assert reports[0]["results"]["graphs"] == 7
+
+    def test_threads_submit_window_is_bounded(self):
+        drawn = []
+
+        def items():
+            for i in range(40):
+                drawn.append(i)
+                yield i
+
+        consumed = 0
+        for result in cli._census_outcomes(abs, items(), threads=2):
+            assert result == consumed
+            consumed += 1
+            assert len(drawn) - consumed <= 4
+        assert consumed == 40
+
 
     def test_budget_hit_gives_rows(self, tmp_path, capsys, sp42, grid66):
         f = tmp_path / "cat.g6"

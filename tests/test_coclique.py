@@ -17,6 +17,41 @@ def brute_independent_sets(g, size):
     return out
 
 
+def recursive_max_independent_set(g):
+    """The branch and bound of max_independent_set written recursively:
+    same branching order and bounds (oracle for the set returned)."""
+    rows = g.rows
+    best = [0, 0]
+
+    def rec(chosen, size, cand):
+        if size > best[1]:
+            best[:] = [chosen, size]
+        if not cand or size + cand.bit_count() <= best[1]:
+            return
+        if size + naive_cover_bound(cand, rows) <= best[1]:
+            return
+        bv = max(gc.bits(cand), key=lambda v: ((rows[v] & cand).bit_count(), -v))
+        rec(chosen | 1 << bv, size + 1, cand & ~rows[bv] & ~(1 << bv))
+        rec(chosen, size, cand & ~(1 << bv))
+
+    rec(0, 0, (1 << g.order) - 1)
+    return best[0]
+
+
+def naive_cover_bound(cand, rows):
+    """Greedy clique cover: each vertex joins the first class it is
+    adjacent to throughout."""
+    classes = []
+    for v in gc.bits(cand):
+        for i, cl in enumerate(classes):
+            if cl & ~rows[v] == 0:
+                classes[i] = cl | 1 << v
+                break
+        else:
+            classes.append(1 << v)
+    return len(classes)
+
+
 def random_graph(n, p, rng):
     edges = [(x, y) for x, y in combinations(range(n), 2) if rng.random() < p]
     return gc.from_edges(n, edges)
@@ -125,6 +160,30 @@ class TestMaxIndependentSet:
 
     def test_deterministic(self, petersen):
         assert cq.max_independent_set(petersen) == cq.max_independent_set(petersen)
+
+    def test_same_set_as_recursive_search(self, petersen, grid66):
+        rng = random.Random(41)
+        graphs = [petersen, grid66, gc.path(9), gc.cycle(11)]
+        graphs += [random_graph(rng.randint(2, 16), rng.uniform(0.1, 0.9), rng) for _ in range(40)]
+        for g in graphs:
+            assert cq.max_independent_set(g) == recursive_max_independent_set(g)
+
+    def test_edgeless_1200_no_recursion_limit(self):
+        # the search is one level deeper per vertex taken
+        assert cq.max_independent_set(gc.edgeless(1200)) == (1 << 1200) - 1
+
+
+class TestCoverBound:
+    def test_matches_naive_greedy(self, petersen, grid66):
+        rng = random.Random(43)
+        graphs = [petersen, grid66, gc.edgeless(9), gc.complete(6), gc.path(10)]
+        graphs += [
+            random_graph(rng.randint(2, 20), rng.uniform(0.05, 0.95), rng) for _ in range(40)
+        ]
+        for g in graphs:
+            full = (1 << g.order) - 1
+            for cand in (full, full & rng.getrandbits(g.order), full & rng.getrandbits(g.order)):
+                assert cq._cover_bound(cand, g.rows) == naive_cover_bound(cand, g.rows)
 
 
 class TestQueryValidation:

@@ -1,17 +1,71 @@
+import hashlib
 import random
-from itertools import combinations
+import time
+from itertools import combinations, permutations
 
 import pytest
 
+from srgddg import assembly, iso
 from srgddg import graphcore as gc
-from srgddg import iso
+from srgddg import recognize as rec
+from srgddg.coclique import CocliqueQuery
 from srgddg.errors import SizeCapExceeded
+
+
+def relabel(g, perm):
+    """The graph with vertex x renamed perm[x]."""
+    rows = [0] * g.order
+    for x, row in enumerate(g.rows):
+        for y in gc.bits(row):
+            rows[perm[x]] |= 1 << perm[y]
+    return gc.Graph(g.order, rows)
 
 
 def random_relabel(g, rng):
     perm = list(range(g.order))
     rng.shuffle(perm)
-    return iso._apply_perm(g, perm)
+    return relabel(g, perm)
+
+
+def first_ddg_piece(graph):
+    """(ddg, partition in the DDG's numbering, design) of the first
+    decomposition, ready for attach_coclique."""
+    dec = assembly.decompose(graph, CocliqueQuery(mode="first"))[0]
+    rest = ((1 << graph.order) - 1) ^ dec.coclique
+    new_id = {old: new for new, old in enumerate(gc.set_of(rest))}
+    classes = tuple(sum(1 << new_id[x] for x in gc.bits(cl)) for cl in dec.partition.classes)
+    return dec.ddg, rec.CanonicalPartition(classes), dec.design
+
+
+def certificate_corpus(sp43, sp62):
+    """The 40 DDGs of the Sp(4,3) complement, the nine DDGs of the
+    SRG(63,32,16,16) glued with phi = (1,2,0,3,4,5,6), and 78 seeded
+    random graphs on 2..40 vertices."""
+    graphs = [d.ddg for d in assembly.decompose(sp43)]
+    twisted = assembly.attach_coclique(*first_ddg_piece(sp62), (1, 2, 0, 3, 4, 5, 6))
+    graphs += [d.ddg for d in assembly.decompose(twisted)]
+    rng = random.Random(2014)
+    for n in range(2, 41):
+        for p in (0.2, 0.5):
+            edges = [e for e in combinations(range(n), 2) if rng.random() < p]
+            graphs.append(gc.from_edges(n, edges))
+    return graphs
+
+
+# SHA-256 over the certificates of certificate_corpus, one per line, as
+# computed at commit a00abc8.  Any pruning that is sound leaves the least
+# leaf certificate, and so this digest, unchanged.
+CORPUS_DIGEST = "66e06235b7550c8af086586a017dae4fac07c6d9f1b5c9656599861e5f50b3cb"
+
+
+def cycles_union(*lengths):
+    """Disjoint union of cycles of the given lengths: automorphisms
+    that do not act transitively on the vertices."""
+    edges, base = [], 0
+    for k in lengths:
+        edges += [(base + i, base + (i + 1) % k) for i in range(k)]
+        base += k
+    return gc.from_edges(base, edges)
 
 
 def brute_isomorphic(g, h):
@@ -58,7 +112,7 @@ class TestCanonicalForm:
     def test_relabel_invariance_assorted(self):
         rng = random.Random(4)
         corpus = [gc.cycle(8), gc.grid(3, 3), gc.triangular(5), gc.path(6),
-                  gc.composition(gc.complete(2), gc.cycle(3))]
+                  gc.composition(gc.complete(2), gc.cycle(3)), cycles_union(3, 4, 5)]
         for g in corpus:
             base = iso.canonical_form(g)
             for _ in range(20):
@@ -99,6 +153,62 @@ class TestCanonicalForm:
         g = gc.composition(gc.complete(5), gc.edgeless(5))
         h = random_relabel(g, random.Random(13))
         assert iso.canonical_form(g) == iso.canonical_form(h)
+
+
+class TestPinnedCertificates:
+    def test_corpus_digest(self, sp43, sp62):
+        graphs = certificate_corpus(sp43, sp62)
+        assert len(graphs) == 127
+        h = hashlib.sha256()
+        for g in graphs:
+            h.update(iso.canonical_form(g).certificate + b"\n")
+        assert h.hexdigest() == CORPUS_DIGEST
+
+    def test_edgeless_100_completes(self):
+        t0 = time.perf_counter()
+        cf = iso.canonical_form(gc.edgeless(100))
+        assert cf.certificate == gc.encode_graph6(gc.edgeless(100))
+        assert time.perf_counter() - t0 < 20
+
+
+def is_automorphism(g, image):
+    return sorted(image) == list(range(g.order)) and all(
+        g.has_edge(image[x], image[y]) for x, y in g.edges()
+    )
+
+
+class TestSearchStatistics:
+    def test_generators_are_automorphisms(self, petersen, sp42, sp43):
+        rng = random.Random(5)
+        graphs = [petersen, sp42, gc.grid(3, 4), gc.cycle(9), gc.edgeless(8), gc.complete(7),
+                  gc.composition(gc.complete(3), gc.edgeless(3))]
+        graphs += [d.ddg for d in assembly.decompose(sp43)[:3]]
+        graphs += [random_relabel(g, rng) for g in graphs]
+        for g in graphs:
+            cf = iso.canonical_form(g)
+            assert cf.generators, g
+            assert cf.automorphisms == len(cf.generators)
+            assert 0 <= cf.backjumps <= cf.automorphisms < cf.leaves
+            for image in cf.generators:
+                assert is_automorphism(g, image)
+
+    def test_asymmetric_graph_has_no_generators(self):
+        g = gc.from_edges(6, [(0, 3), (1, 2), (1, 3), (1, 5), (2, 3), (2, 4), (2, 5), (4, 5)])
+        assert sum(is_automorphism(g, p) for p in permutations(range(6))) == 1
+        cf = iso.canonical_form(g)
+        assert cf.generators == () and cf.automorphisms == 0
+
+    def test_edgeless_60_leaves(self):
+        # one leaf per level: the first, then one automorphism per level
+        cf = iso.canonical_form(gc.edgeless(60))
+        assert cf.leaves == 60
+        assert cf.automorphisms == 59
+
+    def test_statistics_do_not_enter_equality(self, petersen):
+        a = iso.canonical_form(petersen)
+        b = iso.canonical_form(random_relabel(petersen, random.Random(3)))
+        assert a == b and hash(a) == hash(b)
+        assert a == iso.CanonicalForm(a.certificate)
 
 
 class TestAreIsomorphic:
