@@ -8,11 +8,18 @@ vertex to the points of its phi-block.  The result is strongly regular
 with v = m(n+1), k = (-s)n, lambda = mu = (-s)(n+s), and the output is
 re-verified at runtime rather than trusted.
 
-Backward (:func:`decompose`): given a strongly regular graph, walk its
-Hoffman cocliques, test whether the induced complement is a proper
-divisible design graph of the family pattern, extract the design from
-the coclique neighbourhoods, and re-validate by rebuilding the graph
-edge for edge.
+Backward (:func:`decompose`) rests on one identity.  Let the graph be
+strongly regular with lambda = mu and C a Hoffman coclique.  Every
+vertex x outside C has exactly -s neighbours in C, N_C(x), as every
+vertex outside a coclique attaining the Hoffman bound does.  Two
+vertices x, y outside C have lambda common neighbours whether or not
+they are adjacent, so lambda - |N_C(x) & N_C(y)| of them lie outside C.
+So the classes of the divisible design graph
+Gamma - C are the groups of vertices with equal N_C(x), found in one
+hash pass; the blocks of the design are the distinct N_C sets; and the
+DDG parameters follow as (V, k+s, lambda+s, lambda-lambda_D, m, n),
+lambda_D the design's lambda.  No pair counting on Gamma - C is needed.
+Each witness is still proven by rebuilding the graph edge for edge.
 """
 
 from __future__ import annotations
@@ -21,16 +28,10 @@ from dataclasses import dataclass
 
 from . import theory
 from .coclique import CocliqueQuery, hoffman_cocliques
-from .designs import SymmetricDesign, required_design_params, verify_design
-from .errors import BudgetExceeded
-from .graphcore import Graph, VertexSet, bits, induced_subgraph, set_of
-from .recognize import (
-    CanonicalPartition,
-    DdgParams,
-    ddg_recognize,
-    quotient_matrix,
-    srg_params,
-)
+from .designs import SymmetricDesign, Violation, required_design_params, verify_design
+from .errors import BudgetExceeded, NoHoffmanBound
+from .graphcore import Graph, VertexSet, bit_picker, bits, induced_subgraph, set_of
+from .recognize import CanonicalPartition, DdgParams, SrgParams, srg_params
 
 __all__ = [
     "Decomposition",
@@ -66,15 +67,6 @@ class PhiNotBijective(AssemblyError):
 class ConstructionFailed(AssemblyError):
     """Output verification failed; the input violates the constant
     quotient-matrix condition despite matching parameters."""
-
-
-@dataclass(frozen=True)
-class Violation:
-    what: str
-    detail: tuple
-
-    def __bool__(self):
-        return False
 
 
 @dataclass(frozen=True)
@@ -160,6 +152,22 @@ def _check_ddg_partition(ddg: Graph, partition: CanonicalPartition) -> DdgParams
     return DdgParams(ddg.order, K, lam1, lam2, partition.m, partition.n)
 
 
+def _glue(ddg_rows, classes, blocks, phi) -> list[int]:
+    """Rows of the graph made by attaching the design's points to a DDG:
+    DDG vertex x keeps its number, point y becomes V + y, and every
+    vertex of class i is joined to the points of block phi[i]."""
+    V = len(ddg_rows)
+    rows = list(ddg_rows) + [0] * len(blocks)
+    for i, cl in enumerate(classes):
+        block = blocks[phi[i]]
+        shifted = block << V
+        for x in bits(cl):
+            rows[x] |= shifted
+        for y in bits(block):
+            rows[V + y] |= cl
+    return rows
+
+
 def attach_coclique(
     ddg: Graph,
     partition: CanonicalPartition,
@@ -184,18 +192,7 @@ def attach_coclique(
     phi = tuple(phi)
     if sorted(phi) != list(range(m)):
         raise PhiNotBijective(f"phi = {phi} is not a bijection on 0..{m - 1}")
-    V = ddg.order
-    rows = [r for r in ddg.rows]
-    for _ in range(m):
-        rows.append(0)
-    for i, cl in enumerate(partition.classes):
-        block = design.blocks[phi[i]]
-        shifted = block << V
-        for x in bits(cl):
-            rows[x] |= shifted
-        for y in bits(block):
-            rows[V + y] |= cl
-    graph = Graph(V + m, rows)
+    graph = Graph(ddg.order + m, _glue(ddg.rows, partition.classes, design.blocks, phi))
     sp = srg_params(graph)
     want_srg = (m * (n + 1), (-s) * n, (-s) * (n + s), (-s) * (n + s))
     if not sp or sp.tuple4 != want_srg:
@@ -206,28 +203,6 @@ def attach_coclique(
     return graph
 
 
-def _extract_design(
-    graph: Graph, coclique: VertexSet, partition: CanonicalPartition
-) -> SymmetricDesign | None:
-    """Blocks are the coclique neighbourhoods of the classes; every
-    vertex of a class must see the same coclique points."""
-    pts = set_of(coclique)
-    pt_index = {p: i for i, p in enumerate(pts)}
-    blocks = []
-    for cl in partition.classes:
-        members = set_of(cl)
-        masks = {graph.rows[x] & coclique for x in members}
-        if len(masks) != 1:
-            return None
-        blk = 0
-        for p in bits(masks.pop()):
-            blk |= 1 << pt_index[p]
-        blocks.append(blk)
-    k_blk = blocks[0].bit_count()
-    lam = (blocks[0] & blocks[1]).bit_count() if len(blocks) > 1 else 0
-    return SymmetricDesign(len(pts), tuple(blocks), k_blk, lam)
-
-
 def decompose(
     graph: Graph, query: CocliqueQuery | None = None
 ) -> list[Decomposition]:
@@ -235,77 +210,51 @@ def decompose(
     divisible design graph of the family pattern.
 
     Walks every Hoffman coclique (all of them unless the query asks for
-    mode "first"), recognizes the induced complement, extracts the
-    design, checks the constant quotient matrix, and re-validates each
-    witness by rebuilding graph edge for edge.  Returns the witnesses in
-    coclique order; an empty list is a legitimate outcome.
+    mode "first") and returns the witnesses in coclique order; an empty
+    list is a legitimate outcome.  The checks, in order, and what each
+    proves:
+
+    1. ``srg_params`` on the input, once: the graph is strongly regular
+       (and primitive, or AssemblyError).
+    2. lambda = mu, else ``[]`` without any search: the construction
+       only makes graphs with lambda = mu.  A Hoffman bound that is not
+       an integer also gives ``[]``: no coclique attains it.
+
+    Then per coclique C, with the vertices outside C grouped by N_C(x):
+
+    3. every N_C(x) has -s points, the premise of the identity in the
+       module docstring.
+    4. there are at least 2 groups, as many as points of C, all of one
+       size n >= 2: the groups can be the classes of a proper DDG whose
+       blocks form a symmetric design.
+    5. the distinct N_C sets form a symmetric design with the parameters
+       ``required_design_params(n, s)``, the DDG parameters given by the
+       identity fit the family pattern (``_family_of``), and s is the
+       graph's s.  With the identity, this proves that Gamma - C is a
+       proper DDG whose classes are the groups.
+    6. every vertex outside C has n + s neighbours in every class: the
+       quotient matrix is constant.
+    7. rebuilding the graph from the witness's DDG, classes, design and
+       phi gives back the graph edge for edge.
     """
     p = srg_params(graph)
     if not p:
         raise AssemblyError(f"not strongly regular: {p.reason}")
     if not p.primitive:
         raise AssemblyError("graph is imprimitive")
+    if p.lam != p.mu:
+        return []
+    try:
+        p.hoffman_size()
+    except NoHoffmanBound:
+        return []
     budget_exc = None
     try:
         cocliques = hoffman_cocliques(graph, p, query)
     except BudgetExceeded as exc:
         cocliques = exc.partial or []
         budget_exc = exc
-    full = (1 << graph.order) - 1
-    out: list[Decomposition] = []
-    for C in cocliques:
-        rest = full ^ C
-        old_ids = set_of(rest)
-        new_id = {old: new for new, old in enumerate(old_ids)}
-        ddg = induced_subgraph(graph, rest)
-        wits = ddg_recognize(ddg)
-        if not wits:
-            continue
-        for dp, part_ind in wits:
-            if not dp.proper:
-                continue
-            try:
-                n, s = _family_of(dp)
-            except ParameterMismatch:
-                continue
-            if s != p.s:
-                continue
-            # partition in graph's numbering, classes by smallest member
-            classes = []
-            for cl in part_ind.classes:
-                mask = 0
-                for x in bits(cl):
-                    mask |= 1 << old_ids[x]
-                classes.append(mask)
-            classes.sort(key=lambda cl: (cl & -cl).bit_length())
-            part = CanonicalPartition(tuple(classes))
-            design = _extract_design(graph, C, part)
-            if design is None:
-                continue
-            if not verify_design(design) or design.params != required_design_params(n, s):
-                continue
-            q = quotient_matrix(ddg, part_ind)
-            if not q or not q.is_constant(n + s):
-                continue
-            # induced-id classes in the same order as the design blocks
-            ind_classes = []
-            for cl in part.classes:
-                mask = 0
-                for x in bits(cl):
-                    mask |= 1 << new_id[x]
-                ind_classes.append(mask)
-            dec = Decomposition(
-                coclique=C,
-                partition=part,
-                ddg_params=dp,
-                ddg=ddg,
-                design=design,
-                phi=tuple(range(dp.m)),
-                n=n,
-                s=s,
-            )
-            if _roundtrip_matches(graph, dec, ind_classes):
-                out.append(dec)
+    out = [dec for dec in (_split(graph, p, C) for C in cocliques) if dec is not None]
     if budget_exc is not None:
         raise BudgetExceeded(
             "decompose: coclique search budget exhausted", budget_exc.nodes, out
@@ -313,24 +262,67 @@ def decompose(
     return out
 
 
-def _roundtrip_matches(graph: Graph, dec: Decomposition, ind_classes) -> bool:
-    """Rebuild graph from the witness and compare edge sets exactly."""
-    rebuilt = attach_coclique(
-        dec.ddg, CanonicalPartition(tuple(ind_classes)), dec.design, dec.phi
+def _split(graph: Graph, p: SrgParams, C: VertexSet) -> Decomposition | None:
+    """The witness for one Hoffman coclique C, or None; checks 3-7 of
+    :func:`decompose`."""
+    rows = graph.rows
+    order = graph.order
+    rest = ((1 << order) - 1) ^ C
+    # classes keyed by coclique neighbourhood; ascending x puts them in
+    # order of smallest member
+    groups: dict[int, int] = {}
+    for x in bits(rest):
+        key = rows[x] & C
+        groups[key] = groups.get(key, 0) | 1 << x
+    if any(key.bit_count() != -p.s for key in groups):
+        return None
+    pts = set_of(C)
+    m = len(groups)
+    classes = tuple(groups.values())
+    n = classes[0].bit_count()
+    if m < 2 or m != len(pts) or n < 2 or any(cl.bit_count() != n for cl in classes):
+        return None
+    pt_index = {z: i for i, z in enumerate(pts)}
+    blocks = []
+    for key in groups:
+        blk = 0
+        for z in bits(key):
+            blk |= 1 << pt_index[z]
+        blocks.append(blk)
+    lam_d = (blocks[0] & blocks[1]).bit_count()
+    dp = DdgParams(m * n, p.k + p.s, p.lam + p.s, p.lam - lam_d, m, n)
+    try:
+        s = _family_of(dp)[1]
+    except ParameterMismatch:
+        return None
+    if s != p.s:
+        return None
+    design = SymmetricDesign(m, tuple(blocks), -s, lam_d)
+    if design.params != required_design_params(n, s) or not verify_design(design):
+        return None
+    if any((rows[x] & cl).bit_count() != n + s for x in bits(rest) for cl in classes):
+        return None
+    # the roundtrip: glue the witness back together and compare, in the
+    # rebuilt numbering (ddg vertices, then points), with every row
+    old_ids = set_of(rest)
+    to_ddg = bit_picker(old_ids, order)
+    phi = tuple(range(m))
+    ddg = induced_subgraph(graph, rest)
+    rebuilt = _glue(ddg.rows, [to_ddg(cl) for cl in classes], design.blocks, phi)
+    rebuilt_ids = old_ids + pts
+    to_rebuilt = bit_picker(rebuilt_ids, order)
+    if any(to_rebuilt(rows[x]) != row for x, row in zip(rebuilt_ids, rebuilt)):
+        return None
+    return Decomposition(
+        coclique=C,
+        partition=CanonicalPartition(classes),
+        ddg_params=dp,
+        ddg=ddg,
+        design=design,
+        phi=phi,
+        n=n,
+        s=s,
     )
-    # rebuilt numbering: ddg vertices (ascending original non-coclique
-    # ids) then design points (ascending coclique ids)
-    order = set_of(((1 << graph.order) - 1) ^ dec.coclique) + set_of(dec.coclique)
-    back = [0] * graph.order
-    for new, old in enumerate(order):
-        back[old] = new
-    for x in range(graph.order):
-        row = 0
-        for y in bits(rebuilt.rows[back[x]]):
-            row |= 1 << order[y]
-        if row != graph.rows[x]:
-            return False
-    return True
 
 
 def verify_coclique_neighborhoods(graph: Graph, dec: Decomposition) -> bool | Violation:

@@ -32,32 +32,39 @@ class _Usage(Exception):
     pass
 
 
-def _read_lines(path: str) -> tuple[bytes, list[bytes]]:
-    if path == "-":
-        data = sys.stdin.buffer.read()
-    else:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    return data, data.splitlines()
+def _graph6_lines(raw_lines):
+    """(lineno, line) for each line holding a graph: stripped, without a
+    leading '>>graph6<<' header, blank lines skipped.  The one line
+    normaliser of every graph6 reader."""
+    for lineno, raw in enumerate(raw_lines, start=1):
+        line = raw.strip()
+        if line.startswith(b">>graph6<<"):
+            line = line[10:]
+        if line:
+            yield lineno, line
 
 
 def iter_graph_lines(path: str):
-    """Yield (lineno, line) pairs from a graph6 file, one line at a time.
-
-    Blank lines and a leading '>>graph6<<' header are tolerated and
-    skipped; the file is never held in memory as a whole.
-    """
+    """Yield (lineno, line) pairs from a graph6 file, one line at a time,
+    so the file is never held in memory as a whole."""
     fh = sys.stdin.buffer if path == "-" else open(path, "rb")
     try:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if line.startswith(b">>graph6<<"):
-                line = line[10:]
-            if line:
-                yield lineno, line
+        yield from _graph6_lines(fh)
     finally:
         if path != "-":
             fh.close()
+
+
+def _decode_lines(lines, keep_going: bool, diags: list):
+    """Decode (lineno, line) pairs; a bad line aborts, or with keep_going
+    is noted in diags and skipped."""
+    for lineno, line in lines:
+        try:
+            yield graphcore.decode_graph6(line)
+        except SrgddgError as exc:
+            if not keep_going:
+                raise SrgddgError(f"line {lineno}: {exc}") from None
+            diags.append(f"line {lineno}: {exc}")
 
 
 def read_graph_file(path: str, keep_going: bool = False):
@@ -66,28 +73,14 @@ def read_graph_file(path: str, keep_going: bool = False):
     Returns (graphs, diagnostics, sha256).  Parse errors carry 1-based
     line numbers and abort unless keep_going is set.
     """
-    data, _ = _read_lines(path)
-    digest = hashlib.sha256(data).hexdigest()
-    graphs = []
-    diags = []
-    for _lineno, g in _decode_lines(data, keep_going, diags):
-        graphs.append(g)
-    return graphs, diags, digest
-
-
-def _decode_lines(data: bytes, keep_going: bool, diags: list):
-    for lineno, raw in enumerate(data.splitlines(), start=1):
-        line = raw.strip()
-        if line.startswith(b">>graph6<<"):
-            line = line[10:]
-        if not line:
-            continue
-        try:
-            yield lineno, graphcore.decode_graph6(line)
-        except SrgddgError as exc:
-            if not keep_going:
-                raise SrgddgError(f"line {lineno}: {exc}") from None
-            diags.append(f"line {lineno}: {exc}")
+    if path == "-":
+        data = sys.stdin.buffer.read()
+    else:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    diags: list[str] = []
+    graphs = list(_decode_lines(_graph6_lines(data.splitlines()), keep_going, diags))
+    return graphs, diags, hashlib.sha256(data).hexdigest()
 
 
 def write_graph_file(path: str, graphs) -> None:
@@ -405,14 +398,12 @@ def _census_one(g, budget: int):
 
 
 def _census_decode(args, diags, hasher):
-    for lineno, line in iter_graph_lines(args.file):
-        hasher.update(line + b"\n")
-        try:
-            yield graphcore.decode_graph6(line)
-        except SrgddgError as exc:
-            if not args.keep_going:
-                raise SrgddgError(f"line {lineno}: {exc}") from None
-            diags.append(f"line {lineno}: {exc}")
+    def hashed():
+        for lineno, line in iter_graph_lines(args.file):
+            hasher.update(line + b"\n")
+            yield lineno, line
+
+    return _decode_lines(hashed(), args.keep_going, diags)
 
 
 def _census_outcomes(one, graphs, threads: int):

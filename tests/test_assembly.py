@@ -1,3 +1,5 @@
+import functools
+import random
 from itertools import permutations
 
 import pytest
@@ -5,6 +7,7 @@ import pytest
 from srgddg import assembly as asm
 from srgddg import coclique as cq
 from srgddg import designs as ds
+from srgddg import galois, theory
 from srgddg import graphcore as gc
 from srgddg import recognize as rec
 from srgddg.errors import BudgetExceeded
@@ -21,6 +24,137 @@ def induced_partition(graph, dec):
             mask |= 1 << new_id[x]
         out.append(mask)
     return rec.CanonicalPartition(tuple(out))
+
+
+def plain_induced(graph, keep):
+    """Induced subgraph by a loop over the bits, renumbered ascending."""
+    old = gc.set_of(keep)
+    rows = []
+    for x in old:
+        row = 0
+        for new_y, y in enumerate(old):
+            row |= (graph.rows[x] >> y & 1) << new_y
+        rows.append(row)
+    return gc.Graph(len(old), rows)
+
+
+def generic_decompose(graph):
+    """The generic splitting pipeline, kept as the oracle of decompose:
+    for every Hoffman coclique, recognize the divisible design graph left
+    over by pair counting, extract the design from the neighbourhoods of
+    its classes, check the quotient matrix, glue the witness back with the
+    public attach_coclique and compare edge sets."""
+    p = rec.srg_params(graph)
+    if p.c.denominator != 1:
+        return []
+    full = (1 << graph.order) - 1
+    out = []
+    for C in cq.hoffman_cocliques(graph, p):
+        rest = full ^ C
+        old_ids = gc.set_of(rest)
+        pts = gc.set_of(C)
+        ddg = plain_induced(graph, rest)
+        for dp, part in rec.ddg_recognize(ddg) or []:
+            n = dp.n
+            if not dp.proper or dp.K % (n - 1):
+                continue
+            s = -(dp.K // (n - 1))
+            fam = theory.family_from(n, s)
+            if not fam or fam.ddg.tuple6 != dp.tuple6 or s != p.s:
+                continue
+            classes = tuple(gc.mask_of(old_ids[x] for x in gc.bits(cl)) for cl in part.classes)
+            nbhds = [{graph.rows[x] & C for x in gc.bits(cl)} for cl in classes]
+            if any(len(nb) != 1 for nb in nbhds):
+                continue
+            blocks = tuple(gc.mask_of(pts.index(z) for z in gc.bits(nb.pop())) for nb in nbhds)
+            design = ds.SymmetricDesign(
+                len(pts), blocks, blocks[0].bit_count(), (blocks[0] & blocks[1]).bit_count()
+            )
+            if not ds.verify_design(design) or design.params != ds.required_design_params(n, s):
+                continue
+            q = rec.quotient_matrix(ddg, part)
+            if not q or not q.is_constant(n + s):
+                continue
+            phi = tuple(range(dp.m))
+            rebuilt = asm.attach_coclique(ddg, part, design, phi)
+            order = old_ids + pts
+            if any(
+                rebuilt.has_edge(i, j) != graph.has_edge(order[i], order[j])
+                for i in range(graph.order)
+                for j in range(i)
+            ):
+                continue
+            out.append(asm.Decomposition(
+                C, rec.CanonicalPartition(classes), dp, ddg, design, phi, n, s
+            ))
+    return out
+
+
+def glued(graph, phi):
+    """The SRG built from graph's first generic witness with bijection phi."""
+    d = generic_decompose(graph)[0]
+    return asm.attach_coclique(d.ddg, induced_partition(graph, d), d.design, phi)
+
+
+def relabelled(graph, seed):
+    """graph with its vertices renamed by a permutation drawn from seed."""
+    perm = list(range(graph.order))
+    random.Random(seed).shuffle(perm)
+    rows = [0] * graph.order
+    for x, row in enumerate(graph.rows):
+        for y in gc.bits(row):
+            rows[perm[x]] |= 1 << perm[y]
+    return gc.Graph(graph.order, rows)
+
+
+# (name, witnesses): SRG(63)s glued from the Sp(6,2) complement with four
+# bijections phi, Sp(4,3) complements glued with three, the Sp(4,4)
+# complement, the 6 x 6 grid, and seeded relabellings
+ORACLE_CASES = [
+    ("sp62_identity", 135),
+    ("sp62_transposition", 27),
+    ("sp62_3cycle", 9),
+    ("sp62_4cycle", 1),
+    ("sp43_phi0123", 40),
+    ("sp43_phi1023", 40),
+    ("sp43_phi3201", 40),
+    ("sp44", 85),
+    ("grid66", 0),
+]
+ORACLE_CASES += [
+    (name + "_relabelled", count)
+    for name, count in ORACLE_CASES
+    if name in ("sp62_transposition", "sp62_4cycle", "sp43_phi1023", "sp44", "grid66")
+]
+
+
+@functools.lru_cache(maxsize=None)
+def oracle_graph(name):
+    if name.endswith("_relabelled"):
+        return relabelled(oracle_graph(name[: -len("_relabelled")]), name)
+    if name == "sp44":
+        return galois.symplectic_complement(2, galois.fieldspec(2, 2))
+    if name == "grid66":
+        return gc.grid(6, 6)
+    base, _, twist = name.partition("_")
+    if base == "sp62":
+        phi = {
+            "identity": (0, 1, 2, 3, 4, 5, 6),
+            "transposition": (1, 0, 2, 3, 4, 5, 6),
+            "3cycle": (1, 2, 0, 3, 4, 5, 6),
+            "4cycle": (1, 2, 3, 0, 4, 5, 6),
+        }[twist]
+        return glued(galois.symplectic_complement(3, galois.fieldspec(2, 1)), phi)
+    phi = tuple(int(c) for c in twist[len("phi"):])
+    return glued(galois.symplectic_complement(2, galois.fieldspec(3, 1)), phi)
+
+
+@pytest.mark.parametrize("name, count", ORACLE_CASES, ids=[c[0] for c in ORACLE_CASES])
+def test_decompose_matches_generic_pipeline(name, count):
+    graph = oracle_graph(name)
+    want = generic_decompose(graph)
+    assert len(want) == count
+    assert asm.decompose(graph) == want
 
 
 @pytest.fixture(scope="module")
@@ -111,6 +245,23 @@ class TestDecompose:
 
     def test_grid_negative_control(self, grid66):
         assert asm.decompose(grid66) == []
+
+    def test_lambda_ne_mu_needs_no_search(self, grid66, petersen):
+        # a budget of one node would be exhausted by any coclique search
+        one = cq.CocliqueQuery(node_budget=1)
+        for g in (grid66, gc.grid(3, 3), gc.complement_of(petersen)):
+            p = rec.srg_params(g)
+            assert p.lam != p.mu
+            assert asm.decompose(g, one) == []
+
+    def test_no_hoffman_bound(self):
+        # the complement of the Clebsch graph, SRG(16,10,6,6): lambda = mu,
+        # but the coclique bound 8/3 is no integer, so no Hoffman coclique
+        cube = [(x, y) for x in range(16) for y in range(x) if (x ^ y).bit_count() in (1, 4)]
+        g = gc.complement_of(gc.from_edges(16, cube))
+        p = rec.srg_params(g)
+        assert p.tuple4 == (16, 10, 6, 6) and str(p.c) == "8/3"
+        assert asm.decompose(g) == []
 
     def test_quotient_always_constant(self, sp42, dec15):
         for d in dec15:

@@ -142,6 +142,30 @@ class TestDecomposeConstruct:
         assert recognize.srg_params(g).tuple4 == (15, 8, 4, 4)
 
 
+class TestNoHoffmanCoclique:
+    """The Petersen complement SRG(10,6,3,4) has coclique bound 5/2, so no
+    Hoffman coclique and 0 decompositions; the Paley graph SRG(9,4,1,2),
+    the 3 x 3 rook's graph, after it still gets its row."""
+
+    def catalog(self, tmp_path, petersen):
+        f = tmp_path / "two.g6"
+        graphs = [gc.complement_of(petersen), gc.grid(3, 3)]
+        f.write_bytes(b"".join(gc.encode_graph6(g) + b"\n" for g in graphs))
+        return str(f)
+
+    def test_decompose(self, tmp_path, capsys, petersen):
+        code, rep = run_json(capsys, ["decompose", self.catalog(tmp_path, petersen)])
+        assert code == 0
+        assert rep["results"]["graphs"] == [{"count": 0, "decompositions": []}] * 2
+
+    def test_census(self, tmp_path, capsys, petersen):
+        code, rep = run_json(capsys, ["census", self.catalog(tmp_path, petersen)])
+        assert code == 0
+        res = rep["results"]
+        assert (res["graphs"], res["decomposable"]) == (2, 0)
+        assert res["per_graph"] == [{"decompositions": 0}] * 2
+
+
 class TestConstructJson:
     @pytest.fixture
     def files(self, tmp_path, sp42):
@@ -284,8 +308,10 @@ class TestCensus:
         assert code == 0
         res = rep["results"]
         assert res["graphs"] == 2
-        assert all(row["budget_exhausted"] for row in res["per_graph"])
+        assert res["per_graph"][0]["budget_exhausted"]
         assert res["per_graph"][0]["decompositions"] < 15
+        # lambda != mu answers the grid exactly, with no search to cut short
+        assert res["per_graph"][1] == {"decompositions": 0}
         out = subprocess.run(
             [sys.executable, "-m", "srgddg.cli", "census", str(f), "--threads", "2",
              "--budget-nodes", "5"],

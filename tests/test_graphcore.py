@@ -167,6 +167,18 @@ class TestInducedSubgraph:
         assert sub.order == 12
         assert set(sub.degrees()) == {6}
 
+    def test_against_bit_loop(self):
+        rng = random.Random(11)
+        for n in (1, 2, 7, 63, 64, 65, 130):
+            g = gc.from_edges(n, [e for e in combinations(range(n), 2) if rng.random() < 0.4])
+            for _ in range(5):
+                keep = rng.getrandbits(n) or 1
+                old = gc.set_of(keep)
+                rows = [
+                    sum((g.rows[x] >> y & 1) << j for j, y in enumerate(old)) for x in old
+                ]
+                assert gc.induced_subgraph(g, keep) == gc.Graph(len(old), rows)
+
 
 class TestGraph6:
     def test_single_vertex_is_at(self):

@@ -211,6 +211,25 @@ class TestSearchStatistics:
         assert a == iso.CanonicalForm(a.certificate)
 
 
+class TestNodeOrbits:
+    # cells {0, 1}, {2}, {3} with target {0, 1}
+    def orbits(self):
+        return iso._NodeOrbits([0b0011, 0b0100, 0b1000], 0b0011, 4)
+
+    def test_automorphism_moving_a_cell_is_not_used(self):
+        orb = self.orbits()
+        assert orb.fold([(1, 0, 3, 2)]) is False
+        assert orb.find(0) != orb.find(1)
+
+    def test_automorphism_fixing_every_cell_merges(self):
+        orb = self.orbits()
+        autos = [(1, 0, 3, 2)]
+        orb.fold(autos)
+        autos.append((1, 0, 2, 3))
+        assert orb.fold(autos) is True
+        assert orb.find(0) == orb.find(1)
+
+
 class TestAreIsomorphic:
     def test_relabeled_graph(self, t6):
         assert iso.are_isomorphic(t6, random_relabel(t6, random.Random(9)))
