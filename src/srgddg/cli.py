@@ -44,12 +44,27 @@ def _graph6_lines(raw_lines):
             yield lineno, line
 
 
+def _split_stream(fh, size: int = 1 << 20):
+    """The lines of a binary stream, split as ``bytes.splitlines`` splits
+    the whole of it, read a chunk at a time.  The last line of a chunk
+    may be unfinished, or a CR whose LF is in the next chunk, so it is
+    carried over."""
+    carry = b""
+    for chunk in iter(functools.partial(fh.read1, size), b""):
+        lines = (carry + chunk).splitlines(keepends=True)
+        carry = lines.pop()
+        yield from lines
+    if carry:
+        yield carry
+
+
 def iter_graph_lines(path: str):
     """Yield (lineno, line) pairs from a graph6 file, one line at a time,
-    so the file is never held in memory as a whole."""
+    so the file is never held in memory as a whole.  Lines are split and
+    numbered as by :func:`read_graph_file`."""
     fh = sys.stdin.buffer if path == "-" else open(path, "rb")
     try:
-        yield from _graph6_lines(fh)
+        yield from _graph6_lines(_split_stream(fh))
     finally:
         if path != "-":
             fh.close()

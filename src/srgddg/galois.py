@@ -199,11 +199,6 @@ def fieldspec(p: int, e: int = 1) -> FieldSpec:
     raise AssertionError("no multiplicative generator found")
 
 
-# `field` is the natural public name, but dataclasses already use
-# dataclasses.field internally; expose both spellings.
-make_field = fieldspec
-
-
 def field_by_order(q: int) -> FieldSpec:
     """GF(q) for a prime power q."""
     fac = {}

@@ -9,6 +9,11 @@ Vertex sets (cocliques, partition classes, induced-subgraph selectors) are
 plain int bitsets as well; see :func:`bits`, :func:`mask_of`,
 :func:`set_of`.
 
+``Graph(...)`` checks its rows: range and loops row by row, and symmetry
+by one comparison of the rows with their transpose, taken as bit strings.
+graph6 is decoded through ``binascii``; the decoder builds its rows
+symmetric, so they skip that check.
+
 All generators document a deterministic vertex numbering so results are
 reproducible across runs:
 
@@ -22,7 +27,7 @@ reproducible across runs:
 from __future__ import annotations
 
 import binascii
-from itertools import combinations
+from itertools import combinations, zip_longest
 from operator import itemgetter
 from typing import Iterable, Iterator
 
@@ -52,6 +57,30 @@ def set_of(mask: VertexSet) -> list[int]:
     return list(bits(mask))
 
 
+# -- bit matrices ------------------------------------------------------
+#
+# A 0/1 matrix is held as one string of "0"/"1" per row, whose character
+# y is entry y of the row, so its transpose is one zip over the strings,
+# run in C.
+
+
+def _transpose(lines: list[str]) -> Iterator[str]:
+    """The rows of the transpose, made one at a time, so no n^2 tuple is
+    held.  Lines shorter than the longest are taken as padded with "0"."""
+    return map("".join, zip_longest(*lines, fillvalue="0"))
+
+
+def _first_one_way_pair(rows: tuple[int, ...], lines: list[str]) -> tuple[int, int]:
+    """The first pair (x, y), by x and then y, with y in rows[x] but x
+    not in rows[y]; ``lines`` are the rows as bit strings, character y
+    for bit y."""
+    for x, column in enumerate(_transpose(lines)):
+        one_way = rows[x] & ~int(column[::-1], 2)
+        if one_way:
+            return x, (one_way & -one_way).bit_length() - 1
+    raise AssertionError("rows are symmetric")
+
+
 class Graph:
     """Immutable simple graph.
 
@@ -73,10 +102,12 @@ class Graph:
                 raise ValueError(f"adjacency row {x} has bits outside 0..{order - 1}")
             if row >> x & 1:
                 raise ValueError(f"loop at vertex {x}")
-        for x, row in enumerate(rows):
-            for y in bits(row):
-                if not rows[y] >> x & 1:
-                    raise ValueError(f"adjacency not symmetric at pair ({x}, {y})")
+        # symmetric iff each row equals the same row of the transpose
+        fmt = f"0{order}b"
+        lines = [format(row, fmt)[::-1] for row in rows]
+        if not all(map(str.__eq__, _transpose(lines), lines)):
+            x, y = _first_one_way_pair(rows, lines)
+            raise ValueError(f"adjacency not symmetric at pair ({x}, {y})")
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "label", label)
@@ -328,6 +359,13 @@ def induced_subgraph(g: Graph, keep: VertexSet) -> Graph:
 # vertex count N(n), then the upper triangle of the adjacency matrix in
 # column order x(0,1), x(0,2), x(1,2), x(0,3), ..., packed into 6-bit
 # groups (first bit is the high bit), each group offset by 63.
+#
+# A 6-bit group offset by 63 is a base64 digit under a byte translation,
+# so both directions run through ``binascii``: no Python loop visits a
+# bit.  The decoder cuts the bits into the columns of the upper triangle
+# and gets the rest of each row from one transpose of those columns, so
+# its rows are symmetric by construction and skip the checks of
+# ``Graph.__init__``.
 
 _G6_MAX = 68719476735  # 2^36 - 1
 
@@ -342,10 +380,11 @@ def _encode_order(n: int) -> bytes:
     raise ValueError(f"graph6 cannot encode order {n}")
 
 
-# the base64 alphabet mapped onto the graph6 bytes 63..126
-_B64_TO_G6 = bytes.maketrans(
-    b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/", bytes(range(63, 127))
-)
+# the base64 alphabet mapped onto the graph6 bytes 63..126, and back
+_G6_BYTES = bytes(range(63, 127))
+_B64_ALPHABET = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+_B64_TO_G6 = bytes.maketrans(_B64_ALPHABET, _G6_BYTES)
+_G6_TO_B64 = bytes.maketrans(_G6_BYTES, _B64_ALPHABET)
 
 
 _PACK_PIECE = 6144  # bits packed at a time by pack_graph6
@@ -417,6 +456,15 @@ def _decode_order(data: bytes) -> tuple[int, int]:
     return n, 4
 
 
+def _bit_field(data: bytes, start: int, width: int) -> str:
+    """Bits ``start`` .. ``start + width - 1`` of ``data`` as a "0"/"1"
+    string; bit 0 is the high bit of byte 0."""
+    end = start + width
+    lo, hi = start // 8, -(-end // 8)
+    value = int.from_bytes(data[lo:hi], "big") >> (8 * hi - end)
+    return format(value & ((1 << width) - 1), f"0{width}b")
+
+
 def decode_graph6(data: bytes | str) -> Graph:
     """Decode one graph6 line (without trailing newline)."""
     if isinstance(data, str):
@@ -435,24 +483,19 @@ def decode_graph6(data: bytes | str) -> Graph:
         )
     if len(data) - pos > nbytes:
         raise Graph6Error("trailing bytes after adjacency data", pos + nbytes)
-    rows = [0] * n
-    bit = 0
-    i, j = 0, 1  # column-order upper triangle position
-    for off in range(pos, pos + nbytes):
-        byte = data[off]
-        if not 63 <= byte <= 126:
-            raise Graph6Error(f"invalid graph6 byte {byte:#x}", off)
-        group = byte - 63
-        for sh in (5, 4, 3, 2, 1, 0):
-            if bit >= nbits:
-                if group >> sh & 1:
-                    raise Graph6Error("nonzero padding bits", off)
-                continue
-            if group >> sh & 1:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-            bit += 1
-            i += 1
-            if i == j:
-                i, j = 0, j + 1
-    return Graph(n, rows)
+    body = data[pos:]
+    bad = body.translate(None, _G6_BYTES)
+    if bad:
+        raise Graph6Error(f"invalid graph6 byte {bad[0]:#x}", pos + body.index(bad[0]))
+    packed = binascii.a2b_base64(body.translate(_G6_TO_B64) + b"A" * (-nbytes % 4))
+    # the padding fills part of the last byte only
+    if "1" in _bit_field(packed, nbits, 6 * nbytes - nbits):
+        raise Graph6Error("nonzero padding bits", pos + nbytes - 1)
+    # column j holds x(0, j) .. x(j - 1, j): row j below the diagonal, and
+    # entry j of rows 0 .. j - 1 above it.  Column 0 is empty; it is given
+    # in full length, so the transpose has n rows.  Columns are cut from
+    # the bytes, so no string of all the bits, a byte for each, is held.
+    columns = ["0" * n] + [_bit_field(packed, j * (j - 1) // 2, j) for j in range(1, n)]
+    upper = _transpose(columns)
+    # built symmetric, loop-free and in range
+    return _trusted_graph(n, [int(c[::-1], 2) | int(u[::-1], 2) for c, u in zip(columns, upper)])

@@ -384,6 +384,25 @@ class TestGraphFileHandling:
         code, rep = run_json(capsys, ["recognize", str(f)])
         assert code == 0 and len(rep["results"]["graphs"]) == 1
 
+    def test_cr_only_line_ends(self, tmp_path, capsys, sp42, t6):
+        # the streaming census reader splits lines as the whole-file reader
+        f = tmp_path / "cr.g6"
+        f.write_bytes(gc.encode_graph6(sp42) + b"\r" + gc.encode_graph6(t6) + b"\r")
+        code, rep = run_json(capsys, ["decompose", str(f)])
+        assert code == 0 and len(rep["results"]["graphs"]) == 2
+        code, rep = run_json(capsys, ["census", str(f)])
+        assert code == 0 and rep["results"]["graphs"] == 2
+        assert rep["results"]["per_graph"][0]["decompositions"] == 15
+
+    def test_stream_splits_like_splitlines(self):
+        import io
+
+        data = b"ab\r\ncd\r\ref\n\n\rgh\r\r\nij"
+        for size in range(1, len(data) + 2):
+            got = list(cli._split_stream(io.BytesIO(data), size))
+            assert b"".join(got) == data
+            assert [line.rstrip(b"\r\n") for line in got] == data.splitlines()
+
     def test_roundtrip_write_read(self, tmp_path, petersen, t6):
         f = tmp_path / "two.g6"
         cli.write_graph_file(str(f), [petersen, t6])

@@ -3,13 +3,82 @@ from itertools import combinations
 
 import pytest
 
-from srgddg import graphcore as gc
+from srgddg import galois, graphcore as gc
 from srgddg.errors import Graph6Error
 
 
 def random_graph(n, p, rng):
     edges = [(x, y) for x, y in combinations(range(n), 2) if rng.random() < p]
     return gc.from_edges(n, edges)
+
+
+# -- oracles: the per-bit decoder and the per-edge symmetry check that the
+# -- bit-string versions in graphcore replace
+
+
+def bit_loop_decode(data):
+    """graph6 decoding one bit at a time."""
+    if isinstance(data, str):
+        data = data.encode("ascii", errors="surrogateescape")
+    if data.startswith(b">>graph6<<"):
+        data = data[10:]
+    n, pos = gc._decode_order(data)
+    if n == 0:
+        raise Graph6Error("order-0 graph6 input not supported", 0)
+    nbits = n * (n - 1) // 2
+    nbytes = (nbits + 5) // 6
+    if len(data) - pos < nbytes:
+        raise Graph6Error(
+            f"truncated adjacency data: need {nbytes} bytes, have {len(data) - pos}",
+            len(data),
+        )
+    if len(data) - pos > nbytes:
+        raise Graph6Error("trailing bytes after adjacency data", pos + nbytes)
+    rows = [0] * n
+    bit = 0
+    i, j = 0, 1  # column-order upper triangle position
+    for off in range(pos, pos + nbytes):
+        byte = data[off]
+        if not 63 <= byte <= 126:
+            raise Graph6Error(f"invalid graph6 byte {byte:#x}", off)
+        group = byte - 63
+        for sh in (5, 4, 3, 2, 1, 0):
+            if bit >= nbits:
+                if group >> sh & 1:
+                    raise Graph6Error("nonzero padding bits", off)
+                continue
+            if group >> sh & 1:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+            bit += 1
+            i += 1
+            if i == j:
+                i, j = 0, j + 1
+    return gc.Graph(n, rows)
+
+
+def edge_loop_error(order, rows):
+    """The message Graph(order, rows) must raise, found edge by edge, or
+    None for valid rows of the right count."""
+    full = (1 << order) - 1
+    for x, row in enumerate(rows):
+        if row & ~full:
+            return f"adjacency row {x} has bits outside 0..{order - 1}"
+        if row >> x & 1:
+            return f"loop at vertex {x}"
+    for x, row in enumerate(rows):
+        for y in gc.bits(row):
+            if not rows[y] >> x & 1:
+                return f"adjacency not symmetric at pair ({x}, {y})"
+    return None
+
+
+def outcome(decode, data):
+    """The rows decoded, or the error message and offset."""
+    try:
+        return decode(data).rows
+    except Graph6Error as exc:
+        return str(exc), exc.offset
 
 
 class TestGraphInvariants:
@@ -251,3 +320,146 @@ class TestGraph6:
         enc = gc.encode_graph6(g)
         assert enc.startswith(b"~")
         assert gc.decode_graph6(enc) == g
+
+
+@pytest.fixture(scope="module")
+def sp10_2():
+    return galois.symplectic_complement(5, galois.fieldspec(2, 1))
+
+
+class TestDecoderAgainstBitLoop:
+    ORDERS = (1, 2, 3, 62, 63, 64, 65, 130, 255)
+
+    def graphs(self):
+        rng = random.Random(2024)
+        for n in self.ORDERS:
+            for p in (0.0, 0.1, 0.5, 0.9, 1.0):
+                yield random_graph(n, p, rng)
+
+    def test_random_graphs(self):
+        for g in self.graphs():
+            data = gc.encode_graph6(g)
+            got = gc.decode_graph6(data)
+            assert got == bit_loop_decode(data) == g
+            assert got.label is None
+
+    def test_sp10_2(self, sp10_2):
+        data = gc.encode_graph6(sp10_2)
+        assert gc.decode_graph6(data) == bit_loop_decode(data) == sp10_2
+
+    def test_matches_networkx_decoder(self, sp10_2):
+        nx = pytest.importorskip("networkx")
+        for g in [*self.graphs(), sp10_2]:
+            data = gc.encode_graph6(g)
+            h = nx.from_graph6_bytes(data)
+            got = gc.decode_graph6(data)
+            assert got.order == h.number_of_nodes()
+            assert sorted(got.edges()) == sorted(tuple(sorted(e)) for e in h.edges())
+
+    def same_error(self, data):
+        want = outcome(bit_loop_decode, data)
+        assert isinstance(want, tuple), data
+        assert outcome(gc.decode_graph6, data) == want
+
+    def test_invalid_body_byte(self):
+        for n in (5, 13, 64, 130):
+            data = gc.encode_graph6(random_graph(n, 0.5, random.Random(n)))
+            pos = 1 if n < 63 else 4
+            for off in (pos, (pos + len(data)) // 2, len(data) - 1):
+                for bad in (0x00, 0x0A, 0x3E, 0x7F, 0xFF):
+                    self.same_error(data[:off] + bytes([bad]) + data[off + 1:])
+            # of two bad bytes the first is reported
+            self.same_error(data[:pos] + b"\x7f" + data[pos + 1:-1] + b"\x20")
+            self.same_error(data[:pos + 1] + b"\x7f" + data[pos + 2:-1] + b"\x7f")
+
+    def test_nonzero_padding(self):
+        # n(n-1)/2 mod 6 is one of 0, 1, 3, 4, so the padding is 0, 5, 3
+        # or 2 bits wide; a width of 1 or 4 cannot occur
+        widths = set()
+        for n in range(2, 40):
+            width = -(n * (n - 1) // 2) % 6
+            widths.add(width)
+            data = gc.encode_graph6(random_graph(n, 0.5, random.Random(n)))
+            assert outcome(gc.decode_graph6, data) == outcome(bit_loop_decode, data)
+            for pad in range(1, 1 << width):
+                self.same_error(data[:-1] + bytes([(data[-1] - 63 | pad) + 63]))
+        assert widths == {0, 2, 3, 5}
+
+    def test_framing_errors(self):
+        data = gc.encode_graph6(random_graph(70, 0.5, random.Random(3)))
+        for bad in (
+            b"", b"?", b"~", b"~?", b"~??", b"~~", b"~~??", b"~~???????",
+            b"\x01", b"~\x01??", b"~~?\x01?????",
+            data[:-1], data[:5], data[:4], data + b"?", data + b"\n",
+            b">>graph6<<", b">>graph6<<?", b">>graph6<<" + data[:-1],
+            b">>graph6<<" + data + b"A",
+        ):
+            self.same_error(bad)
+
+    def test_header_and_str_input(self):
+        data = gc.encode_graph6(random_graph(64, 0.5, random.Random(4)))
+        for good in (data, b">>graph6<<" + data, data.decode()):
+            assert gc.decode_graph6(good) == bit_loop_decode(good)
+
+    def test_mutations(self):
+        rng = random.Random(8)
+        for n in (1, 2, 7, 12, 63, 64):
+            data = bytearray(gc.encode_graph6(random_graph(n, 0.5, rng)))
+            for _ in range(60):
+                bad = bytearray(data)
+                off = rng.randrange(len(bad))
+                bad[off] = rng.choice([rng.randrange(256), bad[off] ^ 1, bad[off] ^ 32])
+                if rng.random() < 0.3:
+                    del bad[rng.randrange(len(bad)):]
+                assert outcome(gc.decode_graph6, bytes(bad)) == outcome(bit_loop_decode, bytes(bad))
+
+
+class TestValidationAgainstEdgeLoop:
+    def check(self, order, rows):
+        want = edge_loop_error(order, rows)
+        if want is None:
+            assert gc.Graph(order, rows).rows == tuple(rows)
+        else:
+            with pytest.raises(ValueError) as info:
+                gc.Graph(order, rows)
+            assert str(info.value) == want
+
+    def test_valid_graphs_accepted(self):
+        rng = random.Random(5)
+        for n in range(1, 131):
+            g = random_graph(n, rng.random(), rng)
+            assert edge_loop_error(n, g.rows) is None
+            self.check(n, list(g.rows))
+
+    def test_flipped_bits(self):
+        rng = random.Random(6)
+        for n in range(2, 131):
+            rows = list(random_graph(n, rng.random(), rng).rows)
+            for flips in (1, 1, 3):
+                bad = list(rows)
+                for _ in range(flips):
+                    x, y = rng.sample(range(n), 2)
+                    bad[x] ^= 1 << y
+                self.check(n, bad)
+
+    def test_loops(self):
+        rng = random.Random(7)
+        for n in range(1, 131):
+            rows = list(random_graph(n, rng.random(), rng).rows)
+            x = rng.randrange(n)
+            rows[x] |= 1 << x
+            self.check(n, rows)
+
+    def test_bits_out_of_range(self):
+        rng = random.Random(9)
+        for n in range(1, 131):
+            rows = list(random_graph(n, rng.random(), rng).rows)
+            rows[rng.randrange(n)] |= 1 << (n + rng.randrange(3))
+            self.check(n, rows)
+
+    def test_asymmetric_pair_order(self):
+        # (0, 2) comes before (1, 0): row 0 is scanned first
+        self.check(3, [0b100, 0b001, 0b000])
+        self.check(3, [0b000, 0b101, 0b010])
+        with pytest.raises(ValueError, match=r"pair \(0, 2\)"):
+            gc.Graph(3, [0b100, 0b001, 0b000])
