@@ -31,7 +31,7 @@ from .coclique import CocliqueQuery, hoffman_cocliques
 from .designs import SymmetricDesign, Violation, required_design_params, verify_design
 from .errors import BudgetExceeded, NoHoffmanBound
 from .graphcore import Graph, VertexSet, bit_picker, bits, induced_subgraph, set_of
-from .recognize import CanonicalPartition, DdgParams, SrgParams, srg_params
+from .recognize import CanonicalPartition, DdgParams, SrgParams, _check_ddg_partition, srg_params
 
 __all__ = [
     "Decomposition",
@@ -114,44 +114,6 @@ def _family_of(dp: DdgParams) -> tuple[int, int]:
     return n, s
 
 
-def _check_ddg_partition(ddg: Graph, partition: CanonicalPartition) -> DdgParams:
-    """Verify the given partition realizes divisible-design counts."""
-    partition.validate(ddg.order)
-    K = ddg.regular_degree()
-    if K is None:
-        raise ParameterMismatch("graph is not regular")
-    rows = ddg.rows
-    classes = partition.classes
-    lam1 = lam2 = None
-    cls_of = [0] * ddg.order
-    for i, cl in enumerate(classes):
-        for x in bits(cl):
-            cls_of[x] = i
-    for x in range(ddg.order):
-        rx = rows[x]
-        for y in range(x + 1, ddg.order):
-            cnt = (rx & rows[y]).bit_count()
-            if cls_of[x] == cls_of[y]:
-                if lam1 is None:
-                    lam1 = cnt
-                elif cnt != lam1:
-                    raise ParameterMismatch(
-                        f"same-class pair ({x}, {y}) has {cnt} common "
-                        f"neighbours, expected {lam1}"
-                    )
-            else:
-                if lam2 is None:
-                    lam2 = cnt
-                elif cnt != lam2:
-                    raise ParameterMismatch(
-                        f"cross-class pair ({x}, {y}) has {cnt} common "
-                        f"neighbours, expected {lam2}"
-                    )
-    if lam1 is None or lam2 is None or lam1 == lam2:
-        raise ParameterMismatch("partition does not give a proper divisible design")
-    return DdgParams(ddg.order, K, lam1, lam2, partition.m, partition.n)
-
-
 def _glue(ddg_rows, classes, blocks, phi) -> list[int]:
     """Rows of the graph made by attaching the design's points to a DDG:
     DDG vertex x keeps its number, point y becomes V + y, and every
@@ -181,6 +143,8 @@ def attach_coclique(
     regular with the family parameters before being returned.
     """
     dp = _check_ddg_partition(ddg, partition)
+    if not dp:
+        raise ParameterMismatch(dp.reason)
     n, s = _family_of(dp)
     m = dp.m
     ok = verify_design(design)

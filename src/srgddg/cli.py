@@ -273,7 +273,7 @@ def _decomposition_json(dec: assembly.Decomposition) -> dict:
 def _cmd_decompose(args, t0):
     graphs, diags, digest = read_graph_file(args.file, args.keep_going)
     budget = _budget_from_env(args)
-    mode = "all" if args.all else "first"
+    mode = "first" if args.first else "all"
     rows = []
     for g in graphs:
         row = {}
@@ -511,8 +511,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decompose", help="coclique + divisible design splits")
     p.add_argument("file")
-    p.add_argument("--all", action="store_true", default=True)
-    p.add_argument("--first", dest="all", action="store_false")
+    p.add_argument("--first", action="store_true")
     p.add_argument("--budget-nodes", type=int, default=0)
     p.add_argument("--keep-going", action="store_true")
     p.set_defaults(fn=_cmd_decompose)
@@ -530,7 +529,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s-range", default=None, help="e.g. --s-range=-12..-2")
     p.add_argument("--n-max", type=int, default=None, help="list only n <= N (default: all)")
     p.add_argument("--brc", action="store_true", help="annotate with Bruck-Ryser-Chowla (advisory)")
-    p.add_argument("--json", action="store_true")  # reports are always JSON
     p.set_defaults(fn=_cmd_feasible)
 
     p = sub.add_parser("iso", help="isomorphism test")

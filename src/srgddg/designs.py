@@ -160,10 +160,8 @@ def required_design_params(n: int, s: int) -> tuple[int, int, int]:
     return (m, -s, lam)
 
 
-# -- Bruck-Ryser-Chowla (advisory only) ---------------------------------
-
-
 def _factor(n: int) -> dict[int, int]:
+    """{prime: exponent} of |n|; the package's only trial division."""
     n = abs(n)
     out: dict[int, int] = {}
     d = 2
@@ -175,6 +173,9 @@ def _factor(n: int) -> dict[int, int]:
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out
+
+
+# -- Bruck-Ryser-Chowla (advisory only) ---------------------------------
 
 
 def _legendre(a: int, p: int) -> int:

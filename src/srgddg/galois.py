@@ -19,23 +19,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .designs import SymmetricDesign
+from .designs import SymmetricDesign, _factor
 from .errors import SizeCapExceeded
 from .graphcore import Graph
 
 FIELD_SIZE_CAP = 1 << 16
 GRAPH_SIZE_CAP = 5000
-
-
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
 
 
 def _poly_of(n: int, p: int) -> list[int]:
@@ -160,7 +149,7 @@ def _mul_poly_direct(a: int, b: int, p: int, modulus: tuple[int, ...]) -> int:
 
 def fieldspec(p: int, e: int = 1) -> FieldSpec:
     """GF(p^e) with the lexicographically smallest irreducible modulus."""
-    if not _is_prime(p):
+    if _factor(p) != {p: 1}:
         raise ValueError(f"{p} is not prime")
     if e < 1:
         raise ValueError("extension degree must be >= 1")
@@ -201,20 +190,10 @@ def fieldspec(p: int, e: int = 1) -> FieldSpec:
 
 def field_by_order(q: int) -> FieldSpec:
     """GF(q) for a prime power q."""
-    fac = {}
-    n = q
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            fac[d] = fac.get(d, 0) + 1
-            n //= d
-        d += 1
-    if n > 1:
-        fac[n] = fac.get(n, 0) + 1
+    fac = _factor(q) if q > 1 else {}
     if len(fac) != 1:
         raise ValueError(f"{q} is not a prime power")
-    p, e = next(iter(fac.items()))
-    return fieldspec(p, e)
+    return fieldspec(*next(iter(fac.items())))
 
 
 def projective_points(dim: int, f: FieldSpec) -> list[tuple[int, ...]]:

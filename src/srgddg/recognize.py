@@ -1,21 +1,26 @@
 """Graph classification: regular / strongly regular / Deza / divisible
 design, plus canonical-partition recovery and equitable quotient matrices.
 
-All recognition is pairwise common-neighbour counting on bitset rows
-(row AND + popcount); no matrix multiplication is involved.  Recognition
-functions return falsy result objects (NotSrg, NotDeza, NotDdg, ...)
-carrying a reason and a witness instead of raising, so callers can
-classify arbitrary graphs without exception plumbing.
+All common-neighbour counting is one primitive, :func:`_pair_counts`
+(row AND + popcount on bitset rows), keyed by a relation the caller
+passes: adjacency in :func:`srg_params` (lambda, mu), none in
+:func:`deza_params`, the class mask in :func:`_check_ddg_partition`
+(lambda1, lambda2).  Recognition functions return falsy result objects
+(NotSrg, NotDeza, NotDdg, ...) carrying a reason and a witness instead
+of raising, so callers can classify arbitrary graphs without exception
+plumbing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from math import isqrt
+from typing import Sequence
 
 from .errors import NoHoffmanBound
-from .graphcore import Graph, VertexSet, bits
+from .graphcore import Graph, VertexSet, bits, mask_of
 
 __all__ = [
     "SrgParams",
@@ -33,6 +38,40 @@ __all__ = [
     "quotient_matrix",
     "srg_params_from_tuple",
 ]
+
+
+# -- pair counting -------------------------------------------------------
+
+# selectors of the pairs of key 0 and of key 1 from a row's b"0"/b"1" keys
+_KEY0, _KEY1 = bytes.maketrans(b"01", b"\1\0"), bytes.maketrans(b"01", b"\0\1")
+
+
+def _pair_counts(
+    rows: Sequence[int], related: Sequence[int], limit: int = 1
+) -> tuple[tuple[set[int], set[int]], tuple[int, int] | None]:
+    """Distinct counts |rows[x] & rows[y]| of the pairs x < y, keyed 1
+    when y is in related[x] and 0 otherwise, as (found, pair): found[key]
+    is the set of counts of that key, at most limit of them; pair is None
+    when all pairs fit, else the first pair (x, then y, ascending) whose
+    count is one too many for its key, found holding the counts before it."""
+    found: tuple[set[int], set[int]] = (set(), set())
+    for x, rx in enumerate(rows):
+        counts = [(rx & ry).bit_count() for ry in rows[x + 1 :]]
+        if (found[0] & found[1]).issuperset(counts):
+            continue  # each count fits under either key, as when lambda = mu
+        # byte y - x - 1 is "1" when y is in related[x]
+        keys = bin(related[x] >> x + 1)[:1:-1].encode().ljust(len(counts), b"0")
+        fits = found[0].issuperset(compress(counts, keys.translate(_KEY0)))
+        if fits and found[1].issuperset(compress(counts, keys.translate(_KEY1))):
+            continue
+        # a count new to its key: walk the row pair by pair
+        for y, c in enumerate(counts, x + 1):
+            seen = found[related[x] >> y & 1]
+            if c not in seen:
+                if len(seen) == limit:
+                    return found, (x, y)
+                seen.add(c)
+    return found, None
 
 
 # -- strongly regular ---------------------------------------------------
@@ -126,24 +165,11 @@ def srg_params(g: Graph) -> SrgParams | NotSrg:
         return NotSrg("complete")
     if not g.is_connected():
         return NotSrg("disconnected")
-    rows = g.rows
-    lam = mu = None
-    for x in range(n):
-        rx = rows[x]
-        for y in range(x + 1, n):
-            cnt = (rx & rows[y]).bit_count()
-            if rx >> y & 1:
-                if lam is None:
-                    lam = cnt
-                elif cnt != lam:
-                    return NotSrg("adjacent pairs disagree on common neighbours", (x, y))
-            else:
-                if mu is None:
-                    mu = cnt
-                elif cnt != mu:
-                    return NotSrg("non-adjacent pairs disagree on common neighbours", (x, y))
-    assert lam is not None and mu is not None
-    return srg_params_from_tuple(n, k, lam, mu)
+    (mu, lam), pair = _pair_counts(g.rows, g.rows)
+    if pair is not None:
+        kind = "adjacent" if g.has_edge(*pair) else "non-adjacent"
+        return NotSrg(f"{kind} pairs disagree on common neighbours", pair)
+    return srg_params_from_tuple(n, k, lam.pop(), mu.pop())
 
 
 # -- Deza ---------------------------------------------------------------
@@ -178,18 +204,11 @@ def deza_params(g: Graph) -> DezaParams | NotDeza:
         return NotDeza("not regular")
     if k == 0 or k == n - 1:
         return NotDeza("complete or edgeless")
-    rows = g.rows
-    seen: set[int] = set()
-    for x in range(n):
-        rx = rows[x]
-        for y in range(x + 1, n):
-            seen.add((rx & rows[y]).bit_count())
-            if len(seen) > 2:
-                return NotDeza("more than two distinct counts", tuple(sorted(seen)))
-    vals = sorted(seen, reverse=True)
-    if len(vals) == 1:
-        vals.append(vals[0])
-    return DezaParams(n, k, vals[0], vals[1])
+    (seen, _), pair = _pair_counts(g.rows, [0] * n, 2)
+    if pair is not None:
+        counts = tuple(sorted(seen | {g.common_neighbors(*pair)}))
+        return NotDeza("more than two distinct counts", counts)
+    return DezaParams(n, k, max(seen), min(seen))
 
 
 # -- divisible design ----------------------------------------------------
@@ -260,13 +279,35 @@ class NotDdg:
         return False
 
 
+def _check_ddg_partition(g: Graph, partition: CanonicalPartition) -> DdgParams | NotDdg:
+    """Divisible-design parameters with the given classes, or why not;
+    classes that do not partition the vertices raise ValueError."""
+    partition.validate(g.order)
+    K = g.regular_degree()
+    if K is None:
+        return NotDdg("graph is not regular")
+    owner = {x: cl for cl in partition.classes for x in bits(cl)}
+    class_mask = [owner[x] for x in range(g.order)]
+    (lam2, lam1), pair = _pair_counts(g.rows, class_mask)
+    if pair is not None:
+        x, y = pair
+        kind, want = ("same-class", lam1) if class_mask[x] >> y & 1 else ("cross-class", lam2)
+        cnt = g.common_neighbors(x, y)
+        return NotDdg(f"{kind} pair ({x}, {y}) has {cnt} common neighbours, expected {want.pop()}")
+    if not lam1 or not lam2 or lam1 == lam2:
+        return NotDdg("partition does not give a proper divisible design")
+    return DdgParams(g.order, K, lam1.pop(), lam2.pop(), partition.m, partition.n)
+
+
 def ddg_recognize(g: Graph) -> list[tuple[DdgParams, CanonicalPartition]] | NotDdg:
     """Recover every proper divisible-design structure of a graph.
 
-    Needs the graph to be Deza with counts {b, a}; for each assignment
-    of lambda1 the same-class relation (count == lambda1, plus identity)
-    must be an equivalence with classes of one common size.  Both
-    assignments can succeed, so all witnesses are returned.
+    Needs the graph to be Deza with counts {b, a}.  For each choice of
+    lambda1, a candidate class is the least uncovered vertex x with every
+    y sharing lambda1 neighbours with x; all have one size, as the counts
+    at any x sum to k(k - 1).  The candidates must be disjoint and pass
+    :func:`_check_ddg_partition`: exactly when count == lambda1 is an
+    equivalence.  Both choices can succeed, so all witnesses are returned.
     """
     dz = deza_params(g)
     if not dz:
@@ -277,38 +318,23 @@ def ddg_recognize(g: Graph) -> list[tuple[DdgParams, CanonicalPartition]] | NotD
             "with lambda = mu, an improper divisible design",
             srg_note=True,
         )
-    n_verts = g.order
-    rows = g.rows
     witnesses: list[tuple[DdgParams, CanonicalPartition]] = []
-    for lam1, lam2 in ((dz.b, dz.a), (dz.a, dz.b)):
-        mates = []
-        for x in range(n_verts):
-            rx = rows[x]
-            mask = 1 << x
-            for y in range(n_verts):
-                if y != x and (rx & rows[y]).bit_count() == lam1:
-                    mask |= 1 << y
-            mates.append(mask)
-        # equivalence iff every member of a candidate class sees the same class
-        ok = True
-        for x in range(n_verts):
-            mx = mates[x]
-            for y in bits(mx):
-                if mates[y] != mx:
-                    ok = False
-                    break
-            if not ok:
+    for lam1 in (dz.b, dz.a):
+        classes: list[int] = []
+        free = (1 << g.order) - 1
+        while free:
+            x = (free & -free).bit_length() - 1
+            rx = g.rows[x]
+            cl = 1 << x | mask_of(y for y, ry in enumerate(g.rows) if (rx & ry).bit_count() == lam1)
+            if cl & ~free:
                 break
-        if not ok:
-            continue
-        classes = sorted(set(mates), key=lambda cl: (cl & -cl).bit_length())
-        size = classes[0].bit_count()
-        if any(cl.bit_count() != size for cl in classes):
-            continue
-        m = len(classes)
-        part = CanonicalPartition(tuple(classes))
-        part.validate(n_verts)
-        witnesses.append((DdgParams(n_verts, dz.k, lam1, lam2, m, size), part))
+            classes.append(cl)
+            free ^= cl
+        else:
+            part = CanonicalPartition(tuple(classes))
+            dp = _check_ddg_partition(g, part)
+            if dp:
+                witnesses.append((dp, part))
     if not witnesses:
         return NotDdg("same-count relation is not an equivalence with equal classes")
     return witnesses

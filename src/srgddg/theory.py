@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import isqrt
 
-from .designs import bruck_ryser_chowla, required_design_params
+from .designs import _factor, bruck_ryser_chowla, required_design_params
 from .errors import NoHoffmanBound
 from .recognize import DdgParams, SrgParams, srg_params_from_tuple
 
@@ -134,18 +134,8 @@ class InconsistentFamily(AssertionError):
 
 def _prime_power_base(x: int) -> tuple[int, int] | None:
     """(p, a) with x = p^a, or None."""
-    if x < 2:
-        return None
-    d = 2
-    while d * d <= x:
-        if x % d == 0:
-            a = 0
-            while x % d == 0:
-                x //= d
-                a += 1
-            return (d, a) if x == 1 else None
-        d += 1
-    return (x, 1)
+    fac = _factor(x) if x > 1 else {}
+    return next(iter(fac.items())) if len(fac) == 1 else None
 
 
 def resolve_prime_power(fp: FamilyParams) -> PrimePowerResolution | NotPrimePower:
@@ -540,8 +530,10 @@ def enumerate_feasible(
     out = []
     for s in range(s_min, s_max + 1):
         N = s * (s + 1)
-        small = [d for d in range(1, isqrt(N) + 1) if N % d == 0]
-        for d in set(small + [N // d for d in small]):
+        divisors = [1]
+        for p, e in _factor(N).items():
+            divisors = [d * p**i for d in divisors for i in range(e + 1)]
+        for d in divisors:
             n = d - s
             if n_max is not None and n > n_max:
                 continue

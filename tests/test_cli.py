@@ -112,6 +112,17 @@ class TestDecomposeConstruct:
         first = row["decompositions"][0]
         assert first["ddg"]["V"] == 12 and first["design"]["v"] == 3
 
+    def test_first_and_removed_flags(self, tmp_path, capsys, sp42, sp43):
+        f = tmp_path / "two.g6"
+        f.write_bytes(gc.encode_graph6(sp42) + b"\n" + gc.encode_graph6(sp43) + b"\n")
+        code, rep = run_json(capsys, ["decompose", "--first", str(f)])
+        assert code == 0
+        assert [row["count"] for row in rep["results"]["graphs"]] == [1, 1]
+        # --all was the default and --json the only output; both are gone
+        assert cli.run(["decompose", "--all", str(f)]) == 2
+        assert cli.run(["feasible", "--s", "-6", "--json"]) == 2
+        capsys.readouterr()
+
     def test_construct_roundtrip(self, tmp_path, capsys, sp42):
         f = tmp_path / "g.g6"
         f.write_bytes(gc.encode_graph6(sp42) + b"\n")

@@ -1,12 +1,17 @@
+import random
+import re
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from test_assembly import ORACLE_CASES, induced_partition, oracle_graph
 
+from srgddg import assembly as asm
 from srgddg import exact as ex
 from srgddg import graphcore as gc
 from srgddg import recognize as rec
 from srgddg.errors import NoHoffmanBound
+from srgddg.graphcore import bits
 
 
 def t6_coclique_mask():
@@ -231,3 +236,337 @@ class TestQuotientMatrix:
         part = rec.CanonicalPartition((gc.mask_of(range(4)), gc.mask_of(range(4, 8))))
         with pytest.raises(ValueError):
             rec.quotient_matrix(petersen, part)
+
+
+# -- the five pair-counting loops that _pair_counts replaced, kept as the
+# oracles of srg_params, deza_params, ddg_recognize and _check_ddg_partition
+
+
+def loop_srg_params(g):
+    n = g.order
+    if n < 2:
+        return rec.NotSrg("graph too small")
+    k = g.regular_degree()
+    if k is None:
+        return rec.NotSrg("not regular")
+    if k == 0:
+        return rec.NotSrg("edgeless")
+    if k == n - 1:
+        return rec.NotSrg("complete")
+    if not g.is_connected():
+        return rec.NotSrg("disconnected")
+    rows = g.rows
+    lam = mu = None
+    for x in range(n):
+        rx = rows[x]
+        for y in range(x + 1, n):
+            cnt = (rx & rows[y]).bit_count()
+            if rx >> y & 1:
+                if lam is None:
+                    lam = cnt
+                elif cnt != lam:
+                    return rec.NotSrg("adjacent pairs disagree on common neighbours", (x, y))
+            else:
+                if mu is None:
+                    mu = cnt
+                elif cnt != mu:
+                    return rec.NotSrg("non-adjacent pairs disagree on common neighbours", (x, y))
+    assert lam is not None and mu is not None
+    return rec.srg_params_from_tuple(n, k, lam, mu)
+
+
+def loop_deza_params(g):
+    n = g.order
+    if n < 2:
+        return rec.NotDeza("graph too small")
+    k = g.regular_degree()
+    if k is None:
+        return rec.NotDeza("not regular")
+    if k == 0 or k == n - 1:
+        return rec.NotDeza("complete or edgeless")
+    rows = g.rows
+    seen = set()
+    for x in range(n):
+        rx = rows[x]
+        for y in range(x + 1, n):
+            seen.add((rx & rows[y]).bit_count())
+            if len(seen) > 2:
+                return rec.NotDeza("more than two distinct counts", tuple(sorted(seen)))
+    vals = sorted(seen, reverse=True)
+    if len(vals) == 1:
+        vals.append(vals[0])
+    return rec.DezaParams(n, k, vals[0], vals[1])
+
+
+def loop_ddg_recognize(g):
+    dz = loop_deza_params(g)
+    if not dz:
+        return rec.NotDdg(f"not a Deza graph: {dz.reason}")
+    if dz.b == dz.a:
+        return rec.NotDdg(
+            "all pairs share the same count: graph is strongly regular "
+            "with lambda = mu, an improper divisible design",
+            srg_note=True,
+        )
+    n_verts = g.order
+    rows = g.rows
+    witnesses = []
+    for lam1, lam2 in ((dz.b, dz.a), (dz.a, dz.b)):
+        mates = []
+        for x in range(n_verts):
+            rx = rows[x]
+            mask = 1 << x
+            for y in range(n_verts):
+                if y != x and (rx & rows[y]).bit_count() == lam1:
+                    mask |= 1 << y
+            mates.append(mask)
+        # equivalence iff every member of a candidate class sees the same class
+        ok = True
+        for x in range(n_verts):
+            mx = mates[x]
+            for y in bits(mx):
+                if mates[y] != mx:
+                    ok = False
+                    break
+            if not ok:
+                break
+        if not ok:
+            continue
+        classes = sorted(set(mates), key=lambda cl: (cl & -cl).bit_length())
+        size = classes[0].bit_count()
+        if any(cl.bit_count() != size for cl in classes):
+            continue
+        m = len(classes)
+        part = rec.CanonicalPartition(tuple(classes))
+        part.validate(n_verts)
+        witnesses.append((rec.DdgParams(n_verts, dz.k, lam1, lam2, m, size), part))
+    if not witnesses:
+        return rec.NotDdg("same-count relation is not an equivalence with equal classes")
+    return witnesses
+
+
+def loop_check_ddg_partition(ddg, partition):
+    partition.validate(ddg.order)
+    K = ddg.regular_degree()
+    if K is None:
+        raise asm.ParameterMismatch("graph is not regular")
+    rows = ddg.rows
+    classes = partition.classes
+    lam1 = lam2 = None
+    cls_of = [0] * ddg.order
+    for i, cl in enumerate(classes):
+        for x in bits(cl):
+            cls_of[x] = i
+    for x in range(ddg.order):
+        rx = rows[x]
+        for y in range(x + 1, ddg.order):
+            cnt = (rx & rows[y]).bit_count()
+            if cls_of[x] == cls_of[y]:
+                if lam1 is None:
+                    lam1 = cnt
+                elif cnt != lam1:
+                    raise asm.ParameterMismatch(
+                        f"same-class pair ({x}, {y}) has {cnt} common "
+                        f"neighbours, expected {lam1}"
+                    )
+            else:
+                if lam2 is None:
+                    lam2 = cnt
+                elif cnt != lam2:
+                    raise asm.ParameterMismatch(
+                        f"cross-class pair ({x}, {y}) has {cnt} common "
+                        f"neighbours, expected {lam2}"
+                    )
+    if lam1 is None or lam2 is None or lam1 == lam2:
+        raise asm.ParameterMismatch("partition does not give a proper divisible design")
+    return rec.DdgParams(ddg.order, K, lam1, lam2, partition.m, partition.n)
+
+
+def loop_pair_counts(rows, related, limit):
+    """The contract of _pair_counts, pair by pair."""
+    found = (set(), set())
+    for x in range(len(rows)):
+        for y in range(x + 1, len(rows)):
+            cnt = (rows[x] & rows[y]).bit_count()
+            seen = found[related[x] >> y & 1]
+            if cnt not in seen:
+                if len(seen) == limit:
+                    return found, (x, y)
+                seen.add(cnt)
+    return found, None
+
+
+def assert_recognition_matches_loops(g):
+    assert rec.srg_params(g) == loop_srg_params(g)
+    assert rec.deza_params(g) == loop_deza_params(g)
+    assert rec.ddg_recognize(g) == loop_ddg_recognize(g)
+
+
+def assert_partition_check_matches_loop(g, part):
+    """The same parameters, the same message, or the same ValueError."""
+    try:
+        want = loop_check_ddg_partition(g, part)
+    except asm.ParameterMismatch as exc:
+        want = rec.NotDdg(str(exc))
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            rec._check_ddg_partition(g, part)
+        return None
+    assert rec._check_ddg_partition(g, part) == want
+    return want
+
+
+def swapped(part, rnd):
+    """part with one vertex of one class exchanged for one of another."""
+    classes = list(part.classes)
+    i, j = rnd.sample(range(len(classes)), 2)
+    a = rnd.choice(list(bits(classes[i])))
+    b = rnd.choice(list(bits(classes[j])))
+    classes[i] ^= 1 << a | 1 << b
+    classes[j] ^= 1 << a | 1 << b
+    return rec.CanonicalPartition(tuple(classes))
+
+
+def random_regular(n, k, seed):
+    """A k-regular graph on n vertices: a circulant scrambled by seeded
+    double-edge swaps, each of which keeps every degree."""
+    rnd = random.Random(seed)
+    edges = {frozenset((x, (x + d) % n)) for x in range(n) for d in range(1, k // 2 + 1)}
+    if k % 2:
+        edges |= {frozenset((x, x + n // 2)) for x in range(n // 2)}
+    for _ in range(10 * len(edges)):
+        (a, b), (c, d) = (tuple(e) for e in rnd.sample(sorted(edges, key=sorted), 2))
+        new = {frozenset((a, d)), frozenset((c, b))}
+        if len({a, b, c, d}) == 4 and not new & edges:
+            edges -= {frozenset((a, b)), frozenset((c, d))}
+            edges |= new
+    return gc.from_edges(n, [tuple(e) for e in edges])
+
+
+def random_partition(n, m, seed):
+    order = list(range(n))
+    random.Random(seed).shuffle(order)
+    size = n // m
+    return rec.CanonicalPartition(
+        tuple(gc.mask_of(order[i * size : (i + 1) * size]) for i in range(m))
+    )
+
+
+PRISM = gc.from_edges(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (0, 3), (1, 4), (2, 5)])
+
+
+def edge_deleted_petersen():
+    rows = list(gc.petersen().rows)
+    y = next(iter(bits(rows[0])))
+    rows[0] ^= 1 << y
+    rows[y] ^= 1
+    return gc.Graph(10, rows)
+
+
+def grid_minus_transversal():
+    return gc.induced_subgraph(gc.grid(6, 6), (1 << 36) - 1 ^ gc.mask_of(i * 7 for i in range(6)))
+
+
+SMALL_CASES = {
+    "c5": lambda: gc.cycle(5),
+    "c6": lambda: gc.cycle(6),
+    "prism": lambda: PRISM,
+    "petersen": gc.petersen,
+    "edge_deleted_petersen": edge_deleted_petersen,
+    "t6": lambda: gc.triangular(6),
+    "t6_minus_matching": lambda: gc.induced_subgraph(
+        gc.triangular(6), (1 << 15) - 1 ^ t6_coclique_mask()
+    ),
+    "t6_times_2": lambda: gc.composition(gc.triangular(6), gc.edgeless(2)),
+    "k3_times_3": lambda: gc.composition(gc.complete(3), gc.edgeless(3)),
+    "k4_times_2": lambda: gc.composition(gc.complete(4), gc.edgeless(2)),
+    "c5_times_3": lambda: gc.composition(gc.cycle(5), gc.edgeless(3)),
+    "grid_minus_transversal": grid_minus_transversal,
+    "complete": lambda: gc.complete(5),
+    "edgeless": lambda: gc.edgeless(5),
+    "path": lambda: gc.path(4),
+    "single_vertex": lambda: gc.edgeless(1),
+}
+
+
+class TestPairCountsAgainstLoops:
+    @pytest.mark.parametrize("name", SMALL_CASES)
+    def test_small_graphs(self, name):
+        assert_recognition_matches_loops(SMALL_CASES[name]())
+
+    @pytest.mark.parametrize("n, k", [(10, 3), (12, 4), (15, 4), (16, 6), (20, 5), (24, 7)])
+    def test_random_regular_graphs(self, n, k):
+        for seed in range(6):
+            g = random_regular(n, k, 1000 * n + 10 * k + seed)
+            assert g.regular_degree() == k
+            assert_recognition_matches_loops(g)
+            for m in (2, 4):
+                if n % m == 0:
+                    assert_partition_check_matches_loop(g, random_partition(n, m, seed))
+
+    @pytest.mark.parametrize("name", ["petersen", "t6_minus_matching", "k3_times_3", "prism"])
+    def test_relation_with_one_pair_flipped(self, name):
+        # every pair in turn is keyed wrongly, so a count that does not
+        # fit can sit anywhere in a row, the last pair of the last row too
+        g = SMALL_CASES[name]()
+        wits = rec.ddg_recognize(g)
+        relations = [list(g.rows)]
+        if wits:
+            part = wits[0][1]
+            relations.append([part.classes[part.class_of(x)] for x in range(g.order)])
+        for related in relations:
+            for x, y in combinations(range(g.order), 2):
+                flipped = list(related)
+                flipped[x] ^= 1 << y
+                flipped[y] ^= 1 << x
+                for limit in (1, 2):
+                    want = loop_pair_counts(g.rows, flipped, limit)
+                    assert rec._pair_counts(g.rows, flipped, limit) == want
+
+    @pytest.mark.parametrize("name", [c[0] for c in ORACLE_CASES])
+    def test_assembly_corpus_with_ddgs(self, name):
+        graph = oracle_graph(name)
+        assert_recognition_matches_loops(graph)
+        rnd = random.Random(name)
+        for dec in asm.decompose(graph):
+            assert_recognition_matches_loops(dec.ddg)
+            part = induced_partition(graph, dec)
+            assert assert_partition_check_matches_loop(dec.ddg, part) == dec.ddg_params
+            for _ in range(2):
+                assert not assert_partition_check_matches_loop(dec.ddg, swapped(part, rnd))
+
+    def test_ddg_partitions_with_a_swap(self):
+        rnd = random.Random(7)
+        for name in ("t6_minus_matching", "t6_times_2", "k3_times_3", "k4_times_2"):
+            g = SMALL_CASES[name]()
+            (_, part), = rec.ddg_recognize(g)
+            assert assert_partition_check_matches_loop(g, part)
+            for _ in range(10):
+                assert not assert_partition_check_matches_loop(g, swapped(part, rnd))
+
+    def test_partition_check_failures(self, t6):
+        # every pair of T(6) has 4 common neighbours, so no partition of
+        # it gives a proper divisible design
+        ddg = SMALL_CASES["t6_minus_matching"]()
+        cases = [
+            (t6, tuple(1 << x for x in range(15)), "partition does not give"),
+            (t6, tuple(gc.mask_of(range(i, 15, 3)) for i in range(3)), "partition does not give"),
+            (ddg, tuple(1 << x for x in range(12)), "cross-class pair"),
+            (ddg, (gc.mask_of(range(12)),), "same-class pair"),
+            (ddg, (gc.mask_of(range(5)), gc.mask_of(range(5, 12))), None),
+            (gc.path(4), (0b0011, 0b1100), "graph is not regular"),
+        ]
+        for g, classes, reason in cases:
+            got = assert_partition_check_matches_loop(g, rec.CanonicalPartition(classes))
+            if reason is None:  # classes of unequal sizes raise ValueError
+                assert got is None
+            else:
+                assert got.reason.startswith(reason)
+
+    def test_attach_coclique_raises_the_check_message(self, sp42):
+        dec = asm.decompose(sp42)[0]
+        part = swapped(induced_partition(sp42, dec), random.Random(1))
+        with pytest.raises(asm.ParameterMismatch) as info:
+            loop_check_ddg_partition(dec.ddg, part)
+        with pytest.raises(asm.ParameterMismatch, match=re.escape(str(info.value))):
+            asm.attach_coclique(dec.ddg, part, dec.design, dec.phi)
