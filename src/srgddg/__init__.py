@@ -7,7 +7,7 @@ CLI surface.
 """
 
 from .assembly import Decomposition, attach_coclique, decompose, verify_coclique_neighborhoods
-from .coclique import CocliqueQuery, hoffman_cocliques, max_independent_set
+from .coclique import CocliqueQuery, hoffman_cocliques
 from .designs import (
     SymmetricDesign,
     all_ksubsets_design,

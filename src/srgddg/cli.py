@@ -178,7 +178,7 @@ def _classification(g):
         out["srg_reason"] = sp.reason
     dz = recognize.deza_params(g)
     out["deza"] = {"v": dz.v, "k": dz.k, "b": dz.b, "a": dz.a} if dz else None
-    wits = recognize.ddg_recognize(g)
+    wits = recognize._ddg_from_deza(g, dz)
     if wits:
         out["ddg"] = [
             {
@@ -222,26 +222,26 @@ def _cmd_spectrum(args, t0):
 
 def _cmd_coclique(args, t0):
     graphs, diags, digest = read_graph_file(args.file, args.keep_going)
-    budget = _budget_from_env(args)
+    query = coclique.CocliqueQuery(mode=args.mode, node_budget=_budget_from_env(args))
     rows = []
     for g in graphs:
-        if args.mode == "maximum":
-            best = coclique.max_independent_set(g, coclique.CocliqueQuery(mode="maximum", node_budget=budget))
-            rows.append({"mode": "maximum", "size": best.bit_count(), "set": graphcore.set_of(best)})
-            continue
-        if args.target:
-            found = coclique.cocliques_of_size(g, args.target, mode=args.mode, node_budget=budget)
-        else:
+        size = args.target
+        if not size:
             sp = recognize.srg_params(g)
             if not sp:
                 rows.append({"error": f"not strongly regular ({sp.reason}); pass --target"})
                 continue
-            found = coclique.hoffman_cocliques(
-                g, sp, coclique.CocliqueQuery(mode=args.mode, node_budget=budget)
-            )
+            size = sp.hoffman_size()
+        row = {}
+        try:
+            found = coclique.cocliques_of_size(g, size, query)
+        except BudgetExceeded as exc:
+            found = exc.partial
+            row["budget_exhausted"] = True
         rows.append({
             "mode": args.mode,
             "count": len(found),
+            **row,
             "cocliques": [graphcore.set_of(c) for c in found],
         })
     _emit(_report("coclique", {"file": args.file, "sha256": digest}, {"graphs": rows}, diags, t0))
@@ -327,13 +327,14 @@ def _cmd_construct(args, t0):
     phi = tuple(int(x) for x in args.phi.split(","))
     built = assembly.attach_coclique(ddg, part, design, phi)
     if args.json:
-        sp = recognize.srg_params(built)
+        # attach_coclique has proven these parameters on the built graph
+        fam = theory.family_from(part.n, -design.k_blk)
         _emit(_report(
             "construct",
             {"ddg": args.ddg, "partition": args.partition, "design": args.design},
             {
                 "graph6": graphcore.encode_graph6(built).decode(),
-                "srg": list(sp.tuple4),
+                "srg": list(fam.srg.tuple4),
             },
             [], t0,
         ))
@@ -503,7 +504,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("coclique", help="coclique search")
     p.add_argument("file")
-    p.add_argument("--mode", choices=["first", "all", "maximum"], default="all")
+    p.add_argument("--mode", choices=["first", "all"], default="all")
     p.add_argument("--target", type=int, default=0, help="exact size (default: Hoffman bound)")
     p.add_argument("--budget-nodes", type=int, default=0)
     p.add_argument("--keep-going", action="store_true")

@@ -1,21 +1,23 @@
-"""Coclique (independent set) search by branch and bound on bitsets.
+"""Exact-size coclique (independent set) search by branch and bound on
+bitsets.
 
-Two entry points: :func:`hoffman_cocliques` enumerates independent sets
-of exactly the Delsarte-Hoffman size c = v*s/(s-k) (mode "all" is
-exhaustive), and :func:`max_independent_set` finds a maximum independent
-set.  Branching is deterministic, so output order is reproducible:
-exact-size search emits sets in lexicographic order of their sorted
-members; maximum search branches on the highest-degree candidate
-(lowest index on ties).
+One search, :func:`cocliques_of_size`, enumerates the independent sets
+of one given size; :func:`hoffman_cocliques` runs it at the
+Delsarte-Hoffman size c = v*s/(s-k), the only size the construction
+uses.  Mode "all" is exhaustive and mode "first" stops at the first set.
+Vertices are taken in increasing order, so the sets come out in
+lexicographic order of their sorted members, and the order, the node
+count and the sets found before a budget hit are reproducible.
 
 Pruning combines the residual-size bound (not enough candidates left)
-with a greedy clique-cover bound on the candidate set.
+with a greedy clique-cover bound on the candidate set.  The search keeps
+its open nodes on an explicit stack, not in Python frames, so its depth
+is not limited by Python's recursion limit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from time import monotonic
 
 from .errors import BudgetExceeded
 from .graphcore import Graph, VertexSet, bits
@@ -26,19 +28,14 @@ DEFAULT_NODE_BUDGET = 10**8
 
 @dataclass(frozen=True)
 class CocliqueQuery:
-    """Search knobs: target size, mode, node budget, optional wall-clock
-    budget in seconds (None means no time limit)."""
+    """Search knobs: mode ("first" or "all") and node budget."""
 
-    target: int | None = None
-    mode: str = "all"  # first | all | maximum
+    mode: str = "all"
     node_budget: int = DEFAULT_NODE_BUDGET
-    time_budget: float | None = None
 
     def __post_init__(self):
-        if self.mode not in ("first", "all", "maximum"):
+        if self.mode not in ("first", "all"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.target is not None and self.target < 1:
-            raise ValueError("target must be >= 1")
 
 
 def _cover_bound(cand: VertexSet, rows: tuple[int, ...]) -> int:
@@ -58,62 +55,54 @@ def _cover_bound(cand: VertexSet, rows: tuple[int, ...]) -> int:
     return len(classes)
 
 
-class _Search:
-    __slots__ = ("rows", "budget", "deadline", "nodes")
-
-    def __init__(self, rows, budget, time_budget=None):
-        self.rows = rows
-        self.budget = budget
-        self.deadline = None if time_budget is None else monotonic() + time_budget
-        self.nodes = 0
-
-    def tick(self, partial):
-        self.nodes += 1
-        if self.nodes > self.budget:
-            raise BudgetExceeded("coclique search node budget exhausted", self.nodes, partial)
-        if self.deadline is not None and self.nodes % 1024 == 0 and monotonic() > self.deadline:
-            raise BudgetExceeded("coclique search time budget exhausted", self.nodes, partial)
-
-
 def cocliques_of_size(
-    g: Graph,
-    size: int,
-    mode: str = "all",
-    node_budget: int = DEFAULT_NODE_BUDGET,
-    time_budget: float | None = None,
+    g: Graph, size: int, query: CocliqueQuery | None = None
 ) -> list[VertexSet]:
     """All (or the first) independent sets of exactly the given size,
-    in lexicographic order of the sorted member lists."""
+    in lexicographic order of the sorted member lists.
+
+    A node of the search is a chosen set, its candidates (the vertices
+    after its last member that miss it) and the number still needed.
+    Each node visited counts against the budget; past it, BudgetExceeded
+    carries the node count and the sets found so far.
+    """
+    if query is None:
+        query = CocliqueQuery()
     if size < 1:
         raise ValueError("size must be >= 1")
     rows = g.rows
-    full = (1 << g.order) - 1
+    first = query.mode == "first"
+    budget = query.node_budget
     found: list[VertexSet] = []
-    state = _Search(rows, node_budget, time_budget)
-
-    def rec(chosen: int, cand: int, need: int) -> bool:
-        state.tick(found)
+    nodes = 0
+    # one [chosen, untried candidates, need] per open node, root first
+    stack: list[list[int]] = []
+    chosen, cand, need = 0, (1 << g.order) - 1, size
+    while True:
+        nodes += 1
+        if nodes > budget:
+            raise BudgetExceeded("coclique search node budget exhausted", nodes, found)
         if need == 0:
             found.append(chosen)
-            return mode == "first"
-        if cand.bit_count() < need:
-            return False
-        if need > 2 and _cover_bound(cand, rows) < need:
-            return False
-        rest = cand
-        while rest:
+            if first:
+                return found
+        elif cand.bit_count() >= need and (need <= 2 or _cover_bound(cand, rows) >= need):
+            stack.append([chosen, cand, need])
+        # the next node: the least untried candidate of the deepest open
+        # node that still has enough candidates to finish
+        while stack:
+            top = stack[-1]
+            chosen, rest, need = top
+            if rest.bit_count() < need:
+                stack.pop()
+                continue
             low = rest & -rest
-            v = low.bit_length() - 1
             rest ^= low
-            if rest.bit_count() + 1 < need:
-                # too few candidates at or after v to finish
-                break
-            if rec(chosen | low, rest & ~rows[v], need - 1):
-                return True
-        return False
-
-    rec(0, full, size)
-    return found
+            top[1] = rest
+            chosen, cand, need = chosen | low, rest & ~rows[low.bit_length() - 1], need - 1
+            break
+        else:
+            return found
 
 
 def hoffman_cocliques(
@@ -124,51 +113,4 @@ def hoffman_cocliques(
 
     Raises NoHoffmanBound when c is not an integer.
     """
-    if query is None:
-        query = CocliqueQuery()
-    c = p.hoffman_size()
-    if query.target is not None and query.target != c:
-        raise ValueError(f"query target {query.target} != coclique bound {c}")
-    mode = "first" if query.mode == "first" else "all"
-    return cocliques_of_size(
-        g, c, mode=mode, node_budget=query.node_budget, time_budget=query.time_budget
-    )
-
-
-def max_independent_set(g: Graph, query: CocliqueQuery | None = None) -> VertexSet:
-    """A maximum independent set by branch and bound.
-
-    Branches on the candidate vertex of maximum degree (ties broken by
-    lowest index), first taking it and then leaving it out; prunes with
-    the greedy clique-cover bound.  The search runs on an explicit stack,
-    so its depth is not limited by Python's recursion limit.  On budget
-    exhaustion raises BudgetExceeded carrying the best set found.
-    """
-    if query is None:
-        query = CocliqueQuery(mode="maximum")
-    rows = g.rows
-    best, best_size = 0, 0
-    state = _Search(rows, query.node_budget, query.time_budget)
-    # (chosen set, its size, candidates); the top is the next node visited
-    stack = [(0, 0, (1 << g.order) - 1)]
-    while stack:
-        chosen_mask, chosen_size, cand = stack.pop()
-        state.tick(best)
-        if chosen_size > best_size:
-            best, best_size = chosen_mask, chosen_size
-        if not cand:
-            continue
-        if chosen_size + cand.bit_count() <= best_size:
-            continue
-        if chosen_size + _cover_bound(cand, rows) <= best_size:
-            continue
-        # branch vertex: max degree within candidates, lowest index on ties
-        bv, bd = -1, -1
-        for v in bits(cand):
-            d = (rows[v] & cand).bit_count()
-            if d > bd:
-                bv, bd = v, d
-        low = 1 << bv
-        stack.append((chosen_mask, chosen_size, cand & ~low))
-        stack.append((chosen_mask | low, chosen_size + 1, cand & ~rows[bv] & ~low))
-    return best
+    return cocliques_of_size(g, p.hoffman_size(), query)

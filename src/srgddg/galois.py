@@ -148,14 +148,15 @@ def _mul_poly_direct(a: int, b: int, p: int, modulus: tuple[int, ...]) -> int:
 
 
 def fieldspec(p: int, e: int = 1) -> FieldSpec:
-    """GF(p^e) with the lexicographically smallest irreducible modulus."""
-    if _factor(p) != {p: 1}:
-        raise ValueError(f"{p} is not prime")
+    """GF(p^e) with the lexicographically smallest irreducible modulus.
+    The size cap is checked before p is factored."""
     if e < 1:
         raise ValueError("extension degree must be >= 1")
     q = p**e
     if q > FIELD_SIZE_CAP:
         raise SizeCapExceeded(f"field size {q} exceeds cap {FIELD_SIZE_CAP}")
+    if _factor(p) != {p: 1}:
+        raise ValueError(f"{p} is not prime")
     if e == 1:
         return FieldSpec(p, 1, (0, 1))
     modulus = None
@@ -189,7 +190,10 @@ def fieldspec(p: int, e: int = 1) -> FieldSpec:
 
 
 def field_by_order(q: int) -> FieldSpec:
-    """GF(q) for a prime power q."""
+    """GF(q) for a prime power q.  The size cap is checked before q is
+    factored."""
+    if q > FIELD_SIZE_CAP:
+        raise SizeCapExceeded(f"field size {q} exceeds cap {FIELD_SIZE_CAP}")
     fac = _factor(q) if q > 1 else {}
     if len(fac) != 1:
         raise ValueError(f"{q} is not a prime power")

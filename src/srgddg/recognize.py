@@ -309,7 +309,13 @@ def ddg_recognize(g: Graph) -> list[tuple[DdgParams, CanonicalPartition]] | NotD
     :func:`_check_ddg_partition`: exactly when count == lambda1 is an
     equivalence.  Both choices can succeed, so all witnesses are returned.
     """
-    dz = deza_params(g)
+    return _ddg_from_deza(g, deza_params(g))
+
+
+def _ddg_from_deza(
+    g: Graph, dz: DezaParams | NotDeza
+) -> list[tuple[DdgParams, CanonicalPartition]] | NotDdg:
+    """:func:`ddg_recognize` given the graph's ``deza_params``."""
     if not dz:
         return NotDdg(f"not a Deza graph: {dz.reason}")
     if dz.b == dz.a:

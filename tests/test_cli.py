@@ -4,7 +4,8 @@ import sys
 
 import pytest
 
-from srgddg import assembly as asm, cli, coclique as cq, graphcore as gc
+from srgddg import assembly as asm, cli, coclique as cq, graphcore as gc, recognize
+from srgddg.errors import BudgetExceeded
 
 
 def run_json(capsys, argv):
@@ -23,6 +24,12 @@ class TestGen:
         code, out = run_raw(capsys, ["gen", "petersen"])
         assert code == 0
         assert out.strip().encode() == gc.encode_graph6(petersen)
+
+    def test_gen_field_above_cap(self, capsys):
+        # a prime far above the field size cap is refused before factoring
+        code, rep = run_json(capsys, ["gen", "sp-complement", "--q", "100000000000031"])
+        assert code == 1
+        assert "exceeds cap" in rep["results"]["error"]
 
     def test_gen_sp_complement(self, capsys):
         code, out = run_raw(capsys, ["gen", "sp-complement", "--d", "2", "--q", "3"])
@@ -94,11 +101,36 @@ class TestCocliqueCmd:
         _, rep = run_json(capsys, ["coclique", str(f), "--target", "3"])
         assert rep["results"]["graphs"][0]["count"] == 2
 
-    def test_maximum_mode(self, tmp_path, capsys, petersen):
+    def test_maximum_mode_is_usage_error(self, tmp_path, petersen):
         f = tmp_path / "p.g6"
         f.write_bytes(gc.encode_graph6(petersen) + b"\n")
-        _, rep = run_json(capsys, ["coclique", str(f), "--mode", "maximum"])
-        assert rep["results"]["graphs"][0]["size"] == 4
+        assert cli.run(["coclique", str(f), "--mode", "maximum"]) == 2
+
+    def test_budget_hit_gives_rows(self, tmp_path, capsys, sp42, sp62):
+        # each graph keeps a row with the cocliques found before the cut
+        f = tmp_path / "two.g6"
+        f.write_bytes(gc.encode_graph6(sp42) + b"\n" + gc.encode_graph6(sp62) + b"\n")
+        code, rep = run_json(capsys, ["coclique", str(f), "--budget-nodes", "30"])
+        assert code == 0
+        rows = rep["results"]["graphs"]
+        for g, row in zip((sp42, sp62), rows):
+            with pytest.raises(BudgetExceeded) as info:
+                cq.cocliques_of_size(g, 3 if g is sp42 else 7, cq.CocliqueQuery(node_budget=30))
+            want = [gc.set_of(c) for c in info.value.partial]
+            assert list(row) == ["mode", "count", "budget_exhausted", "cocliques"]
+            assert row == {
+                "mode": "all", "count": len(want), "budget_exhausted": True, "cocliques": want,
+            }
+        assert len(rows) == 2 and rows[0]["count"] > 0
+
+    def test_edgeless_1200_target(self, tmp_path, capsys):
+        # the search takes 1200 vertices, one level each, without recursion
+        f = tmp_path / "e.g6"
+        f.write_bytes(gc.encode_graph6(gc.edgeless(1200)) + b"\n")
+        code, rep = run_json(capsys, ["coclique", str(f), "--target", "1200"])
+        assert code == 0
+        row = rep["results"]["graphs"][0]
+        assert row["count"] == 1 and row["cocliques"] == [list(range(1200))]
 
 
 class TestDecomposeConstruct:
@@ -151,6 +183,49 @@ class TestDecomposeConstruct:
         from srgddg import recognize
 
         assert recognize.srg_params(g).tuple4 == (15, 8, 4, 4)
+
+
+class TestVerifyOnce:
+    def counting(self, monkeypatch, module, name, calls=None):
+        """Record each call of module.name in calls (a new list if None)."""
+        calls = [] if calls is None else calls
+        real = getattr(module, name)
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(module, name, counted)
+        return calls
+
+    def test_recognize_counts_deza_once(self, tmp_path, capsys, monkeypatch, sp42, t6, petersen):
+        f = tmp_path / "three.g6"
+        f.write_bytes(b"".join(gc.encode_graph6(g) + b"\n" for g in (sp42, t6, petersen)))
+        calls = self.counting(monkeypatch, recognize, "deza_params")
+        code, rep = run_json(capsys, ["recognize", str(f)])
+        assert code == 0 and len(calls) == 3
+        assert [row["deza"] is not None for row in rep["results"]["graphs"]] == [True] * 3
+
+    def test_construct_json_checks_srg_once(self, tmp_path, capsys, monkeypatch, sp42):
+        dec = asm.decompose(sp42, cq.CocliqueQuery(mode="first"))[0]
+        rest = gc.set_of(((1 << sp42.order) - 1) ^ dec.coclique)
+        new_id = {old: new for new, old in enumerate(rest)}
+        (tmp_path / "ddg.g6").write_bytes(gc.encode_graph6(dec.ddg) + b"\n")
+        classes = [[new_id[x] for x in gc.bits(cl)] for cl in dec.partition.classes]
+        (tmp_path / "part.json").write_text(json.dumps({"classes": classes}))
+        blocks = [dec.design.block_points(i) for i in range(len(dec.design.blocks))]
+        (tmp_path / "design.json").write_text(json.dumps({"v": 3, "blocks": blocks}))
+        calls = self.counting(monkeypatch, asm, "srg_params")
+        self.counting(monkeypatch, recognize, "srg_params", calls)
+        code, rep = run_json(capsys, [
+            "construct", "--ddg", str(tmp_path / "ddg.g6"), "--phi", "1,2,0", "--json",
+            "--partition", str(tmp_path / "part.json"),
+            "--design", str(tmp_path / "design.json"),
+        ])
+        assert code == 0 and len(calls) == 1
+        assert rep["results"]["srg"] == [15, 8, 4, 4]
+        built = gc.decode_graph6(rep["results"]["graph6"].encode())
+        assert recognize.srg_params(built).tuple4 == (15, 8, 4, 4)
 
 
 class TestNoHoffmanCoclique:

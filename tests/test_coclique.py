@@ -3,6 +3,7 @@ from itertools import combinations
 
 import pytest
 
+from srgddg import assembly as asm
 from srgddg import coclique as cq
 from srgddg import graphcore as gc
 from srgddg import recognize as rec
@@ -17,25 +18,62 @@ def brute_independent_sets(g, size):
     return out
 
 
-def recursive_max_independent_set(g):
-    """The branch and bound of max_independent_set written recursively:
-    same branching order and bounds (oracle for the set returned)."""
+class _Search:
+    """Node counter of the recursive oracle below (deadline left out)."""
+
+    __slots__ = ("rows", "budget", "nodes")
+
+    def __init__(self, rows, budget):
+        self.rows = rows
+        self.budget = budget
+        self.nodes = 0
+
+    def tick(self, partial):
+        self.nodes += 1
+        if self.nodes > self.budget:
+            raise BudgetExceeded("coclique search node budget exhausted", self.nodes, partial)
+
+
+def recursive_cocliques_of_size(
+    g,
+    size,
+    mode="all",
+    node_budget=cq.DEFAULT_NODE_BUDGET,
+    state=None,
+):
+    """The exact-size search as it was written recursively, one Python
+    frame per vertex taken (oracle for order, node counts and partials).
+    A given state counts the nodes in place of a new one."""
+    if size < 1:
+        raise ValueError("size must be >= 1")
     rows = g.rows
-    best = [0, 0]
+    full = (1 << g.order) - 1
+    found = []
+    state = state or _Search(rows, node_budget)
 
-    def rec(chosen, size, cand):
-        if size > best[1]:
-            best[:] = [chosen, size]
-        if not cand or size + cand.bit_count() <= best[1]:
-            return
-        if size + naive_cover_bound(cand, rows) <= best[1]:
-            return
-        bv = max(gc.bits(cand), key=lambda v: ((rows[v] & cand).bit_count(), -v))
-        rec(chosen | 1 << bv, size + 1, cand & ~rows[bv] & ~(1 << bv))
-        rec(chosen, size, cand & ~(1 << bv))
+    def rec(chosen, cand, need):
+        state.tick(found)
+        if need == 0:
+            found.append(chosen)
+            return mode == "first"
+        if cand.bit_count() < need:
+            return False
+        if need > 2 and cq._cover_bound(cand, rows) < need:
+            return False
+        rest = cand
+        while rest:
+            low = rest & -rest
+            v = low.bit_length() - 1
+            rest ^= low
+            if rest.bit_count() + 1 < need:
+                # too few candidates at or after v to finish
+                break
+            if rec(chosen | low, rest & ~rows[v], need - 1):
+                return True
+        return False
 
-    rec(0, 0, (1 << g.order) - 1)
-    return best[0]
+    rec(0, full, size)
+    return found
 
 
 def naive_cover_bound(cand, rows):
@@ -124,53 +162,18 @@ class TestExactSizeEnumeration:
             )
 
     def test_mode_first_prefix(self, petersen):
-        allc = cq.cocliques_of_size(petersen, 4, mode="all")
-        first = cq.cocliques_of_size(petersen, 4, mode="first")
+        allc = cq.cocliques_of_size(petersen, 4, cq.CocliqueQuery(mode="all"))
+        first = cq.cocliques_of_size(petersen, 4, cq.CocliqueQuery(mode="first"))
         assert first == allc[:1]
 
-
-class TestMaxIndependentSet:
-    def test_edgeless(self):
-        assert cq.max_independent_set(gc.edgeless(7)).bit_count() == 7
-
-    def test_complete(self):
-        assert cq.max_independent_set(gc.complete(7)).bit_count() == 1
-
-    def test_petersen(self, petersen):
-        best = cq.max_independent_set(petersen)
-        assert best.bit_count() == 4
-        for a, b in combinations(gc.set_of(best), 2):
-            assert not petersen.has_edge(a, b)
-
-    def test_matches_brute_force(self):
-        rng = random.Random(23)
-        for _ in range(15):
-            n = rng.randint(3, 12)
-            g = random_graph(n, rng.uniform(0.2, 0.8), rng)
-            best = cq.max_independent_set(g)
-            want = max(
-                (size for size in range(n, 0, -1) if brute_independent_sets(g, size)),
-            )
-            assert best.bit_count() == want
-
-    def test_budget_carries_best_so_far(self, grid66):
+    def test_sizes_out_of_range(self, petersen):
+        with pytest.raises(ValueError, match="size must be >= 1"):
+            cq.cocliques_of_size(petersen, 0)
+        # a size above the order is answered at the root, one node
+        assert cq.cocliques_of_size(petersen, 11, cq.CocliqueQuery(node_budget=1)) == []
         with pytest.raises(BudgetExceeded) as info:
-            cq.max_independent_set(grid66, cq.CocliqueQuery(mode="maximum", node_budget=10))
-        assert isinstance(info.value.partial, int)
-
-    def test_deterministic(self, petersen):
-        assert cq.max_independent_set(petersen) == cq.max_independent_set(petersen)
-
-    def test_same_set_as_recursive_search(self, petersen, grid66):
-        rng = random.Random(41)
-        graphs = [petersen, grid66, gc.path(9), gc.cycle(11)]
-        graphs += [random_graph(rng.randint(2, 16), rng.uniform(0.1, 0.9), rng) for _ in range(40)]
-        for g in graphs:
-            assert cq.max_independent_set(g) == recursive_max_independent_set(g)
-
-    def test_edgeless_1200_no_recursion_limit(self):
-        # the search is one level deeper per vertex taken
-        assert cq.max_independent_set(gc.edgeless(1200)) == (1 << 1200) - 1
+            cq.cocliques_of_size(petersen, 11, cq.CocliqueQuery(node_budget=0))
+        assert (info.value.nodes, info.value.partial) == (1, [])
 
 
 class TestCoverBound:
@@ -188,14 +191,57 @@ class TestCoverBound:
 
 class TestQueryValidation:
     def test_bad_mode(self):
-        with pytest.raises(ValueError):
-            cq.CocliqueQuery(mode="everything")
+        for mode in ("everything", "maximum"):
+            with pytest.raises(ValueError):
+                cq.CocliqueQuery(mode=mode)
 
-    def test_bad_target(self):
-        with pytest.raises(ValueError):
-            cq.CocliqueQuery(target=0)
 
-    def test_target_mismatch(self, petersen):
-        p = rec.srg_params(petersen)
-        with pytest.raises(ValueError, match="target"):
-            cq.hoffman_cocliques(petersen, p, cq.CocliqueQuery(target=3))
+def twisted_srg63(sp62):
+    """SRG(63,32,16,16) glued from the first split of the Sp(6,2)
+    complement with phi = (1, 2, 3, 0, 4, 5, 6)."""
+    dec = asm.decompose(sp62, cq.CocliqueQuery(mode="first"))[0]
+    rest = ((1 << sp62.order) - 1) ^ dec.coclique
+    new_id = {old: new for new, old in enumerate(gc.set_of(rest))}
+    classes = tuple(sum(1 << new_id[x] for x in gc.bits(cl)) for cl in dec.partition.classes)
+    part = rec.CanonicalPartition(classes)
+    return asm.attach_coclique(dec.ddg, part, dec.design, (1, 2, 3, 0, 4, 5, 6))
+
+
+def outcome(search):
+    """What a search call gives: its list, or its budget hit."""
+    try:
+        return "done", search()
+    except BudgetExceeded as exc:
+        return "budget", exc.nodes, exc.partial, str(exc)
+
+
+@pytest.fixture(scope="module")
+def oracle_corpus(petersen, grid66, t6, sp43, sp62):
+    """(graph, largest size searched): Petersen, the 6 x 6 grid, T(6), the
+    Sp(4,3) and Sp(6,2) complements and the twisted SRG(63) up to their
+    Hoffman size, and seeded random graphs up to size 6."""
+    corpus = [(g, rec.srg_params(g).hoffman_size()) for g in (petersen, grid66, t6, sp43, sp62)]
+    corpus.append((twisted_srg63(sp62), 7))
+    rng = random.Random(53)
+    for _ in range(30):
+        g = random_graph(rng.randint(1, 18), rng.uniform(0.1, 0.9), rng)
+        corpus.append((g, min(g.order, 6)))
+    return corpus
+
+
+class TestStackSearchAgainstRecursion:
+    @pytest.mark.parametrize("mode", ["first", "all"])
+    def test_same_sets_nodes_and_partials(self, oracle_corpus, mode):
+        for g, top in oracle_corpus:
+            for size in range(1, top + 1):
+                state = _Search(g.rows, cq.DEFAULT_NODE_BUDGET)
+                recursive_cocliques_of_size(g, size, mode, state=state)
+                nodes = state.nodes
+                for budget in sorted({5, 50, 500, nodes - 1, nodes, cq.DEFAULT_NODE_BUDGET}):
+                    want = outcome(lambda: recursive_cocliques_of_size(g, size, mode, budget))
+                    query = cq.CocliqueQuery(mode=mode, node_budget=budget)
+                    assert outcome(lambda: cq.cocliques_of_size(g, size, query)) == want
+
+    def test_edgeless_1200_no_recursion_limit(self):
+        # one stack entry per vertex taken, past Python's recursion limit
+        assert cq.cocliques_of_size(gc.edgeless(1200), 1200) == [(1 << 1200) - 1]

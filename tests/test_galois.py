@@ -1,9 +1,11 @@
+import time
+
 import pytest
 
 from srgddg import designs as ds
 from srgddg import galois as gf
 from srgddg import recognize as rec
-from srgddg.coclique import cocliques_of_size
+from srgddg.coclique import CocliqueQuery, cocliques_of_size
 from srgddg.errors import SizeCapExceeded
 
 
@@ -51,6 +53,15 @@ class TestFieldArithmetic:
         # over GF(3), x^2 + 1 precedes every other irreducible quadratic
         assert gf.fieldspec(3, 2).modulus == (1, 0, 1)
 
+    def test_cap_before_factoring(self):
+        # trial division of this prime takes seconds; the cap needs none
+        start = time.perf_counter()
+        with pytest.raises(SizeCapExceeded):
+            gf.field_by_order(100000000000031)
+        with pytest.raises(SizeCapExceeded):
+            gf.fieldspec(100000000000031)
+        assert time.perf_counter() - start < 0.1
+
     def test_field_by_order(self):
         assert gf.field_by_order(9).q == 9
         assert gf.field_by_order(8).q == 8
@@ -91,7 +102,7 @@ class TestSymplecticComplement:
         for g, c in ((sp42, 3), (sp62, 7)):
             p = rec.srg_params(g)
             assert p.hoffman_size() == c
-            found = cocliques_of_size(g, c, mode="first")
+            found = cocliques_of_size(g, c, CocliqueQuery(mode="first"))
             assert found, "at least one Hoffman coclique must exist"
 
     def test_needs_d_at_least_2(self):
