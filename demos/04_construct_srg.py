@@ -19,28 +19,17 @@ from srgddg import (
     symplectic_complement,
 )
 from srgddg.coclique import CocliqueQuery
-from srgddg.graphcore import bits, set_of
-from srgddg.recognize import CanonicalPartition
 
 # harvest a DDG(36,24,15,16;4,9) by decomposing the symplectic graph
 graph = symplectic_complement(2, fieldspec(3, 1))
 dec = decompose(graph, CocliqueQuery(mode="first"))[0]
-ddg = dec.ddg
 print("divisible design graph:", dec.ddg_params.tuple6)
-
-# translate the canonical classes into ddg's own numbering
-rest = (1 << graph.order) - 1 ^ dec.coclique
-new_id = {old: new for new, old in enumerate(set_of(rest))}
-classes = tuple(
-    sum(1 << new_id[x] for x in bits(cl)) for cl in dec.partition.classes
-)
-partition = CanonicalPartition(classes)
 
 # the 2-(4,3,2) design: all 3-subsets of a 4-set
 design = all_ksubsets_design(4)
 print("design:", design.params)
 
 for phi in permutations(range(4)):
-    built = attach_coclique(ddg, partition, design, phi)
+    built = attach_coclique(dec.ddg, dec.ddg_partition, design, phi)
     p = srg_params(built)
     print(f"phi = {phi} -> SRG{p.tuple4}")

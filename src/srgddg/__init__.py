@@ -6,7 +6,7 @@ repository for narrative walkthroughs and the ``srgddg`` command for the
 CLI surface.
 """
 
-from .assembly import Decomposition, attach_coclique, decompose, verify_coclique_neighborhoods
+from .assembly import Decomposition, attach_coclique, decompose
 from .coclique import CocliqueQuery, hoffman_cocliques
 from .designs import (
     SymmetricDesign,

@@ -20,6 +20,15 @@ hash pass; the blocks of the design are the distinct N_C sets; and the
 DDG parameters follow as (V, k+s, lambda+s, lambda-lambda_D, m, n),
 lambda_D the design's lambda.  No pair counting on Gamma - C is needed.
 Each witness is still proven by rebuilding the graph edge for edge.
+
+The quotient matrix of the classes is then constant, n + s, with no
+check of its own.  Take x outside C and z in C.  The neighbours of z are
+the vertices of the classes whose block holds z, and x and z have lambda
+common neighbours since lambda = mu, so the counts
+a_j = |N(x) & class_j| sum to lambda over the blocks B_j on z, for every
+point z.  The incidence matrix of a symmetric design is nonsingular and
+every point lies on -s blocks, so the one solution is
+a_j = lambda/(-s) = n + s for every j.
 """
 
 from __future__ import annotations
@@ -28,7 +37,7 @@ from dataclasses import dataclass
 
 from . import theory
 from .coclique import CocliqueQuery, hoffman_cocliques
-from .designs import SymmetricDesign, Violation, required_design_params, verify_design
+from .designs import SymmetricDesign, required_design_params, verify_design
 from .errors import BudgetExceeded, NoHoffmanBound
 from .graphcore import Graph, VertexSet, bit_picker, bits, induced_subgraph, set_of
 from .recognize import CanonicalPartition, DdgParams, SrgParams, _check_ddg_partition, srg_params
@@ -37,13 +46,11 @@ __all__ = [
     "Decomposition",
     "attach_coclique",
     "decompose",
-    "verify_coclique_neighborhoods",
     "AssemblyError",
     "ParameterMismatch",
     "DesignMismatch",
     "PhiNotBijective",
     "ConstructionFailed",
-    "Violation",
 ]
 
 
@@ -74,20 +81,33 @@ class Decomposition:
     """Witness that a graph arises from the coclique + DDG construction.
 
     ``coclique`` and ``partition`` refer to vertices of the original
-    graph; ``ddg`` is the induced graph renumbered ascending.  Design
-    point i is the i-th smallest coclique vertex, and ``phi`` maps class
-    index to block index (extraction makes it the identity, but any
-    bijection is legal on input).
+    graph; ``ddg`` is the induced graph renumbered ascending, and
+    ``ddg_partition`` holds the same classes in the DDG's numbering.
+    Design point i is the i-th smallest coclique vertex, and class i is
+    joined to block i, so ``phi`` is the identity and
+    ``attach_coclique(d.ddg, d.ddg_partition, d.design, d.phi)`` rebuilds
+    the graph with the vertices outside the coclique first, in ascending
+    order, and the coclique vertices after them.
     """
 
     coclique: VertexSet
     partition: CanonicalPartition
+    ddg_partition: CanonicalPartition
     ddg_params: DdgParams
     ddg: Graph
     design: SymmetricDesign
-    phi: tuple[int, ...]
-    n: int
-    s: int
+
+    @property
+    def n(self) -> int:
+        return self.ddg_params.n
+
+    @property
+    def s(self) -> int:
+        return -self.design.k_blk
+
+    @property
+    def phi(self) -> tuple[int, ...]:
+        return tuple(range(self.m))
 
     @property
     def m(self) -> int:
@@ -195,10 +215,10 @@ def decompose(
        ``required_design_params(n, s)``, the DDG parameters given by the
        identity fit the family pattern (``_family_of``), and s is the
        graph's s.  With the identity, this proves that Gamma - C is a
-       proper DDG whose classes are the groups.
-    6. every vertex outside C has n + s neighbours in every class: the
-       quotient matrix is constant.
-    7. rebuilding the graph from the witness's DDG, classes, design and
+       proper DDG whose classes are the groups.  With check 2 it also
+       proves that every vertex outside C has n + s neighbours in every
+       class, the constant quotient matrix (module docstring).
+    6. rebuilding the graph from the witness's DDG, classes, design and
        phi gives back the graph edge for edge.
     """
     p = srg_params(graph)
@@ -227,7 +247,7 @@ def decompose(
 
 
 def _split(graph: Graph, p: SrgParams, C: VertexSet) -> Decomposition | None:
-    """The witness for one Hoffman coclique C, or None; checks 3-7 of
+    """The witness for one Hoffman coclique C, or None; checks 3-6 of
     :func:`decompose`."""
     rows = graph.rows
     order = graph.order
@@ -264,15 +284,12 @@ def _split(graph: Graph, p: SrgParams, C: VertexSet) -> Decomposition | None:
     design = SymmetricDesign(m, tuple(blocks), -s, lam_d)
     if design.params != required_design_params(n, s) or not verify_design(design):
         return None
-    if any((rows[x] & cl).bit_count() != n + s for x in bits(rest) for cl in classes):
-        return None
     # the roundtrip: glue the witness back together and compare, in the
     # rebuilt numbering (ddg vertices, then points), with every row
     old_ids = set_of(rest)
-    to_ddg = bit_picker(old_ids, order)
-    phi = tuple(range(m))
     ddg = induced_subgraph(graph, rest)
-    rebuilt = _glue(ddg.rows, [to_ddg(cl) for cl in classes], design.blocks, phi)
+    ddg_partition = CanonicalPartition(tuple(map(bit_picker(old_ids, order), classes)))
+    rebuilt = _glue(ddg.rows, ddg_partition.classes, design.blocks, range(m))
     rebuilt_ids = old_ids + pts
     to_rebuilt = bit_picker(rebuilt_ids, order)
     if any(to_rebuilt(rows[x]) != row for x, row in zip(rebuilt_ids, rebuilt)):
@@ -280,44 +297,8 @@ def _split(graph: Graph, p: SrgParams, C: VertexSet) -> Decomposition | None:
     return Decomposition(
         coclique=C,
         partition=CanonicalPartition(classes),
+        ddg_partition=ddg_partition,
         ddg_params=dp,
         ddg=ddg,
         design=design,
-        phi=phi,
-        n=n,
-        s=s,
     )
-
-
-def verify_coclique_neighborhoods(graph: Graph, dec: Decomposition) -> bool | Violation:
-    """Exhaustive coclique-neighbourhood checks for a decomposition.
-
-    (1) vertices of one class share their whole coclique neighbourhood,
-    which is the phi-image block; (2) each coclique vertex sees whole
-    classes only, exactly -s of them, for (-s)*n neighbours total.
-    """
-    C = dec.coclique
-    pts = set_of(C)
-    for i, cl in enumerate(dec.partition.classes):
-        blk_pts = {pts[b] for b in bits(dec.design.blocks[dec.phi[i]])}
-        want = 0
-        for pv in blk_pts:
-            want |= 1 << pv
-        for x in bits(cl):
-            got = graph.rows[x] & C
-            if got != want:
-                return Violation("class neighbourhood != phi block", (i, x))
-    for z in pts:
-        rz = graph.rows[z]
-        whole = 0
-        for i, cl in enumerate(dec.partition.classes):
-            inter = rz & cl
-            if inter == cl:
-                whole += 1
-            elif inter:
-                return Violation("class neither contained nor disjoint", (z, i))
-        if whole != -dec.s:
-            return Violation("coclique vertex sees wrong class count", (z, whole))
-        if rz.bit_count() != (-dec.s) * dec.n:
-            return Violation("coclique vertex degree != (-s)n", (z, rz.bit_count()))
-    return True

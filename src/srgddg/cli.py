@@ -23,7 +23,7 @@ import sys
 import time
 
 from . import assembly, coclique, galois, graphcore, iso, recognize, theory
-from .errors import BudgetExceeded, SrgddgError
+from .errors import BudgetExceeded, NoHoffmanBound, SrgddgError
 
 SCHEMA = "srgddg-report/1"
 
@@ -231,7 +231,11 @@ def _cmd_coclique(args, t0):
             if not sp:
                 rows.append({"error": f"not strongly regular ({sp.reason}); pass --target"})
                 continue
-            size = sp.hoffman_size()
+            try:
+                size = sp.hoffman_size()
+            except NoHoffmanBound as exc:
+                rows.append({"error": f"{exc}; pass --target"})
+                continue
         row = {}
         try:
             found = coclique.cocliques_of_size(g, size, query)

@@ -152,11 +152,13 @@ def fieldspec(p: int, e: int = 1) -> FieldSpec:
     The size cap is checked before p is factored."""
     if e < 1:
         raise ValueError("extension degree must be >= 1")
-    q = p**e
-    if q > FIELD_SIZE_CAP:
-        raise SizeCapExceeded(f"field size {q} exceeds cap {FIELD_SIZE_CAP}")
+    # with p >= 2, an e past the cap's bit length is over the cap; p**e
+    # is not built for it
+    if p >= 2 and (e > FIELD_SIZE_CAP.bit_length() or p**e > FIELD_SIZE_CAP):
+        raise SizeCapExceeded(f"field size {p}^{e} exceeds cap {FIELD_SIZE_CAP}")
     if _factor(p) != {p: 1}:
         raise ValueError(f"{p} is not prime")
+    q = p**e
     if e == 1:
         return FieldSpec(p, 1, (0, 1))
     modulus = None

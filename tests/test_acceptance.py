@@ -63,12 +63,7 @@ def test_criterion_02_decompose_sp42_exhaustively():
             assert d.ddg_params.tuple6 == (12, 6, 2, 3, 3, 4)
             assert d.design.params == (3, 2, 1)
             assert ds.verify_design(d.design) is True
-            rest = (1 << 15) - 1 ^ d.coclique
-            new_id = {o: i for i, o in enumerate(gc.set_of(rest))}
-            ind = rec.CanonicalPartition(tuple(
-                sum(1 << new_id[x] for x in gc.bits(cl)) for cl in d.partition.classes
-            ))
-            q = rec.quotient_matrix(d.ddg, ind)
+            q = rec.quotient_matrix(d.ddg, d.ddg_partition)
             assert q and q.m == 3 and q.is_constant(2)
 
 
@@ -98,12 +93,7 @@ def test_criterion_04_decompose_srg_63_32_16_16():
         assert d.design.params == (7, 4, 2)
         fano_c = ds.complement_design(gf.pg_hyperplane_design(3, gf.fieldspec(2, 1)))
         assert d.design.params == fano_c.params
-        rest = (1 << 63) - 1 ^ d.coclique
-        new_id = {o: i for i, o in enumerate(gc.set_of(rest))}
-        ind = rec.CanonicalPartition(tuple(
-            sum(1 << new_id[x] for x in gc.bits(cl)) for cl in d.partition.classes
-        ))
-        q = rec.quotient_matrix(d.ddg, ind)
+        q = rec.quotient_matrix(d.ddg, d.ddg_partition)
         assert q and q.m == 7 and q.is_constant(4)
         # punctured spectrum {28^1, 4^(f-c+1), 0^(c-1), (-4)^(g-c)}
         want = th.punctured_spectrum(p)
@@ -169,15 +159,10 @@ def test_criterion_08_construction_property_suite():
             decs = asm.decompose(graph, cq.CocliqueQuery(mode="first"))
             assert decs, (n, s)
             d = decs[0]
-            rest = (1 << graph.order) - 1 ^ d.coclique
-            new_id = {o: i for i, o in enumerate(gc.set_of(rest))}
-            part = rec.CanonicalPartition(tuple(
-                sum(1 << new_id[x] for x in gc.bits(cl)) for cl in d.partition.classes
-            ))
             want = (fam.m * (n + 1), (-s) * n, (-s) * (n + s), (-s) * (n + s))
             failures = 0
             for phi in permutations(range(fam.m)):
-                built = asm.attach_coclique(d.ddg, part, d.design, phi)
+                built = asm.attach_coclique(d.ddg, d.ddg_partition, d.design, phi)
                 got = rec.srg_params(built)
                 if not got or got.tuple4 != want:
                     failures += 1

@@ -13,19 +13,6 @@ from srgddg import recognize as rec
 from srgddg.errors import BudgetExceeded
 
 
-def induced_partition(graph, dec):
-    """Translate a decomposition's class masks to the DDG's numbering."""
-    rest = (1 << graph.order) - 1 ^ dec.coclique
-    new_id = {old: new for new, old in enumerate(gc.set_of(rest))}
-    out = []
-    for cl in dec.partition.classes:
-        mask = 0
-        for x in gc.bits(cl):
-            mask |= 1 << new_id[x]
-        out.append(mask)
-    return rec.CanonicalPartition(tuple(out))
-
-
 def plain_induced(graph, keep):
     """Induced subgraph by a loop over the bits, renumbered ascending."""
     old = gc.set_of(keep)
@@ -84,27 +71,30 @@ def generic_decompose(graph):
                 for j in range(i)
             ):
                 continue
-            out.append(asm.Decomposition(
-                C, rec.CanonicalPartition(classes), dp, ddg, design, phi, n, s
-            ))
+            out.append(asm.Decomposition(C, rec.CanonicalPartition(classes), part, dp, ddg, design))
     return out
 
 
 def glued(graph, phi):
     """The SRG built from graph's first generic witness with bijection phi."""
     d = generic_decompose(graph)[0]
-    return asm.attach_coclique(d.ddg, induced_partition(graph, d), d.design, phi)
+    return asm.attach_coclique(d.ddg, d.ddg_partition, d.design, phi)
+
+
+def renamed(graph, perm):
+    """graph with vertex x renamed perm[x]."""
+    rows = [0] * graph.order
+    for x, row in enumerate(graph.rows):
+        for y in gc.bits(row):
+            rows[perm[x]] |= 1 << perm[y]
+    return gc.Graph(graph.order, rows)
 
 
 def relabelled(graph, seed):
     """graph with its vertices renamed by a permutation drawn from seed."""
     perm = list(range(graph.order))
     random.Random(seed).shuffle(perm)
-    rows = [0] * graph.order
-    for x, row in enumerate(graph.rows):
-        for y in gc.bits(row):
-            rows[perm[x]] |= 1 << perm[y]
-    return gc.Graph(graph.order, rows)
+    return renamed(graph, perm)
 
 
 # (name, witnesses): SRG(63)s glued from the Sp(6,2) complement with four
@@ -168,34 +158,30 @@ def dec63(sp62):
 
 
 class TestConstructGamma:
-    def test_small_family(self, sp42, dec15):
+    def test_small_family(self, dec15):
         d = dec15[0]
-        part = induced_partition(sp42, d)
-        graph = asm.attach_coclique(d.ddg, part, d.design, (0, 1, 2))
+        graph = asm.attach_coclique(d.ddg, d.ddg_partition, d.design, (0, 1, 2))
         p = rec.srg_params(graph)
         assert p and p.tuple4 == (15, 8, 4, 4)
 
     def test_middle_family(self, sp43):
         decs = asm.decompose(sp43, cq.CocliqueQuery(mode="first"))
         d = decs[0]
-        part = induced_partition(sp43, d)
         for phi in permutations(range(4)):
-            graph = asm.attach_coclique(d.ddg, part, d.design, phi)
+            graph = asm.attach_coclique(d.ddg, d.ddg_partition, d.design, phi)
             p = rec.srg_params(graph)
             assert p and p.tuple4 == (40, 27, 18, 18)
 
-    def test_design_mismatch(self, sp42, dec15):
+    def test_design_mismatch(self, dec15):
         d = dec15[0]
-        part = induced_partition(sp42, d)
         wrong = ds.all_ksubsets_design(4)  # 2-(4,3,2), m differs
         with pytest.raises(asm.DesignMismatch):
-            asm.attach_coclique(d.ddg, part, wrong, (0, 1, 2, 3))
+            asm.attach_coclique(d.ddg, d.ddg_partition, wrong, (0, 1, 2, 3))
 
-    def test_phi_not_bijective(self, sp42, dec15):
+    def test_phi_not_bijective(self, dec15):
         d = dec15[0]
-        part = induced_partition(sp42, d)
         with pytest.raises(asm.PhiNotBijective):
-            asm.attach_coclique(d.ddg, part, d.design, (0, 0, 2))
+            asm.attach_coclique(d.ddg, d.ddg_partition, d.design, (0, 0, 2))
 
     def test_parameter_mismatch_wrong_graph(self):
         # a 12-vertex graph that is not the family DDG
@@ -263,11 +249,13 @@ class TestDecompose:
         assert p.tuple4 == (16, 10, 6, 6) and str(p.c) == "8/3"
         assert asm.decompose(g) == []
 
-    def test_quotient_always_constant(self, sp42, dec15):
-        for d in dec15:
-            part = induced_partition(sp42, d)
-            q = rec.quotient_matrix(d.ddg, part)
-            assert q and q.is_constant(d.n + d.s)
+    def test_quotient_always_constant(self, sp42):
+        # the oracle of the constant quotient matrix, which decompose
+        # derives from lambda = mu and the design instead of checking it
+        for graph in [sp42] + [oracle_graph(name) for name, _ in ORACLE_CASES]:
+            for d in asm.decompose(graph):
+                q = rec.quotient_matrix(d.ddg, d.ddg_partition)
+                assert q and q.is_constant(d.n + d.s)
 
     def test_rejects_non_srg(self):
         with pytest.raises(asm.AssemblyError, match="not strongly regular"):
@@ -296,54 +284,38 @@ class TestDecompose:
 
 
 class TestRoundtrips:
-    def test_forward_backward(self, sp42, dec15):
+    def test_forward_backward(self, dec15):
         # rebuild from each witness and recover an isomorphic DDG
         from srgddg import iso
 
         d = dec15[0]
-        part = induced_partition(sp42, d)
-        graph = asm.attach_coclique(d.ddg, part, d.design, (2, 0, 1))
+        graph = asm.attach_coclique(d.ddg, d.ddg_partition, d.design, (2, 0, 1))
         decs = asm.decompose(graph)
         assert decs
         base = iso.canonical_form(d.ddg).certificate
         assert any(iso.canonical_form(x.ddg).certificate == base for x in decs)
 
-    def test_added_points_form_hoffman_coclique(self, sp42, dec15):
+    def test_added_points_form_hoffman_coclique(self, dec15):
         d = dec15[0]
-        part = induced_partition(sp42, d)
-        graph = asm.attach_coclique(d.ddg, part, d.design, (0, 1, 2))
+        graph = asm.attach_coclique(d.ddg, d.ddg_partition, d.design, (0, 1, 2))
         tail = gc.mask_of(range(12, 15))
         assert gc.induced_subgraph(graph, tail) == gc.edgeless(3)
         p = rec.srg_params(graph)
         assert p.hoffman_size() == 3
 
 
-class TestVerifyCocliqueNeighborhoods:
-    def test_all_decompositions_pass(self, sp42, dec15):
-        for d in dec15:
-            assert asm.verify_coclique_neighborhoods(sp42, d) is True
-
-    def test_sp62_class_count(self, sp62, dec63):
-        d = dec63[0]
-        assert asm.verify_coclique_neighborhoods(sp62, d) is True
-        # each coclique vertex sees -s = 4 whole classes
-        for z in gc.set_of(d.coclique):
-            whole = sum(
-                1 for cl in d.partition.classes if sp62.rows[z] & cl == cl
-            )
-            assert whole == 4
-
-    def test_perturbed_phi_violates(self, sp42, dec15):
-        d = dec15[0]
-        bad = asm.Decomposition(
-            coclique=d.coclique,
-            partition=d.partition,
-            ddg_params=d.ddg_params,
-            ddg=d.ddg,
-            design=d.design,
-            phi=(1, 0, 2),  # wrong block order
-            n=d.n,
-            s=d.s,
-        )
-        v = asm.verify_coclique_neighborhoods(sp42, bad)
-        assert not v
+@pytest.mark.parametrize("name, count", ORACLE_CASES, ids=[c[0] for c in ORACLE_CASES])
+def test_witness_replays_to_the_graph(name, count):
+    """attach_coclique on a witness's own fields gives the graph with the
+    vertices outside the coclique first and the coclique vertices after
+    them, both ascending; swapping two entries of phi does not."""
+    graph = oracle_graph(name)
+    full = (1 << graph.order) - 1
+    decs = asm.decompose(graph)
+    assert len(decs) == count
+    for d in decs:
+        order = gc.set_of(full ^ d.coclique) + gc.set_of(d.coclique)
+        want = renamed(graph, {x: i for i, x in enumerate(order)})
+        assert asm.attach_coclique(d.ddg, d.ddg_partition, d.design, d.phi) == want
+        swapped = (d.phi[1], d.phi[0]) + d.phi[2:]
+        assert asm.attach_coclique(d.ddg, d.ddg_partition, d.design, swapped) != want

@@ -101,6 +101,17 @@ class TestCocliqueCmd:
         _, rep = run_json(capsys, ["coclique", str(f), "--target", "3"])
         assert rep["results"]["graphs"][0]["count"] == 2
 
+    def test_fractional_bound_gives_an_error_row(self, tmp_path, capsys, petersen):
+        # T(5) is SRG(10,6,3,4) with coclique bound 5/2; the graph after
+        # it keeps its row
+        f = tmp_path / "two.g6"
+        f.write_bytes(b"".join(gc.encode_graph6(g) + b"\n" for g in (gc.triangular(5), petersen)))
+        code, rep = run_json(capsys, ["coclique", str(f)])
+        assert code == 0
+        first, second = rep["results"]["graphs"]
+        assert first == {"error": "coclique bound 5/2 is not an integer; pass --target"}
+        assert second["count"] == 5 and all(len(c) == 4 for c in second["cocliques"])
+
     def test_maximum_mode_is_usage_error(self, tmp_path, petersen):
         f = tmp_path / "p.g6"
         f.write_bytes(gc.encode_graph6(petersen) + b"\n")
@@ -208,10 +219,8 @@ class TestVerifyOnce:
 
     def test_construct_json_checks_srg_once(self, tmp_path, capsys, monkeypatch, sp42):
         dec = asm.decompose(sp42, cq.CocliqueQuery(mode="first"))[0]
-        rest = gc.set_of(((1 << sp42.order) - 1) ^ dec.coclique)
-        new_id = {old: new for new, old in enumerate(rest)}
         (tmp_path / "ddg.g6").write_bytes(gc.encode_graph6(dec.ddg) + b"\n")
-        classes = [[new_id[x] for x in gc.bits(cl)] for cl in dec.partition.classes]
+        classes = [gc.set_of(cl) for cl in dec.ddg_partition.classes]
         (tmp_path / "part.json").write_text(json.dumps({"classes": classes}))
         blocks = [dec.design.block_points(i) for i in range(len(dec.design.blocks))]
         (tmp_path / "design.json").write_text(json.dumps({"v": 3, "blocks": blocks}))

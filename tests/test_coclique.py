@@ -200,11 +200,7 @@ def twisted_srg63(sp62):
     """SRG(63,32,16,16) glued from the first split of the Sp(6,2)
     complement with phi = (1, 2, 3, 0, 4, 5, 6)."""
     dec = asm.decompose(sp62, cq.CocliqueQuery(mode="first"))[0]
-    rest = ((1 << sp62.order) - 1) ^ dec.coclique
-    new_id = {old: new for new, old in enumerate(gc.set_of(rest))}
-    classes = tuple(sum(1 << new_id[x] for x in gc.bits(cl)) for cl in dec.partition.classes)
-    part = rec.CanonicalPartition(classes)
-    return asm.attach_coclique(dec.ddg, part, dec.design, (1, 2, 3, 0, 4, 5, 6))
+    return asm.attach_coclique(dec.ddg, dec.ddg_partition, dec.design, (1, 2, 3, 0, 4, 5, 6))
 
 
 def outcome(search):

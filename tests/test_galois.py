@@ -62,6 +62,14 @@ class TestFieldArithmetic:
             gf.fieldspec(100000000000031)
         assert time.perf_counter() - start < 0.1
 
+    def test_cap_without_building_a_huge_power(self):
+        # 2^(10^6) has over 300,000 digits; the message names it as p^e
+        for e in (10**6, 10**8):
+            start = time.perf_counter()
+            with pytest.raises(SizeCapExceeded, match=rf"field size 2\^{e} exceeds cap"):
+                gf.fieldspec(2, e)
+            assert time.perf_counter() - start < 0.1
+
     def test_field_by_order(self):
         assert gf.field_by_order(9).q == 9
         assert gf.field_by_order(8).q == 8

@@ -7,7 +7,6 @@ import pytest
 
 from srgddg import assembly, iso
 from srgddg import graphcore as gc
-from srgddg import recognize as rec
 from srgddg.coclique import CocliqueQuery
 from srgddg.errors import SizeCapExceeded
 
@@ -31,10 +30,7 @@ def first_ddg_piece(graph):
     """(ddg, partition in the DDG's numbering, design) of the first
     decomposition, ready for attach_coclique."""
     dec = assembly.decompose(graph, CocliqueQuery(mode="first"))[0]
-    rest = ((1 << graph.order) - 1) ^ dec.coclique
-    new_id = {old: new for new, old in enumerate(gc.set_of(rest))}
-    classes = tuple(sum(1 << new_id[x] for x in gc.bits(cl)) for cl in dec.partition.classes)
-    return dec.ddg, rec.CanonicalPartition(classes), dec.design
+    return dec.ddg, dec.ddg_partition, dec.design
 
 
 def certificate_corpus(sp43, sp62):

@@ -4,7 +4,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from test_assembly import ORACLE_CASES, induced_partition, oracle_graph
+from test_assembly import ORACLE_CASES, oracle_graph
 
 from srgddg import assembly as asm
 from srgddg import exact as ex
@@ -530,7 +530,7 @@ class TestPairCountsAgainstLoops:
         rnd = random.Random(name)
         for dec in asm.decompose(graph):
             assert_recognition_matches_loops(dec.ddg)
-            part = induced_partition(graph, dec)
+            part = dec.ddg_partition
             assert assert_partition_check_matches_loop(dec.ddg, part) == dec.ddg_params
             for _ in range(2):
                 assert not assert_partition_check_matches_loop(dec.ddg, swapped(part, rnd))
@@ -565,7 +565,7 @@ class TestPairCountsAgainstLoops:
 
     def test_attach_coclique_raises_the_check_message(self, sp42):
         dec = asm.decompose(sp42)[0]
-        part = swapped(induced_partition(sp42, dec), random.Random(1))
+        part = swapped(dec.ddg_partition, random.Random(1))
         with pytest.raises(asm.ParameterMismatch) as info:
             loop_check_ddg_partition(dec.ddg, part)
         with pytest.raises(asm.ParameterMismatch, match=re.escape(str(info.value))):
