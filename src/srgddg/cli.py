@@ -207,6 +207,7 @@ def _cmd_spectrum(args, t0):
     graphs, diags, digest = read_graph_file(args.file, args.keep_going)
     rows = []
     for g in graphs:
+        exact.check_cap("integral_spectrum", g.order)
         sp = exact.integral_spectrum(graphcore.adjacency_matrix(g))
         if sp:
             rows.append({"integral": True, "spectrum": [list(p) for p in sp.pairs]})

@@ -18,7 +18,7 @@ class Graph6Error(SrgddgError):
 
 
 class SizeCapExceeded(SrgddgError):
-    """An operation refused to run above its configured size cap."""
+    """An operation refused to run above its module's size cap."""
 
 
 class NoHoffmanBound(SrgddgError):

@@ -15,7 +15,7 @@ exactly by Bareiss elimination, except for the costliest one, which two
 trace identities pin down; the spectrum is integral exactly when the
 nullities sum to n.  :func:`char_poly` (Faddeev-LeVerrier, Theta(n^4)
 big-int work) is kept as an independent route to the same answer.
-Operations refuse to run above a configurable size cap instead of
+Operations refuse to run above the size cap ``SIZE_CAP`` instead of
 silently crawling.
 
 Matrices are plain nested lists of ints (``IntMatrix`` is an alias).
@@ -30,7 +30,13 @@ from .errors import SizeCapExceeded
 
 IntMatrix = list  # n x n nested lists of ints
 
-DEFAULT_SIZE_CAP = 512
+SIZE_CAP = 512
+
+
+def check_cap(op: str, n: int) -> None:
+    """Refuse an n x n matrix above SIZE_CAP before any work on it."""
+    if n > SIZE_CAP:
+        raise SizeCapExceeded(f"{op}: dimension {n} exceeds cap {SIZE_CAP}")
 
 
 def _check_square(m: IntMatrix) -> int:
@@ -161,15 +167,14 @@ def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     return out
 
 
-def char_poly(m: IntMatrix, size_cap: int = DEFAULT_SIZE_CAP) -> IntPoly:
+def char_poly(m: IntMatrix) -> IntPoly:
     """Characteristic polynomial det(xI - M) by Faddeev-LeVerrier.
 
     The recurrence divides the trace by the step index; that division is
     exact over the integers, so no fractions ever appear.
     """
     n = _check_square(m)
-    if n > size_cap:
-        raise SizeCapExceeded(f"char_poly: dimension {n} exceeds cap {size_cap}")
+    check_cap("char_poly", n)
     coeffs = [0] * (n + 1)
     coeffs[n] = 1
     work = identity_matrix(n)
@@ -241,9 +246,7 @@ def char_poly_mod(m: IntMatrix, p: int) -> list[int]:
     return polys[n]
 
 
-def integral_spectrum(
-    m: IntMatrix, size_cap: int = DEFAULT_SIZE_CAP
-) -> Spectrum | NonIntegral:
+def integral_spectrum(m: IntMatrix) -> Spectrum | NonIntegral:
     """Full integer spectrum of a symmetric matrix, or NonIntegral.
 
     A symmetric matrix is diagonalizable, so an integer theta has
@@ -263,10 +266,9 @@ def integral_spectrum(
     Otherwise t's rank is computed too.
     """
     n = _check_square(m)
+    check_cap("integral_spectrum", n)
     if not is_symmetric(m):
         raise ValueError("integral_spectrum requires a symmetric matrix")
-    if n > size_cap:
-        raise SizeCapExceeded(f"integral_spectrum: dimension {n} exceeds cap {size_cap}")
     p = SCREEN_PRIME
     poly = char_poly_mod(m, p)
     bound = max(sum(abs(x) for x in row) for row in m)

@@ -228,7 +228,7 @@ def symplectic_form(x: tuple[int, ...], y: tuple[int, ...], f: FieldSpec) -> int
     return acc
 
 
-def symplectic_complement(d: int, f: FieldSpec, size_cap: int = GRAPH_SIZE_CAP) -> Graph:
+def symplectic_complement(d: int, f: FieldSpec) -> Graph:
     """Graph on the points of PG(2d-1, q), adjacent iff B(x, y) != 0.
 
     Scaling a point multiplies B by a nonzero constant, so adjacency is
@@ -238,8 +238,8 @@ def symplectic_complement(d: int, f: FieldSpec, size_cap: int = GRAPH_SIZE_CAP) 
         raise ValueError("symplectic_complement needs d >= 2")
     q = f.q
     v = (q ** (2 * d) - 1) // (q - 1)
-    if v > size_cap:
-        raise SizeCapExceeded(f"graph on {v} vertices exceeds cap {size_cap}")
+    if v > GRAPH_SIZE_CAP:
+        raise SizeCapExceeded(f"graph on {v} vertices exceeds cap {GRAPH_SIZE_CAP}")
     pts = projective_points(2 * d, f)
     assert len(pts) == v
     rows = [0] * v
@@ -251,15 +251,15 @@ def symplectic_complement(d: int, f: FieldSpec, size_cap: int = GRAPH_SIZE_CAP) 
     return Graph(v, rows, f"Sp({2*d},{q}) complement")
 
 
-def pg_hyperplane_design(d: int, f: FieldSpec, size_cap: int = GRAPH_SIZE_CAP) -> SymmetricDesign:
+def pg_hyperplane_design(d: int, f: FieldSpec) -> SymmetricDesign:
     """Points and hyperplanes of PG(d-1, q), the classical symmetric
     2-((q^d-1)/(q-1), (q^(d-1)-1)/(q-1), (q^(d-2)-1)/(q-1)) design."""
     if d < 3:
         raise ValueError("pg_hyperplane_design needs d >= 3 (lambda >= 1)")
     q = f.q
     v = (q**d - 1) // (q - 1)
-    if v > size_cap:
-        raise SizeCapExceeded(f"design on {v} points exceeds cap {size_cap}")
+    if v > GRAPH_SIZE_CAP:
+        raise SizeCapExceeded(f"design on {v} points exceeds cap {GRAPH_SIZE_CAP}")
     pts = projective_points(d, f)
     forms = pts  # duals are normalized the same way
     blocks = []

@@ -46,7 +46,7 @@ from operator import itemgetter
 from .errors import SizeCapExceeded
 from .graphcore import Graph, bits, pack_graph6
 
-DEFAULT_SIZE_CAP = 512
+SIZE_CAP = 512
 
 
 @dataclass(frozen=True)
@@ -277,12 +277,12 @@ class _Search:
                 searched.add(orbits.find(v))
 
 
-def canonical_form(g: Graph, size_cap: int = DEFAULT_SIZE_CAP) -> CanonicalForm:
+def canonical_form(g: Graph) -> CanonicalForm:
     """Certificate by individualization-refinement with orbit pruning
     and automorphism backjumping."""
     n = g.order
-    if n > size_cap:
-        raise SizeCapExceeded(f"canonical_form: order {n} exceeds cap {size_cap}")
+    if n > SIZE_CAP:
+        raise SizeCapExceeded(f"canonical_form: order {n} exceeds cap {SIZE_CAP}")
     search = _Search(g)
     full = (1 << n) - 1
     search.node([full], [full], 0)
@@ -290,10 +290,10 @@ def canonical_form(g: Graph, size_cap: int = DEFAULT_SIZE_CAP) -> CanonicalForm:
     return CanonicalForm(search.best[0], tuple(autos), search.leaves, len(autos), search.backjumps)
 
 
-def are_isomorphic(g: Graph, h: Graph, size_cap: int = DEFAULT_SIZE_CAP) -> bool:
+def are_isomorphic(g: Graph, h: Graph) -> bool:
     """Certificate equality, after cheap invariant shortcuts."""
     if g.order != h.order:
         return False
     if sorted(g.degrees()) != sorted(h.degrees()):
         return False
-    return canonical_form(g, size_cap) == canonical_form(h, size_cap)
+    return canonical_form(g) == canonical_form(h)

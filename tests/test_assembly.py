@@ -201,6 +201,28 @@ class TestConstructGamma:
         with pytest.raises(asm.AssemblyError):
             asm.attach_coclique(d.ddg, bad, d.design, (0, 1))
 
+    def test_output_is_proven_not_recognized(self, monkeypatch, sp42, sp62):
+        # the input checks prove the glued graph strongly regular, so
+        # attach_coclique neither recognizes nor re-validates its output
+        witnesses = [asm.decompose(g, cq.CocliqueQuery(mode="first"))[0] for g in (sp42, sp62)]
+        calls = []
+        real_init, real_srg = gc.Graph.__init__, rec.srg_params
+
+        def counted_init(self, *args, **kwargs):
+            calls.append("Graph.__init__")
+            real_init(self, *args, **kwargs)
+
+        def counted_srg(graph):
+            calls.append("srg_params")
+            return real_srg(graph)
+
+        monkeypatch.setattr(gc.Graph, "__init__", counted_init)
+        monkeypatch.setattr(asm, "srg_params", counted_srg)
+        monkeypatch.setattr(rec, "srg_params", counted_srg)
+        for d in witnesses:
+            asm.attach_coclique(d.ddg, d.ddg_partition, d.design, d.phi[1:] + d.phi[:1])
+        assert calls == []
+
 
 class TestDecompose:
     def test_sp42_all_15(self, sp42, dec15):
@@ -308,7 +330,8 @@ class TestRoundtrips:
 def test_witness_replays_to_the_graph(name, count):
     """attach_coclique on a witness's own fields gives the graph with the
     vertices outside the coclique first and the coclique vertices after
-    them, both ascending; swapping two entries of phi does not."""
+    them, both ascending; swapping two entries of phi does not, but still
+    gives a strongly regular graph of the family."""
     graph = oracle_graph(name)
     full = (1 << graph.order) - 1
     decs = asm.decompose(graph)
@@ -318,4 +341,7 @@ def test_witness_replays_to_the_graph(name, count):
         want = renamed(graph, {x: i for i, x in enumerate(order)})
         assert asm.attach_coclique(d.ddg, d.ddg_partition, d.design, d.phi) == want
         swapped = (d.phi[1], d.phi[0]) + d.phi[2:]
-        assert asm.attach_coclique(d.ddg, d.ddg_partition, d.design, swapped) != want
+        twisted = asm.attach_coclique(d.ddg, d.ddg_partition, d.design, swapped)
+        assert twisted != want
+        # srg_params, kept as the oracle, confirms what attach_coclique proves
+        assert rec.srg_params(twisted).tuple4 == theory.family_from(d.n, d.s).srg.tuple4

@@ -19,6 +19,19 @@ def run_raw(capsys, argv):
     return code, capsys.readouterr().out
 
 
+def counting(monkeypatch, module, name, calls=None):
+    """Record each call of module.name in calls (a new list if None)."""
+    calls = [] if calls is None else calls
+    real = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 class TestGen:
     def test_gen_petersen_graph6(self, capsys, petersen):
         code, out = run_raw(capsys, ["gen", "petersen"])
@@ -86,6 +99,17 @@ class TestSpectrum:
         _, rep = run_json(capsys, ["spectrum", str(f)])
         row = rep["results"]["graphs"][0]
         assert not row["integral"] and row["residual_degree"] == 4
+
+    def test_over_cap_refused_before_the_matrix(self, tmp_path, capsys, monkeypatch):
+        from srgddg import exact
+
+        f = tmp_path / "path.g6"
+        f.write_bytes(gc.encode_graph6(gc.path(exact.SIZE_CAP + 1)) + b"\n")
+        calls = counting(monkeypatch, gc, "adjacency_matrix")
+        counting(monkeypatch, exact, "is_symmetric", calls)
+        code, rep = run_json(capsys, ["spectrum", str(f)])
+        assert code == 1 and calls == []
+        assert rep["results"] == {"error": "integral_spectrum: dimension 513 exceeds cap 512"}
 
 
 class TestCocliqueCmd:
@@ -197,22 +221,10 @@ class TestDecomposeConstruct:
 
 
 class TestVerifyOnce:
-    def counting(self, monkeypatch, module, name, calls=None):
-        """Record each call of module.name in calls (a new list if None)."""
-        calls = [] if calls is None else calls
-        real = getattr(module, name)
-
-        def counted(*args):
-            calls.append(args)
-            return real(*args)
-
-        monkeypatch.setattr(module, name, counted)
-        return calls
-
     def test_recognize_counts_deza_once(self, tmp_path, capsys, monkeypatch, sp42, t6, petersen):
         f = tmp_path / "three.g6"
         f.write_bytes(b"".join(gc.encode_graph6(g) + b"\n" for g in (sp42, t6, petersen)))
-        calls = self.counting(monkeypatch, recognize, "deza_params")
+        calls = counting(monkeypatch, recognize, "deza_params")
         code, rep = run_json(capsys, ["recognize", str(f)])
         assert code == 0 and len(calls) == 3
         assert [row["deza"] is not None for row in rep["results"]["graphs"]] == [True] * 3
@@ -224,14 +236,16 @@ class TestVerifyOnce:
         (tmp_path / "part.json").write_text(json.dumps({"classes": classes}))
         blocks = [dec.design.block_points(i) for i in range(len(dec.design.blocks))]
         (tmp_path / "design.json").write_text(json.dumps({"v": 3, "blocks": blocks}))
-        calls = self.counting(monkeypatch, asm, "srg_params")
-        self.counting(monkeypatch, recognize, "srg_params", calls)
+        calls = counting(monkeypatch, asm, "srg_params")
+        counting(monkeypatch, recognize, "srg_params", calls)
         code, rep = run_json(capsys, [
             "construct", "--ddg", str(tmp_path / "ddg.g6"), "--phi", "1,2,0", "--json",
             "--partition", str(tmp_path / "part.json"),
             "--design", str(tmp_path / "design.json"),
         ])
-        assert code == 0 and len(calls) == 1
+        # the one check is attach_coclique's proof from its inputs;
+        # nothing recognizes the built graph
+        assert code == 0 and len(calls) == 0
         assert rep["results"]["srg"] == [15, 8, 4, 4]
         built = gc.decode_graph6(rep["results"]["graph6"].encode())
         assert recognize.srg_params(built).tuple4 == (15, 8, 4, 4)

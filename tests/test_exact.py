@@ -10,6 +10,10 @@ from srgddg import graphcore as gc
 from srgddg.errors import SizeCapExceeded
 
 
+def refuse(*args):
+    raise AssertionError("work started above the size cap")
+
+
 def random_symmetric(n, lo, hi, rng):
     m = [[0] * n for _ in range(n)]
     for i in range(n):
@@ -155,9 +159,12 @@ class TestCharPoly:
                     a[r] = [x - f * y for x, y in zip(a[r], a[col])]
             assert p(0) == (-1) ** n * det
 
-    def test_size_cap(self):
-        with pytest.raises(SizeCapExceeded):
-            ex.char_poly([[0] * 13 for _ in range(13)], size_cap=12)
+    def test_size_cap(self, monkeypatch):
+        # the cap refuses a 513 x 513 matrix before any product
+        monkeypatch.setattr(ex, "identity_matrix", refuse)
+        monkeypatch.setattr(ex, "mat_mul", refuse)
+        with pytest.raises(SizeCapExceeded, match="char_poly: dimension 513 exceeds cap 512"):
+            ex.char_poly([[0] * 513 for _ in range(513)])
 
     def test_mod_p_matches_exact(self, petersen):
         # Hessenberg reduction over GF(p) against the integer polynomial,
@@ -261,9 +268,12 @@ class TestIntegralSpectrum:
         assert not ex.integral_spectrum(gc.adjacency_matrix(gc.cycle(5)))
         assert shifts == [2]
 
-    def test_size_cap(self):
-        with pytest.raises(SizeCapExceeded):
-            ex.integral_spectrum([[0] * 13 for _ in range(13)], size_cap=12)
+    def test_size_cap(self, monkeypatch):
+        # the cap refuses a 513 x 513 matrix before the symmetry check
+        monkeypatch.setattr(ex, "is_symmetric", refuse)
+        monkeypatch.setattr(ex, "char_poly_mod", refuse)
+        with pytest.raises(SizeCapExceeded, match="integral_spectrum: dimension 513 exceeds cap 512"):
+            ex.integral_spectrum([[0] * 513 for _ in range(513)])
 
     def test_multiplicity_rank_cross_check(self, petersen, t6):
         for g in (petersen, t6, gc.complete(5), gc.grid(3, 3)):

@@ -117,9 +117,14 @@ class TestSymplecticComplement:
         with pytest.raises(ValueError):
             gf.symplectic_complement(1, gf.fieldspec(2, 1))
 
-    def test_size_cap(self):
-        with pytest.raises(SizeCapExceeded):
-            gf.symplectic_complement(2, gf.fieldspec(2, 1), size_cap=10)
+    def test_size_cap(self, monkeypatch):
+        # Sp(14,2) has 16383 points, above the cap: refused before any point is built
+        def refuse(*args):
+            raise AssertionError("work started above the cap")
+
+        monkeypatch.setattr(gf, "projective_points", refuse)
+        with pytest.raises(SizeCapExceeded, match="graph on 16383 vertices exceeds cap 5000"):
+            gf.symplectic_complement(7, gf.fieldspec(2, 1))
 
     def test_vertex_order_deterministic(self, sp42):
         again = gf.symplectic_complement(2, gf.fieldspec(2, 1))

@@ -129,9 +129,14 @@ class TestCanonicalForm:
         )
         assert iso.canonical_form(prism) != iso.canonical_form(petersen)
 
-    def test_size_cap(self):
-        with pytest.raises(SizeCapExceeded):
-            iso.canonical_form(gc.edgeless(20), size_cap=10)
+    def test_size_cap(self, monkeypatch):
+        # the cap refuses 513 vertices before the search is set up
+        def refuse(*args):
+            raise AssertionError("work started above the cap")
+
+        monkeypatch.setattr(iso, "_Search", refuse)
+        with pytest.raises(SizeCapExceeded, match="canonical_form: order 513 exceeds cap 512"):
+            iso.canonical_form(gc.edgeless(513))
 
     def test_huge_automorphism_groups_terminate_fast(self):
         # backjumping keeps maximally symmetric inputs polynomial
