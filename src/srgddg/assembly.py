@@ -281,13 +281,7 @@ def _split(graph: Graph, p: SrgParams, C: VertexSet) -> Decomposition | None:
     n = classes[0].bit_count()
     if m < 2 or m != len(pts) or n < 2 or any(cl.bit_count() != n for cl in classes):
         return None
-    pt_index = {z: i for i, z in enumerate(pts)}
-    blocks = []
-    for key in groups:
-        blk = 0
-        for z in bits(key):
-            blk |= 1 << pt_index[z]
-        blocks.append(blk)
+    blocks = list(map(bit_picker(pts, order), groups))
     lam_d = (blocks[0] & blocks[1]).bit_count()
     dp = DdgParams(m * n, p.k + p.s, p.lam + p.s, p.lam - lam_d, m, n)
     try:

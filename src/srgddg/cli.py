@@ -8,6 +8,14 @@ commands (gen, construct, canon) write raw graph6 lines to stdout so
 they can be piped into the analysis commands; pass ``-`` as a file name
 to read graph6 from stdin.
 
+Every command that reads a graph6 file reads it through
+:class:`GraphFile`, one line and one graph at a time.  ``recognize``,
+``spectrum``, ``coclique`` and ``decompose`` give each graph one row; a
+domain error in one graph (over a size cap, not strongly regular) makes
+that row ``{"error": ...}`` and the run goes on.  A search that runs out
+of its node budget keeps what it found and flags its row
+``budget_exhausted``.
+
 Exit codes: 0 success, 1 domain error (reported in the JSON), 2 usage.
 """
 
@@ -32,23 +40,11 @@ class _Usage(Exception):
     pass
 
 
-def _graph6_lines(raw_lines):
-    """(lineno, line) for each line holding a graph: stripped, without a
-    leading '>>graph6<<' header, blank lines skipped.  The one line
-    normaliser of every graph6 reader."""
-    for lineno, raw in enumerate(raw_lines, start=1):
-        line = raw.strip()
-        if line.startswith(b">>graph6<<"):
-            line = line[10:]
-        if line:
-            yield lineno, line
-
-
 def _split_stream(fh, size: int = 1 << 20):
-    """The lines of a binary stream, split as ``bytes.splitlines`` splits
-    the whole of it, read a chunk at a time.  The last line of a chunk
-    may be unfinished, or a CR whose LF is in the next chunk, so it is
-    carried over."""
+    """The lines of a binary stream, with their line ends, split as
+    ``bytes.splitlines`` splits the whole of it, read a chunk at a time.
+    The last line of a chunk may be unfinished, or a CR whose LF is in
+    the next chunk, so it is carried over."""
     carry = b""
     for chunk in iter(functools.partial(fh.read1, size), b""):
         lines = (carry + chunk).splitlines(keepends=True)
@@ -58,44 +54,52 @@ def _split_stream(fh, size: int = 1 << 20):
         yield carry
 
 
-def iter_graph_lines(path: str):
-    """Yield (lineno, line) pairs from a graph6 file, one line at a time,
-    so the file is never held in memory as a whole.  Lines are split and
-    numbered as by :func:`read_graph_file`."""
-    fh = sys.stdin.buffer if path == "-" else open(path, "rb")
-    try:
-        yield from _graph6_lines(_split_stream(fh))
-    finally:
-        if path != "-":
-            fh.close()
+class GraphFile:
+    """The one graph6 reader: the graphs of a file, or of stdin for
+    ``-``, decoded one line at a time as they are iterated, so the file
+    is never held in memory as a whole.
 
+    Lines end in LF, CRLF or CR; each is stripped, a leading
+    ``>>graph6<<`` header is dropped and blank lines are skipped.  A bad
+    line raises SrgddgError naming its 1-based line number, or with
+    keep_going is noted in ``diagnostics`` and skipped.  As it reads, it
+    hashes the raw bytes into ``sha256`` and each graph line followed by
+    a newline into ``sha256_lines``.
+    """
 
-def _decode_lines(lines, keep_going: bool, diags: list):
-    """Decode (lineno, line) pairs; a bad line aborts, or with keep_going
-    is noted in diags and skipped."""
-    for lineno, line in lines:
+    def __init__(self, path: str, keep_going: bool = False):
+        self.path, self.keep_going = path, keep_going
+        self.diagnostics: list[str] = []
+        self.sha256, self.sha256_lines = hashlib.sha256(), hashlib.sha256()
+
+    def __iter__(self):
+        fh = sys.stdin.buffer if self.path == "-" else open(self.path, "rb")
         try:
-            yield graphcore.decode_graph6(line)
-        except SrgddgError as exc:
-            if not keep_going:
-                raise SrgddgError(f"line {lineno}: {exc}") from None
-            diags.append(f"line {lineno}: {exc}")
+            for lineno, raw in enumerate(_split_stream(fh), start=1):
+                self.sha256.update(raw)
+                line = raw.strip()
+                if line.startswith(b">>graph6<<"):
+                    line = line[10:]
+                if not line:
+                    continue
+                self.sha256_lines.update(line + b"\n")
+                try:
+                    g = graphcore.decode_graph6(line)
+                except SrgddgError as exc:
+                    if not self.keep_going:
+                        raise SrgddgError(f"line {lineno}: {exc}") from None
+                    self.diagnostics.append(f"line {lineno}: {exc}")
+                    continue
+                yield g
+        finally:
+            if self.path != "-":
+                fh.close()
 
 
 def read_graph_file(path: str, keep_going: bool = False):
-    """Parse a line-oriented graph6 file.
-
-    Returns (graphs, diagnostics, sha256).  Parse errors carry 1-based
-    line numbers and abort unless keep_going is set.
-    """
-    if path == "-":
-        data = sys.stdin.buffer.read()
-    else:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    diags: list[str] = []
-    graphs = list(_decode_lines(_graph6_lines(data.splitlines()), keep_going, diags))
-    return graphs, diags, hashlib.sha256(data).hexdigest()
+    """All graphs of a graph6 file, as (graphs, diagnostics, sha256)."""
+    graphs = GraphFile(path, keep_going)
+    return list(graphs), graphs.diagnostics, graphs.sha256.hexdigest()
 
 
 def write_graph_file(path: str, graphs) -> None:
@@ -124,12 +128,40 @@ def _emit(report: dict) -> None:
 
 
 def _budget_from_env(args) -> int:
-    env = os.environ.get("SRGDDG_BUDGET_NODES")
-    if getattr(args, "budget_nodes", None):
+    """The search node budget: --budget-nodes, else SRGDDG_BUDGET_NODES,
+    else the default; 0 in either means the next one."""
+    if args.budget_nodes < 0:
+        raise _Usage(f"--budget-nodes must be >= 0, got {args.budget_nodes}")
+    if args.budget_nodes:
         return args.budget_nodes
-    if env:
-        return int(env)
-    return coclique.DEFAULT_NODE_BUDGET
+    env = os.environ.get("SRGDDG_BUDGET_NODES", "").strip()
+    if env and not env.isdecimal():
+        raise ValueError(f"SRGDDG_BUDGET_NODES must be a non-negative integer, got {env!r}")
+    return int(env or 0) or coclique.DEFAULT_NODE_BUDGET
+
+
+def _budgeted(search):
+    """``search()`` and the row flag of a budget hit, which keeps the
+    results found before it: (results, {}) or (partial, flag)."""
+    try:
+        return search(), {}
+    except BudgetExceeded as exc:
+        return exc.partial, {"budget_exhausted": True}
+
+
+def _per_graph(args, t0, row) -> int:
+    """Emit the report of ``row(g)`` for each graph of ``args.file``.  A
+    domain error of one graph gives it an error row; the run goes on."""
+    graphs = GraphFile(args.file, args.keep_going)
+    rows = []
+    for g in graphs:
+        try:
+            rows.append(row(g))
+        except (SrgddgError, assembly.AssemblyError) as exc:
+            rows.append({"error": str(exc)})
+    inputs = {"file": args.file, "sha256": graphs.sha256.hexdigest()}
+    _emit(_report(args.cmd, inputs, {"graphs": rows}, graphs.diagnostics, t0))
+    return 0
 
 
 # -- subcommand bodies ---------------------------------------------------
@@ -195,62 +227,48 @@ def _classification(g):
 
 
 def _cmd_recognize(args, t0):
-    graphs, diags, digest = read_graph_file(args.file, args.keep_going)
-    results = {"graphs": [_classification(g) for g in graphs]}
-    _emit(_report("recognize", {"file": args.file, "sha256": digest}, results, diags, t0))
-    return 0
+    return _per_graph(args, t0, _classification)
 
 
 def _cmd_spectrum(args, t0):
     from . import exact
 
-    graphs, diags, digest = read_graph_file(args.file, args.keep_going)
-    rows = []
-    for g in graphs:
+    def row(g):
         exact.check_cap("integral_spectrum", g.order)
         sp = exact.integral_spectrum(graphcore.adjacency_matrix(g))
         if sp:
-            rows.append({"integral": True, "spectrum": [list(p) for p in sp.pairs]})
-        else:
-            rows.append({
-                "integral": False,
-                "integer_roots": [list(p) for p in sp.found],
-                "residual_degree": sp.residual_degree,
-            })
-    _emit(_report("spectrum", {"file": args.file, "sha256": digest}, {"graphs": rows}, diags, t0))
-    return 0
+            return {"integral": True, "spectrum": [list(p) for p in sp.pairs]}
+        return {
+            "integral": False,
+            "integer_roots": [list(p) for p in sp.found],
+            "residual_degree": sp.residual_degree,
+        }
+
+    return _per_graph(args, t0, row)
 
 
 def _cmd_coclique(args, t0):
-    graphs, diags, digest = read_graph_file(args.file, args.keep_going)
     query = coclique.CocliqueQuery(mode=args.mode, node_budget=_budget_from_env(args))
-    rows = []
-    for g in graphs:
+
+    def row(g):
         size = args.target
         if not size:
             sp = recognize.srg_params(g)
             if not sp:
-                rows.append({"error": f"not strongly regular ({sp.reason}); pass --target"})
-                continue
+                return {"error": f"not strongly regular ({sp.reason}); pass --target"}
             try:
                 size = sp.hoffman_size()
             except NoHoffmanBound as exc:
-                rows.append({"error": f"{exc}; pass --target"})
-                continue
-        row = {}
-        try:
-            found = coclique.cocliques_of_size(g, size, query)
-        except BudgetExceeded as exc:
-            found = exc.partial
-            row["budget_exhausted"] = True
-        rows.append({
+                return {"error": f"{exc}; pass --target"}
+        found, flag = _budgeted(lambda: coclique.cocliques_of_size(g, size, query))
+        return {
             "mode": args.mode,
             "count": len(found),
-            **row,
+            **flag,
             "cocliques": [graphcore.set_of(c) for c in found],
-        })
-    _emit(_report("coclique", {"file": args.file, "sha256": digest}, {"graphs": rows}, diags, t0))
-    return 0
+        }
+
+    return _per_graph(args, t0, row)
 
 
 def _decomposition_json(dec: assembly.Decomposition) -> dict:
@@ -276,27 +294,18 @@ def _decomposition_json(dec: assembly.Decomposition) -> dict:
 
 
 def _cmd_decompose(args, t0):
-    graphs, diags, digest = read_graph_file(args.file, args.keep_going)
-    budget = _budget_from_env(args)
     mode = "first" if args.first else "all"
-    rows = []
-    for g in graphs:
-        row = {}
-        try:
-            decs = assembly.decompose(g, coclique.CocliqueQuery(mode=mode, node_budget=budget))
-        except assembly.AssemblyError as exc:
-            rows.append({"error": str(exc)})
-            continue
-        except BudgetExceeded as exc:
-            decs = exc.partial
-            row["budget_exhausted"] = True
-        rows.append({
+    query = coclique.CocliqueQuery(mode=mode, node_budget=_budget_from_env(args))
+
+    def row(g):
+        decs, flag = _budgeted(lambda: assembly.decompose(g, query))
+        return {
             "count": len(decs),
-            **row,
+            **flag,
             "decompositions": [_decomposition_json(d) for d in decs],
-        })
-    _emit(_report("decompose", {"file": args.file, "sha256": digest}, {"graphs": rows}, diags, t0))
-    return 0
+        }
+
+    return _per_graph(args, t0, row)
 
 
 def _read_int_lists(path: str, key: str) -> tuple[list[list[int]], dict]:
@@ -397,34 +406,22 @@ def _cmd_iso(args, t0):
 
 
 def _cmd_canon(args, t0):
-    graphs, diags, digest = read_graph_file(args.file, args.keep_going)
-    for g in graphs:
-        sys.stdout.buffer.write(iso.canonical_form(g).certificate + b"\n")
+    # written once the whole input is read, so a bad line writes none
+    graphs = GraphFile(args.file, args.keep_going)
+    sys.stdout.buffer.write(b"".join(iso.canonical_form(g).certificate + b"\n" for g in graphs))
     return 0
 
 
 def _census_one(g, budget: int):
     """Row and sorted DDG certificates of one graph.  A budget hit keeps
     the witnesses found before it and flags the row as incomplete."""
-    row = {}
+    query = coclique.CocliqueQuery(node_budget=budget)
     try:
-        decs = assembly.decompose(g, coclique.CocliqueQuery(node_budget=budget))
+        decs, flag = _budgeted(lambda: assembly.decompose(g, query))
     except assembly.AssemblyError as exc:
         return {"error": str(exc)}, []
-    except BudgetExceeded as exc:
-        decs = exc.partial
-        row["budget_exhausted"] = True
     certs = sorted({iso.canonical_form(d.ddg).certificate.decode() for d in decs})
-    return {"decompositions": len(decs), **row}, certs
-
-
-def _census_decode(args, diags, hasher):
-    def hashed():
-        for lineno, line in iter_graph_lines(args.file):
-            hasher.update(line + b"\n")
-            yield lineno, line
-
-    return _decode_lines(hashed(), args.keep_going, diags)
+    return {"decompositions": len(decs), **flag}, certs
 
 
 def _census_outcomes(one, graphs, threads: int):
@@ -451,33 +448,32 @@ def _census_outcomes(one, graphs, threads: int):
 def _cmd_census(args, t0):
     # catalogs are processed one graph at a time with bounded memory;
     # only counters and certificates accumulate
-    diags: list[str] = []
-    hasher = hashlib.sha256()
+    graphs = GraphFile(args.file, args.keep_going)
     per_graph = []
     all_certs: set[str] = set()
-    total = 0
-    decomposable = 0
-    stream = _census_decode(args, diags, hasher)
     one = functools.partial(_census_one, budget=_budget_from_env(args))
-    for row, certs in _census_outcomes(one, stream, args.threads):
-        total += 1
+    for row, certs in _census_outcomes(one, graphs, args.threads):
         per_graph.append(row)
-        if row.get("decompositions"):
-            decomposable += 1
         all_certs.update(certs)
     results = {
-        "graphs": total,
-        "decomposable": decomposable,
+        "graphs": len(per_graph),
+        "decomposable": sum(1 for row in per_graph if row.get("decompositions")),
         "distinct_ddg_certificates": len(all_certs),
         "per_graph": per_graph,
     }
     _emit(_report(
-        "census", {"file": args.file, "sha256_lines": hasher.hexdigest()}, results, diags, t0
+        "census", {"file": args.file, "sha256_lines": graphs.sha256_lines.hexdigest()}, results,
+        graphs.diagnostics, t0,
     ))
     return 0
 
 
 # -- parser ---------------------------------------------------------------
+
+BUDGET_HELP = (
+    "coclique search nodes per graph; 0 (the default) takes SRGDDG_BUDGET_NODES, "
+    f"and 0 or no value there takes {coclique.DEFAULT_NODE_BUDGET:,}"
+)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -501,26 +497,25 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--json", action="store_true")
     g.set_defaults(fn=_cmd_gen)
 
-    for name, fn in (("recognize", _cmd_recognize), ("spectrum", _cmd_spectrum)):
-        p = sub.add_parser(name, help=f"{name} graphs from a graph6 file")
+    def file_command(name, fn, summary, budget=True):
+        """A subcommand over the graphs of one graph6 file."""
+        p = sub.add_parser(name, help=summary)
         p.add_argument("file")
         p.add_argument("--keep-going", action="store_true")
+        if budget:
+            p.add_argument("--budget-nodes", type=int, default=0, help=BUDGET_HELP)
         p.set_defaults(fn=fn)
+        return p
 
-    p = sub.add_parser("coclique", help="coclique search")
-    p.add_argument("file")
+    for name, fn in (("recognize", _cmd_recognize), ("spectrum", _cmd_spectrum)):
+        file_command(name, fn, f"{name} graphs from a graph6 file", budget=False)
+
+    p = file_command("coclique", _cmd_coclique, "coclique search")
     p.add_argument("--mode", choices=["first", "all"], default="all")
     p.add_argument("--target", type=int, default=0, help="exact size (default: Hoffman bound)")
-    p.add_argument("--budget-nodes", type=int, default=0)
-    p.add_argument("--keep-going", action="store_true")
-    p.set_defaults(fn=_cmd_coclique)
 
-    p = sub.add_parser("decompose", help="coclique + divisible design splits")
-    p.add_argument("file")
+    p = file_command("decompose", _cmd_decompose, "coclique + divisible design splits")
     p.add_argument("--first", action="store_true")
-    p.add_argument("--budget-nodes", type=int, default=0)
-    p.add_argument("--keep-going", action="store_true")
-    p.set_defaults(fn=_cmd_decompose)
 
     p = sub.add_parser("construct", help="build the SRG from DDG + design + phi")
     p.add_argument("--ddg", required=True, help="graph6 file with the divisible design graph")
@@ -542,17 +537,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("b")
     p.set_defaults(fn=_cmd_iso)
 
-    p = sub.add_parser("canon", help="canonical graph6 form")
-    p.add_argument("file")
-    p.add_argument("--keep-going", action="store_true")
-    p.set_defaults(fn=_cmd_canon)
+    file_command("canon", _cmd_canon, "canonical graph6 form", budget=False)
 
-    p = sub.add_parser("census", help="decompose a catalog and count distinct DDGs")
-    p.add_argument("file")
-    p.add_argument("--keep-going", action="store_true")
+    p = file_command("census", _cmd_census, "decompose a catalog and count distinct DDGs")
     p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--budget-nodes", type=int, default=0)
-    p.set_defaults(fn=_cmd_census)
 
     return ap
 

@@ -1,3 +1,5 @@
+import hashlib
+import io
 import json
 import subprocess
 import sys
@@ -5,7 +7,7 @@ import sys
 import pytest
 
 from srgddg import assembly as asm, cli, coclique as cq, graphcore as gc, recognize
-from srgddg.errors import BudgetExceeded
+from srgddg.errors import BudgetExceeded, SrgddgError
 
 
 def run_json(capsys, argv):
@@ -108,8 +110,21 @@ class TestSpectrum:
         calls = counting(monkeypatch, gc, "adjacency_matrix")
         counting(monkeypatch, exact, "is_symmetric", calls)
         code, rep = run_json(capsys, ["spectrum", str(f)])
-        assert code == 1 and calls == []
-        assert rep["results"] == {"error": "integral_spectrum: dimension 513 exceeds cap 512"}
+        assert code == 0 and calls == []
+        assert rep["results"] == {
+            "graphs": [{"error": "integral_spectrum: dimension 513 exceeds cap 512"}],
+        }
+
+    def test_over_cap_graph_keeps_the_other_rows(self, tmp_path, capsys, petersen):
+        f = tmp_path / "two.g6"
+        f.write_bytes(gc.encode_graph6(petersen) + b"\n" + gc.encode_graph6(gc.path(600)) + b"\n")
+        for extra in ([], ["--keep-going"]):
+            code, rep = run_json(capsys, ["spectrum", str(f), *extra])
+            assert code == 0
+            assert rep["results"]["graphs"] == [
+                {"integral": True, "spectrum": [[3, 1], [1, 5], [-2, 4]]},
+                {"error": "integral_spectrum: dimension 600 exceeds cap 512"},
+            ]
 
 
 class TestCocliqueCmd:
@@ -135,6 +150,13 @@ class TestCocliqueCmd:
         first, second = rep["results"]["graphs"]
         assert first == {"error": "coclique bound 5/2 is not an integer; pass --target"}
         assert second["count"] == 5 and all(len(c) == 4 for c in second["cocliques"])
+
+    def test_bad_target_ends_the_run(self, tmp_path, capsys, petersen):
+        # a bad flag is no fault of one graph, so it gets no error row
+        f = tmp_path / "p.g6"
+        f.write_bytes(gc.encode_graph6(petersen) + b"\n")
+        code, rep = run_json(capsys, ["coclique", str(f), "--target", "-1"])
+        assert code == 1 and rep["results"] == {"error": "size must be >= 1"}
 
     def test_maximum_mode_is_usage_error(self, tmp_path, petersen):
         f = tmp_path / "p.g6"
@@ -435,6 +457,14 @@ class TestCensus:
         _, rep = run_json(capsys, ["census", str(f)])
         row = rep["results"]["per_graph"][0]
         assert row["budget_exhausted"] and row["decompositions"] < 15
+        # --budget-nodes 0 is the default, which defers to the variable
+        _, rep0 = run_json(capsys, ["census", str(f), "--budget-nodes", "0"])
+        assert rep0["results"] == rep["results"]
+        # and 0 there is the built-in default
+        monkeypatch.setenv("SRGDDG_BUDGET_NODES", "0")
+        _, rep = run_json(capsys, ["census", str(f)])
+        assert rep["results"]["per_graph"] == [{"decompositions": 15}]
+
 
     def test_partial_witnesses_kept(self, tmp_path, capsys, sp62):
         # the budget runs out after some Hoffman cocliques were found
@@ -447,6 +477,35 @@ class TestCensus:
         _, rep = run_json(capsys, ["decompose", str(f), "--budget-nodes", "200"])
         row = rep["results"]["graphs"][0]
         assert row["budget_exhausted"] and row["count"] == len(row["decompositions"]) > 0
+
+
+class TestBudgetChecks:
+    @pytest.fixture
+    def sp42_file(self, tmp_path, sp42):
+        f = tmp_path / "g.g6"
+        f.write_bytes(gc.encode_graph6(sp42) + b"\n")
+        return str(f)
+
+    @pytest.mark.parametrize("cmd", ["coclique", "decompose", "census"])
+    def test_negative_flag_is_usage_error(self, capsys, sp42_file, cmd):
+        assert cli.run([cmd, sp42_file, "--budget-nodes", "-1"]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and "--budget-nodes must be >= 0" in out.err
+
+    @pytest.mark.parametrize("cmd", ["coclique", "decompose", "census"])
+    @pytest.mark.parametrize("value", ["-5", "many", "1.5"])
+    def test_bad_variable_is_named(self, capsys, monkeypatch, sp42_file, cmd, value):
+        monkeypatch.setenv("SRGDDG_BUDGET_NODES", value)
+        code, rep = run_json(capsys, [cmd, sp42_file])
+        assert code == 1
+        assert rep["results"] == {
+            "error": f"SRGDDG_BUDGET_NODES must be a non-negative integer, got {value!r}",
+        }
+
+    def test_flag_overrides_the_variable(self, capsys, monkeypatch, sp42_file):
+        monkeypatch.setenv("SRGDDG_BUDGET_NODES", "5")
+        code, rep = run_json(capsys, ["decompose", sp42_file, "--budget-nodes", "100000"])
+        assert code == 0 and rep["results"]["graphs"][0]["count"] == 15
 
 
 class TestClosedStdout:
@@ -512,6 +571,15 @@ class TestGraphFileHandling:
             assert b"".join(got) == data
             assert [line.rstrip(b"\r\n") for line in got] == data.splitlines()
 
+    def test_decodes_one_line_at_a_time(self, tmp_path, petersen):
+        # the graph before a bad line comes out before that line is decoded
+        f = tmp_path / "bad.g6"
+        f.write_bytes(gc.encode_graph6(petersen) + b"\nnot-graph6!!\x01\n")
+        graphs = iter(cli.GraphFile(str(f)))
+        assert next(graphs) == petersen
+        with pytest.raises(SrgddgError, match="^line 2: "):
+            next(graphs)
+
     def test_roundtrip_write_read(self, tmp_path, petersen, t6):
         f = tmp_path / "two.g6"
         cli.write_graph_file(str(f), [petersen, t6])
@@ -520,3 +588,42 @@ class TestGraphFileHandling:
 
     def test_usage_error_exit_2(self):
         assert cli.run(["nonsense"]) == 2
+
+
+class TestOneReader:
+    """Every file command reads through the same streaming reader: a
+    header, a blank line and LF, CRLF and CR-only line ends give the same
+    graphs, from a path or from stdin, and the digests in the report are
+    those of the bytes read."""
+
+    @pytest.fixture
+    def data(self, petersen, sp42, t6):
+        p, s, t = (gc.encode_graph6(g) for g in (petersen, sp42, t6))
+        lines = [p, s, t, p]
+        return b">>graph6<<" + p + b"\n\n" + s + b"\r\n" + t + b"\r" + p + b"\n", lines
+
+    @pytest.mark.parametrize("cmd", ["recognize", "spectrum", "coclique", "decompose", "census", "canon"])
+    def test_path_and_stdin_agree(self, tmp_path, capsys, monkeypatch, data, cmd):
+        raw, lines = data
+        f = tmp_path / "mixed.g6"
+        f.write_bytes(raw)
+        code, from_path = run_raw(capsys, [cmd, str(f)])
+        assert code == 0
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(raw)))
+        code, from_stdin = run_raw(capsys, [cmd, "-"])
+        assert code == 0
+        if cmd == "canon":
+            assert from_path == from_stdin and len(from_path.splitlines()) == 4
+            return
+        reports = [json.loads(out) for out in (from_path, from_stdin)]
+        for rep, name in zip(reports, (str(f), "-")):
+            del rep["timing_ms"]
+            assert rep["inputs"].pop("file") == name
+        assert reports[0] == reports[1]
+        inputs, results = reports[0]["inputs"], reports[0]["results"]
+        if cmd == "census":
+            want = hashlib.sha256(b"".join(line + b"\n" for line in lines)).hexdigest()
+            assert inputs == {"sha256_lines": want} and results["graphs"] == 4
+        else:
+            assert inputs == {"sha256": hashlib.sha256(raw).hexdigest()}
+            assert len(results["graphs"]) == 4
