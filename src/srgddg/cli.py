@@ -64,11 +64,13 @@ class GraphFile:
     line raises SrgddgError naming its 1-based line number, or with
     keep_going is noted in ``diagnostics`` and skipped.  As it reads, it
     hashes the raw bytes into ``sha256`` and each graph line followed by
-    a newline into ``sha256_lines``.
+    a newline into ``sha256_lines``, and keeps the line number of the
+    graph it last yielded in ``lineno``.
     """
 
     def __init__(self, path: str, keep_going: bool = False):
         self.path, self.keep_going = path, keep_going
+        self.lineno = 0
         self.diagnostics: list[str] = []
         self.sha256, self.sha256_lines = hashlib.sha256(), hashlib.sha256()
 
@@ -90,6 +92,7 @@ class GraphFile:
                         raise SrgddgError(f"line {lineno}: {exc}") from None
                     self.diagnostics.append(f"line {lineno}: {exc}")
                     continue
+                self.lineno = lineno
                 yield g
         finally:
             if self.path != "-":
@@ -406,21 +409,30 @@ def _cmd_iso(args, t0):
 
 
 def _cmd_canon(args, t0):
-    # written once the whole input is read, so a bad line writes none
+    # written once the whole input is read, so a bad line or an over-cap
+    # graph writes none
     graphs = GraphFile(args.file, args.keep_going)
-    sys.stdout.buffer.write(b"".join(iso.canonical_form(g).certificate + b"\n" for g in graphs))
+    certs = []
+    for g in graphs:
+        try:
+            certs.append(iso.canonical_form(g).certificate + b"\n")
+        except SrgddgError as exc:
+            raise SrgddgError(f"line {graphs.lineno}: {exc}") from None
+    sys.stdout.buffer.write(b"".join(certs))
     return 0
 
 
 def _census_one(g, budget: int):
     """Row and sorted DDG certificates of one graph.  A budget hit keeps
-    the witnesses found before it and flags the row as incomplete."""
+    the witnesses found before it and flags the row as incomplete; a
+    domain error, as in :func:`_per_graph`, gives an error row and no
+    certificates."""
     query = coclique.CocliqueQuery(node_budget=budget)
     try:
         decs, flag = _budgeted(lambda: assembly.decompose(g, query))
-    except assembly.AssemblyError as exc:
+        certs = sorted({iso.canonical_form(d.ddg).certificate.decode() for d in decs})
+    except (SrgddgError, assembly.AssemblyError) as exc:
         return {"error": str(exc)}, []
-    certs = sorted({iso.canonical_form(d.ddg).certificate.decode() for d in decs})
     return {"decompositions": len(decs), **flag}, certs
 
 

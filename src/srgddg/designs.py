@@ -23,7 +23,6 @@ __all__ = [
     "verify_design",
     "complement_design",
     "all_ksubsets_design",
-    "dual_design",
     "required_design_params",
     "bruck_ryser_chowla",
 ]
@@ -130,17 +129,6 @@ def all_ksubsets_design(v: int) -> SymmetricDesign:
         raise ValueError("all_ksubsets_design needs v >= 3")
     full = (1 << v) - 1
     return SymmetricDesign(v, tuple(full ^ (1 << p) for p in range(v)), v - 1, v - 2)
-
-
-def dual_design(d: SymmetricDesign) -> SymmetricDesign:
-    """Transpose the incidence matrix (points <-> blocks)."""
-    cols = []
-    for p in range(d.v_pts):
-        col = 0
-        for i, b in enumerate(d.blocks):
-            col |= (b >> p & 1) << i
-        cols.append(col)
-    return SymmetricDesign(d.v_pts, tuple(cols), d.k_blk, d.lam)
 
 
 def required_design_params(n: int, s: int) -> tuple[int, int, int]:

@@ -57,9 +57,16 @@ def test_criterion_02_decompose_sp42_exhaustively():
         g = gf.symplectic_complement(2, gf.fieldspec(2, 1))
         p = rec.srg_params(g)
         assert len(cq.hoffman_cocliques(g, p)) == 15
-        decs = asm.decompose(g)  # includes the edge-exact roundtrip check
+        decs = asm.decompose(g)
         assert len(decs) == 15
+        full = (1 << g.order) - 1
         for d in decs:
+            # the roundtrip: the witness replays to the graph renumbered
+            # with the vertices outside the coclique first, edge for edge
+            order = gc.set_of(full ^ d.coclique) + gc.set_of(d.coclique)
+            pos = {x: i for i, x in enumerate(order)}
+            want = gc.Graph(g.order, [sum(1 << pos[y] for y in gc.bits(g.rows[x])) for x in order])
+            assert asm.attach_coclique(d.ddg, d.ddg_partition, d.design, d.phi) == want
             assert d.ddg_params.tuple6 == (12, 6, 2, 3, 3, 4)
             assert d.design.params == (3, 2, 1)
             assert ds.verify_design(d.design) is True

@@ -330,7 +330,8 @@ class TestRoundtrips:
 def test_witness_replays_to_the_graph(name, count):
     """attach_coclique on a witness's own fields gives the graph with the
     vertices outside the coclique first and the coclique vertices after
-    them, both ascending; swapping two entries of phi does not, but still
+    them, both ascending; the design is a symmetric design with the
+    family's parameters; swapping two entries of phi does not, but still
     gives a strongly regular graph of the family."""
     graph = oracle_graph(name)
     full = (1 << graph.order) - 1
@@ -340,6 +341,9 @@ def test_witness_replays_to_the_graph(name, count):
         order = gc.set_of(full ^ d.coclique) + gc.set_of(d.coclique)
         want = renamed(graph, {x: i for i, x in enumerate(order)})
         assert asm.attach_coclique(d.ddg, d.ddg_partition, d.design, d.phi) == want
+        # verify_design, kept as the oracle, confirms what Ryser's theorem proves
+        assert ds.verify_design(d.design) is True
+        assert d.design.params == ds.required_design_params(d.n, d.s)
         swapped = (d.phi[1], d.phi[0]) + d.phi[2:]
         twisted = asm.attach_coclique(d.ddg, d.ddg_partition, d.design, swapped)
         assert twisted != want

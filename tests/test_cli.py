@@ -377,6 +377,15 @@ class TestIsoCanon:
         assert code == 0
         assert out.strip().encode() == iso_mod.canonical_form(petersen).certificate
 
+    def test_canon_over_cap_names_the_line(self, tmp_path, capsys, petersen):
+        # all or nothing: the over-cap graph leaves no certificate line
+        f = tmp_path / "two.g6"
+        f.write_bytes(gc.encode_graph6(petersen) + b"\n" + gc.encode_graph6(gc.path(600)) + b"\n")
+        code, out = run_raw(capsys, ["canon", str(f)])
+        assert code == 1
+        rep = json.loads(out)  # exactly one JSON document
+        assert rep["results"] == {"error": "line 2: canonical_form: order 600 exceeds cap 512"}
+
 
 class TestCensus:
     def test_tiny_census(self, tmp_path, capsys, sp42, grid66):
@@ -465,6 +474,22 @@ class TestCensus:
         _, rep = run_json(capsys, ["census", str(f)])
         assert rep["results"]["per_graph"] == [{"decompositions": 15}]
 
+
+    def test_over_cap_ddg_gives_an_error_row(self, tmp_path, capsys, monkeypatch, sp42, sp62):
+        # Sp(6,2)'s DDGs (v = 56) are over the cap, Sp(4,2)'s (v = 12) are not
+        from srgddg import iso as iso_mod
+
+        monkeypatch.setattr(iso_mod, "SIZE_CAP", 20)
+        f = tmp_path / "cat.g6"
+        f.write_bytes(gc.encode_graph6(sp42) + b"\n" + gc.encode_graph6(sp62) + b"\n")
+        code, rep = run_json(capsys, ["census", str(f), "--threads", "1"])
+        assert code == 0
+        res = rep["results"]
+        assert res["per_graph"] == [
+            {"decompositions": 15},
+            {"error": "canonical_form: order 56 exceeds cap 20"},
+        ]
+        assert (res["graphs"], res["decomposable"], res["distinct_ddg_certificates"]) == (2, 1, 1)
 
     def test_partial_witnesses_kept(self, tmp_path, capsys, sp62):
         # the budget runs out after some Hoffman cocliques were found

@@ -58,12 +58,6 @@ class TestBuilders:
         assert d.params == (v, v - 1, v - 2)
         assert ds.verify_design(d) is True
 
-    def test_dual_is_valid_with_same_params(self):
-        for d in (fano(), ds.all_ksubsets_design(5)):
-            t = ds.dual_design(d)
-            assert t.params == d.params
-            assert ds.verify_design(t) is True
-
 
 class TestRequiredParams:
     @pytest.mark.parametrize(
