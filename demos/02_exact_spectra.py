@@ -9,17 +9,22 @@ from srgddg.graphcore import adjacency_matrix, cycle
 
 A = adjacency_matrix(petersen())
 
-# the spectrum is certified by ranks: a symmetric matrix is
-# diagonalizable, so mult(theta) = n - rank(A - theta*I), computed with
-# fraction-free elimination; candidates theta come from the
-# characteristic polynomial modulo a large prime
+# the Petersen graph is strongly regular, so its spectrum is
+# moment-certified: a connected regular graph has mult(k) = 1, and the
+# two other eigenvalues and their multiplicities are the only ones that
+# match the power sums tr A^j for j = 0..4; no elimination is needed
 spec = integral_spectrum(A)
 print("spectrum:", spec.as_dict())
+
+# cross-check each multiplicity by rank: a symmetric matrix is
+# diagonalizable, so mult(theta) = n - rank(A - theta*I), computed with
+# fraction-free elimination
 for theta, mult in spec.pairs:
     r = rank(add_scaled_identity(A, -theta))
     print(f"  theta={theta}: multiplicity {mult} = 10 - rank {r}")
+    assert mult == 10 - r
 
-# an independent second route: the exact characteristic polynomial by a
+# an independent third route: the exact characteristic polynomial by a
 # division-free recurrence; for the Petersen graph it factors as
 # (x-3)(x-1)^5(x+2)^4, and synthetic division recovers each multiplicity
 poly = char_poly(A)

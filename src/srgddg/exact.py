@@ -1,22 +1,36 @@
-"""Exact integer linear algebra: characteristic polynomials, integral
-spectra, and fraction-free rank.
+"""Exact integer linear algebra: integral spectra by power sums and
+rank, characteristic polynomials, and fraction-free rank.
 
 Everything here runs on arbitrary-precision Python ints; there is no
 floating point and no tolerance anywhere.  A matrix whose spectrum is not
 all integers is a legitimate outcome, reported as :class:`NonIntegral`,
 never approximated.
 
-Integral spectra are certified by ranks.  A symmetric integer matrix is
-diagonalizable, so the multiplicity of an integer eigenvalue theta is the
-nullity n - rank(A - theta I).  Candidates theta are screened with the
-characteristic polynomial modulo one word-size prime (O(n^3) word-size
-work by Hessenberg reduction), and each survivor's nullity is computed
-exactly by Bareiss elimination, except for the costliest one, which two
-trace identities pin down; the spectrum is integral exactly when the
-nullities sum to n.  :func:`char_poly` (Faddeev-LeVerrier, Theta(n^4)
-big-int work) is kept as an independent route to the same answer.
-Operations refuse to run above the size cap ``SIZE_CAP`` instead of
-silently crawling.
+Integral spectra are certified by power sums s_j = tr A^j.  Let mu be
+the true spectrum of a symmetric A minus a claimed one, as a signed
+measure on the eigenvalues.  Some multiplicities are proven outright
+(the top one of a regular 0/1 matrix is its number of components;
+others by rank), and the claim adds at most two integer points t1, t2
+that are not among them.  If s_0 .. s_4 of the claim match, mu has
+vanishing moments 0-4, so sum((x - t1)^2 (x - t2)^2) over the uncounted
+eigenvalues x is 0: there are none, and mu's mass and first moment then
+force the multiplicities of t1 and t2, so mu = 0.  A 0/1 matrix gives
+s_3 and s_4 for n^2 popcounts of bit rows, so a connected strongly
+regular graph (three eigenvalues) needs no elimination at all.  A matrix
+that is not 0/1 gives s_0 .. s_2 only, which certify one free point.
+See Cvetkovic, Rowlinson & Simic, *An Introduction to the Theory of
+Graph Spectra* (2010), ch. 1 and 3.
+
+When the free points do not fit, multiplicities are proven by rank: a
+symmetric integer matrix is diagonalizable, so an integer theta has
+multiplicity n - rank(A - theta I).  Candidates theta are screened with
+the characteristic polynomial modulo one word-size prime (O(n^3)
+word-size work by Hessenberg reduction), and each survivor's nullity is
+computed exactly by Bareiss elimination, the free points being sought
+again after each; the spectrum is integral exactly when some claim fits.
+:func:`char_poly` (Faddeev-LeVerrier, Theta(n^4) big-int work) is kept
+as an independent route to the same answer.  Operations refuse to run
+above the size cap ``SIZE_CAP`` instead of silently crawling.
 
 Matrices are plain nested lists of ints (``IntMatrix`` is an alias).
 """
@@ -24,9 +38,11 @@ Matrices are plain nested lists of ints (``IntMatrix`` is an alias).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
 from operator import mul
 
 from .errors import SizeCapExceeded
+from .graphcore import bits
 
 IntMatrix = list  # n x n nested lists of ints
 
@@ -246,64 +262,138 @@ def char_poly_mod(m: IntMatrix, p: int) -> list[int]:
     return polys[n]
 
 
+def _moments(m: IntMatrix) -> tuple[list[int], dict[int, int]]:
+    """Power sums tr M^j with, for a 0/1 matrix, one proven multiplicity.
+
+    Every matrix gets j = 0, 1, 2: n, tr M and sum(m_ij^2).  A 0/1 matrix
+    also gets j = 3 and 4 from bit rows, where (M^2)_ij is the popcount
+    of row i AND row j: tr M^3 = sum(m_ij (M^2)_ij) and tr M^4 =
+    sum((M^2)_ij^2), streamed one row of M^2 at a time.  If every row of
+    a 0/1 matrix sums to k, k is the largest eigenvalue of each
+    connected component (Perron-Frobenius) and simple there, so its
+    multiplicity is the number of components.
+    """
+    n = len(m)
+    sums = [n, sum(m[i][i] for i in range(n)), sum(x * x for row in m for x in row)]
+    if not set().union(*m) <= {0, 1}:
+        return sums, {}
+    rows = [int("".join(map(str, reversed(row))), 2) for row in m]
+    cube = quart = 0
+    for row, bitrow in zip(m, rows):
+        common = [(bitrow & other).bit_count() for other in rows]
+        cube += sum(map(mul, row, common))
+        quart += sum(map(mul, common, common))
+    sums += [cube, quart]
+    degrees = {r.bit_count() for r in rows}
+    if len(degrees) > 1:
+        return sums, {}
+    components = 0
+    unseen = (1 << n) - 1
+    while unseen:
+        seen = frontier = unseen & -unseen
+        while frontier:
+            reach = 0
+            for v in bits(frontier):
+                reach |= rows[v]
+            frontier = reach & ~seen
+            seen |= frontier
+        unseen &= ~seen
+        components += 1
+    return sums, {degrees.pop(): components}
+
+
+def _free_points(resid: list[int], proven: dict[int, int]) -> dict[int, int] | None:
+    """The at most two integer eigenvalues, none of them in ``proven``,
+    that carry the residual power sums ``resid``, or None.
+
+    The points solve x^2 - e1 x + e2 from the Hankel system of resid[0..3]
+    (one point if resid has zero variance), and their multiplicities
+    solve resid[0..1].  The answer stands only if no multiplicity is
+    negative, no point is already proven (so the spectrum is a disjoint
+    union) and every given power sum matches; with only resid[0..2]
+    that allows one point.
+    """
+    r0, r1, r2 = resid[:3]
+    if not r0:
+        return None if any(resid) else {}
+    var = r0 * r2 - r1 * r1
+    if var == 0:
+        theta, rem = divmod(r1, r0)
+        if rem:
+            return None
+        sol = {theta: r0}
+    else:
+        if len(resid) < 5:
+            return None
+        r3 = resid[3]
+        e1, rem1 = divmod(r0 * r3 - r1 * r2, var)
+        e2, rem2 = divmod(r1 * r3 - r2 * r2, var)
+        disc = e1 * e1 - 4 * e2
+        if rem1 or rem2 or disc <= 0:
+            return None
+        root = isqrt(disc)
+        if root * root != disc or (e1 + root) % 2:
+            return None
+        hi, lo = (e1 + root) // 2, (e1 - root) // 2
+        m_hi, rem = divmod(r1 - r0 * lo, hi - lo)
+        if rem or not 0 <= m_hi <= r0:
+            return None
+        sol = {hi: m_hi, lo: r0 - m_hi}
+    if any(theta in proven for theta in sol):
+        return None
+    if any(sum(k * theta**j for theta, k in sol.items()) != s for j, s in enumerate(resid)):
+        return None
+    return sol
+
+
 def integral_spectrum(m: IntMatrix) -> Spectrum | NonIntegral:
     """Full integer spectrum of a symmetric matrix, or NonIntegral.
 
-    A symmetric matrix is diagonalizable, so an integer theta has
-    multiplicity n - rank(A - theta I).  Candidates are the theta in
-    [-D, D] (D the largest absolute row sum) that are roots of the
-    characteristic polynomial modulo SCREEN_PRIME, a set that holds every
-    integer eigenvalue.  Going down from the top, each candidate's
-    multiplicity is computed exactly by Bareiss elimination; candidates
-    of multiplicity 0 drop out.
-
-    The candidate t of largest absolute value, whose rank costs the most,
-    is first given the multiplicity left over, n minus the others'.  That
-    guess is exact when it passes both trace identities
-    sum(theta * mult) = tr A and sum(theta^2 * mult) = sum(a_ij^2): the r
-    eigenvalues it would wrongly cover are real non-integers x with
-    sum(x) = r t and sum(x^2) = r t^2, so sum((x - t)^2) = 0 and r = 0.
-    Otherwise t's rank is computed too.
+    Some multiplicities are proven outright (the top one of a regular
+    0/1 matrix by its component count, see ``_moments``); the rest of the
+    spectrum must carry the power sums tr M^j left over.  When at most
+    two integer eigenvalues outside the proven ones carry them all
+    (``_free_points``), that is the spectrum; see the module docstring
+    for the proof.  Otherwise the candidates theta in [-D, D] (D the
+    largest absolute row sum) that are roots of the characteristic
+    polynomial modulo SCREEN_PRIME, a set that holds every integer
+    eigenvalue, are proven one at a time, cheapest (smallest |theta|)
+    first, as n - rank(M - theta I) by Bareiss elimination, and the free
+    points are sought again after each.  Candidates of multiplicity 0
+    drop out; if every candidate is proven and the multiplicities fall
+    short of n, the spectrum is not integral.
     """
     n = _check_square(m)
     check_cap("integral_spectrum", n)
     if not is_symmetric(m):
         raise ValueError("integral_spectrum requires a symmetric matrix")
-    p = SCREEN_PRIME
-    poly = char_poly_mod(m, p)
-    bound = max(sum(abs(x) for x in row) for row in m)
-    cands = []
-    for theta in range(bound, -bound - 1, -1):
-        acc = 0
-        for c in reversed(poly):
-            acc = (acc * theta + c) % p
-        if not acc:
-            cands.append(theta)
-    tr = sum(m[i][i] for i in range(n))
-    sq = sum(x * x for row in m for x in row)
+    sums, proven = _moments(m)
 
-    def traces_match(mults):
-        return (sum(t * k for t, k in mults.items()) == tr
-                and sum(t * t * k for t, k in mults.items()) == sq)
+    def solve():
+        resid = [s - sum(k * t**j for t, k in proven.items()) for j, s in enumerate(sums)]
+        return _free_points(resid, proven)
 
-    top = max(cands, key=abs, default=None)
-    mults = {}
-    left = n
-    for theta in cands:
-        if theta != top and left:
-            mults[theta] = n - rank(add_scaled_identity(m, -theta))
-            left -= mults[theta]
-    if top is not None:
-        mults[top] = left
-        if not traces_match(mults):
-            mults[top] = n - rank(add_scaled_identity(m, -top))
-        left -= mults[top]
-    found = tuple(sorted(((t, k) for t, k in mults.items() if k), reverse=True))
-    if left:
-        return NonIntegral(found, left)
-    if not traces_match(mults):
-        raise ArithmeticError("spectrum failed trace cross-check")
-    return Spectrum(found)
+    free = solve()
+    if free is None:
+        p = SCREEN_PRIME
+        poly = char_poly_mod(m, p)
+        bound = max(sum(abs(x) for x in row) for row in m)
+        cands = []
+        for theta in range(bound, -bound - 1, -1):
+            acc = 0
+            for c in reversed(poly):
+                acc = (acc * theta + c) % p
+            if not acc and theta not in proven:
+                cands.append(theta)
+        for theta in sorted(cands, key=abs):
+            proven[theta] = n - rank(add_scaled_identity(m, -theta))
+            free = solve()
+            if free is not None:
+                break
+    found = tuple(sorted(((t, k) for t, k in proven.items() if k), reverse=True))
+    if free is None:
+        return NonIntegral(found, n - sum(proven.values()))
+    return Spectrum(tuple(sorted(found + tuple(free.items()), reverse=True)))
 
 
 def rank(m: IntMatrix) -> int:

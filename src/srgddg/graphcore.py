@@ -363,9 +363,9 @@ def induced_subgraph(g: Graph, keep: VertexSet) -> Graph:
 # A 6-bit group offset by 63 is a base64 digit under a byte translation,
 # so both directions run through ``binascii``: no Python loop visits a
 # bit.  The decoder cuts the bits into the columns of the upper triangle
-# and gets the rest of each row from one transpose of those columns, so
-# its rows are symmetric by construction and skip the checks of
-# ``Graph.__init__``.
+# and gets the rest of each row from a transpose of those columns, taken
+# a block of columns at a time, so its rows are symmetric by construction
+# and skip the checks of ``Graph.__init__``.
 
 _G6_MAX = 68719476735  # 2^36 - 1
 
@@ -456,6 +456,9 @@ def _decode_order(data: bytes) -> tuple[int, int]:
     return n, 4
 
 
+_DECODE_BLOCK = 128  # upper-triangle columns transposed at a time by decode_graph6
+
+
 def _bit_field(data: bytes, start: int, width: int) -> str:
     """Bits ``start`` .. ``start + width - 1`` of ``data`` as a "0"/"1"
     string; bit 0 is the high bit of byte 0."""
@@ -492,10 +495,15 @@ def decode_graph6(data: bytes | str) -> Graph:
     if "1" in _bit_field(packed, nbits, 6 * nbytes - nbits):
         raise Graph6Error("nonzero padding bits", pos + nbytes - 1)
     # column j holds x(0, j) .. x(j - 1, j): row j below the diagonal, and
-    # entry j of rows 0 .. j - 1 above it.  Column 0 is empty; it is given
-    # in full length, so the transpose has n rows.  Columns are cut from
-    # the bytes, so no string of all the bits, a byte for each, is held.
-    columns = ["0" * n] + [_bit_field(packed, j * (j - 1) // 2, j) for j in range(1, n)]
-    upper = _transpose(columns)
+    # entry j of rows 0 .. j - 1 above it.  Columns are cut from the bytes
+    # and transposed a block at a time, so about n * _DECODE_BLOCK
+    # characters are held, never a byte for each bit of the graph.
+    rows = [0] * n
+    for lo in range(1, n, _DECODE_BLOCK):
+        columns = [_bit_field(packed, j * (j - 1) // 2, j) for j in range(lo, min(lo + _DECODE_BLOCK, n))]
+        for j, column in enumerate(columns, lo):
+            rows[j] |= int(column[::-1], 2)
+        for x, above in enumerate(_transpose(columns)):
+            rows[x] |= int(above[::-1], 2) << lo
     # built symmetric, loop-free and in range
-    return _trusted_graph(n, [int(c[::-1], 2) | int(u[::-1], 2) for c, u in zip(columns, upper)])
+    return _trusted_graph(n, rows)

@@ -1,11 +1,13 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from srgddg import assembly as asm
 from srgddg import coclique as cq
 from srgddg import exact as ex
+from srgddg import galois
 from srgddg import graphcore as gc
 from srgddg.errors import SizeCapExceeded
 
@@ -75,6 +77,49 @@ def oracle_spectrum(m):
         if mult:
             found.append((theta, mult))
     return tuple(found), poly.degree
+
+
+def rank_spectrum(m):
+    """The rank path, kept as the oracle: every root in [-D, D] of the
+    characteristic polynomial modulo SCREEN_PRIME gets its nullity by
+    Bareiss rank.  Returns (integer eigenvalues with multiplicities,
+    descending; number of eigenvalues left over)."""
+    n = len(m)
+    poly = ex.char_poly_mod(m, ex.SCREEN_PRIME)
+    bound = max(sum(abs(x) for x in row) for row in m)
+    found = []
+    for theta in range(bound, -bound - 1, -1):
+        if sum(c * theta**i for i, c in enumerate(poly)) % ex.SCREEN_PRIME == 0:
+            k = n - ex.rank(ex.add_scaled_identity(m, -theta))
+            if k:
+                found.append((theta, k))
+    return tuple(found), n - sum(k for _, k in found)
+
+
+def random_graphs():
+    """Seeded random graphs, regular and not, connected and not."""
+    rng = random.Random(1234)
+    graphs = []
+    for _ in range(60):
+        n = rng.randint(1, 12)
+        p = rng.choice((0.15, 0.3, 0.5, 0.8))
+        graphs.append(gc.from_edges(n, [e for e in combinations(range(n), 2) if rng.random() < p]))
+    for n, d in ((8, 3), (10, 4), (12, 3), (12, 5), (16, 6)):
+        graphs.append(random_regular(n, d, rng))
+    # two copies side by side: regular and disconnected, so mult(k) = 2
+    for g in (gc.petersen(), *(random_regular(n, d, rng) for n, d in ((6, 2), (8, 3), (7, 4)))):
+        graphs.append(gc.Graph(2 * g.order, g.rows + tuple(r << g.order for r in g.rows)))
+    return graphs
+
+
+def random_loop_matrices():
+    """Seeded symmetric 0/1 matrices with ones on the diagonal too."""
+    rng = random.Random(99)
+    mats = [[[1] * n for _ in range(n)] for n in (1, 3, 6)]
+    mats += [ex.identity_matrix(n) for n in (1, 4)]
+    for _ in range(30):
+        mats.append(random_symmetric(rng.randint(1, 9), 0, 1, rng))
+    return mats
 
 
 @pytest.fixture(scope="module")
@@ -251,8 +296,10 @@ class TestIntegralSpectrum:
         assert any(dropped)
 
     def test_costliest_rank_deduced(self, sp62, monkeypatch):
-        # the multiplicity of the top eigenvalue k = 32 follows from the
-        # trace identities; C5's residual forces every rank
+        # a regular graph's top multiplicity is its component count, and
+        # power sums 0-4 give SRG(63)'s other two: no rank at all.  C5's
+        # only integer candidate is that top one, so it takes none either,
+        # and the v = 56 DDG's four eigenvalues take one, the cheapest
         shifts = []
         real_rank = ex.rank
 
@@ -263,10 +310,41 @@ class TestIntegralSpectrum:
         monkeypatch.setattr(ex, "rank", recording_rank)
         spec = ex.integral_spectrum(gc.adjacency_matrix(sp62))
         assert spec.pairs == ((32, 1), (4, 27), (-4, 35))
-        assert sorted(shifts) == [-4, 4]
-        shifts.clear()
+        assert shifts == []
         assert not ex.integral_spectrum(gc.adjacency_matrix(gc.cycle(5)))
-        assert shifts == [2]
+        assert shifts == []
+        ddg = asm.decompose(sp62, cq.CocliqueQuery(mode="first"))[0].ddg
+        spec = ex.integral_spectrum(gc.adjacency_matrix(ddg))
+        assert spec.pairs == ((28, 1), (4, 21), (0, 6), (-4, 28))
+        assert shifts == [0]
+
+    def test_srg_needs_no_screen_and_no_rank(self, sp62, monkeypatch):
+        monkeypatch.setattr(ex, "char_poly_mod", refuse)
+        monkeypatch.setattr(ex, "rank", refuse)
+        spec = ex.integral_spectrum(gc.adjacency_matrix(sp62))
+        assert spec.pairs == ((32, 1), (4, 27), (-4, 35))
+
+    def test_certificate_vs_rank_oracle(self, corpus):
+        sp44 = galois.symplectic_complement(2, galois.fieldspec(2, 2))
+        sp45 = galois.symplectic_complement(2, galois.fieldspec(5, 1))
+        graphs = corpus + random_graphs() + [sp44, sp45]
+        graphs += [gc.complete(n) for n in range(1, 9)] + [gc.edgeless(n) for n in range(1, 9)]
+        mats = [gc.adjacency_matrix(g) for g in graphs] + random_loop_matrices()
+        kinds = set()
+        for m in mats:
+            res = ex.integral_spectrum(m)
+            kinds.add(bool(res))
+            got = (res.pairs, 0) if res else (res.found, res.residual_degree)
+            assert got == rank_spectrum(m), m
+        assert kinds == {True, False}
+
+    def test_free_points_avoid_proven_eigenvalues(self):
+        # power sums 0-4 of 3^1 (-2)^4 left over beside a proven 3: the
+        # two points that carry them would count 3 twice
+        resid = [sum(k * t**j for t, k in ((3, 1), (-2, 4))) for j in range(5)]
+        assert ex._free_points(resid, {}) == {3: 1, -2: 4}
+        assert ex._free_points(resid, {3: 1}) is None
+        assert ex._free_points(resid, {-2: 0}) is None
 
     def test_size_cap(self, monkeypatch):
         # the cap refuses a 513 x 513 matrix before the symmetry check

@@ -328,7 +328,8 @@ def sp10_2():
 
 
 class TestDecoderAgainstBitLoop:
-    ORDERS = (1, 2, 3, 62, 63, 64, 65, 130, 255)
+    # 129 and 257 end on the first column of a decoder block
+    ORDERS = (1, 2, 3, 62, 63, 64, 65, 129, 130, 255, 257)
 
     def graphs(self):
         rng = random.Random(2024)
