@@ -88,7 +88,7 @@ from dataclasses import dataclass
 from . import theory
 from .coclique import CocliqueQuery, hoffman_cocliques
 from .designs import SymmetricDesign, required_design_params, verify_design
-from .errors import BudgetExceeded, NoHoffmanBound
+from .errors import BudgetExceeded, NoHoffmanBound, SrgddgError
 from .graphcore import Graph, VertexSet, _trusted_graph, bit_picker, bits, induced_subgraph, set_of
 from .recognize import CanonicalPartition, DdgParams, SrgParams, _check_ddg_partition, srg_params
 
@@ -103,7 +103,7 @@ __all__ = [
 ]
 
 
-class AssemblyError(ValueError):
+class AssemblyError(SrgddgError, ValueError):
     pass
 
 
@@ -248,8 +248,9 @@ def decompose(
     4. there are at least 2 groups, as many as points of C, all of one
        size n >= 2: the groups can be the classes of a proper DDG whose
        blocks form a symmetric design.
-    5. the DDG parameters given by the identity fit the family pattern
-       (``_family_of``), and s is the graph's s.
+    5. the DDG parameters given by the identity are the family's
+       ``theory.family_from(n, s)`` for the group size n and the graph's
+       s.
 
     Checks 3-5 are the whole proof (module docstring).  With the
     identity and C a coclique they prove that the distinct N_C sets form
@@ -309,11 +310,8 @@ def _split(graph: Graph, p: SrgParams, C: VertexSet) -> Decomposition | None:
     blocks = tuple(map(bit_picker(pts, order), groups))
     lam_d = (blocks[0] & blocks[1]).bit_count()
     dp = DdgParams(m * n, p.k + p.s, p.lam + p.s, p.lam - lam_d, m, n)
-    try:
-        s = _family_of(dp)[1]
-    except ParameterMismatch:
-        return None
-    if s != p.s:
+    fam = theory.family_from(n, p.s)
+    if not fam or fam.ddg.tuple6 != dp.tuple6:
         return None
     return Decomposition(
         coclique=C,
@@ -321,5 +319,5 @@ def _split(graph: Graph, p: SrgParams, C: VertexSet) -> Decomposition | None:
         ddg_partition=CanonicalPartition(tuple(map(bit_picker(set_of(rest), order), classes))),
         ddg_params=dp,
         ddg=induced_subgraph(graph, rest),
-        design=SymmetricDesign(m, blocks, -s, lam_d),
+        design=SymmetricDesign(m, blocks, -p.s, lam_d),
     )

@@ -160,7 +160,7 @@ def _per_graph(args, t0, row) -> int:
     for g in graphs:
         try:
             rows.append(row(g))
-        except (SrgddgError, assembly.AssemblyError) as exc:
+        except SrgddgError as exc:
             rows.append({"error": str(exc)})
     inputs = {"file": args.file, "sha256": graphs.sha256.hexdigest()}
     _emit(_report(args.cmd, inputs, {"graphs": rows}, graphs.diagnostics, t0))
@@ -251,6 +251,8 @@ def _cmd_spectrum(args, t0):
 
 
 def _cmd_coclique(args, t0):
+    if args.target < 0:
+        raise _Usage(f"--target must be >= 0, got {args.target}")
     query = coclique.CocliqueQuery(mode=args.mode, node_budget=_budget_from_env(args))
 
     def row(g):
@@ -431,7 +433,7 @@ def _census_one(g, budget: int):
     try:
         decs, flag = _budgeted(lambda: assembly.decompose(g, query))
         certs = sorted({iso.canonical_form(d.ddg).certificate.decode() for d in decs})
-    except (SrgddgError, assembly.AssemblyError) as exc:
+    except SrgddgError as exc:
         return {"error": str(exc)}, []
     return {"decompositions": len(decs), **flag}, certs
 
@@ -573,7 +575,7 @@ def run(argv: list[str]) -> int:
         except _Usage as exc:
             print(f"usage error: {exc}", file=sys.stderr)
             return 2
-        except (SrgddgError, assembly.AssemblyError, OSError, ValueError) as exc:
+        except (SrgddgError, OSError, ValueError) as exc:
             _emit(_report(args.cmd, {}, {"error": str(exc)}, [], t0))
             return 1
     except BrokenPipeError:

@@ -258,6 +258,8 @@ class CanonicalPartition:
         raise ValueError(f"vertex {x} not covered")
 
     def validate(self, order: int) -> None:
+        if not self.classes:
+            raise ValueError("classes do not partition the vertex set")
         union = 0
         total = 0
         size = self.classes[0].bit_count()

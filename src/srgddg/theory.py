@@ -283,14 +283,15 @@ class ShapeMatch:
 
 
 def _finish_candidate(
-    case: str, p: SrgParams, c: int, alpha2: int, beta2: int,
-    f1: int, f2: int, g1: int, g2: int, inferred: dict,
+    p: SrgParams, c: int, case: str, shape: tuple[int, ...], verdict: str
 ) -> ShapeMatch:
     """Common filter chain, cheapest first: integrality, divisibility,
-    the trace inequality, handshake parity, design integrality."""
+    the trace inequality, handshake parity, design integrality.  A
+    candidate that passes them all gets ``verdict``."""
+    alpha2, beta2, f1, f2, g1, g2 = shape
     V = p.v - c
     K = p.k + p.s
-    inferred.update({"K": K, "V": V, "f1": f1, "f2": f2, "g1": g1, "g2": g2})
+    inferred = {"K": K, "V": V, "f1": f1, "f2": f2, "g1": g1, "g2": g2}
 
     def rej(reason):
         return ShapeMatch(case, REJECTED, reason, inferred)
@@ -339,17 +340,35 @@ def _finish_candidate(
     except ValueError as exc:
         return rej(f"coclique attachment design infeasible: {exc}")
     inferred["design"] = dsg
-    if case in ("1", "4", "5", "8"):
-        # survives every arithmetic filter; these shapes are excluded
-        # only by classification results, which this engine does not
-        # replay, so the candidate is flagged rather than accepted
-        return ShapeMatch(
-            case, OPEN,
-            "survives all arithmetic filters; exclusion of this shape "
-            "requires classification results beyond this engine",
-            inferred,
-        )
-    return ShapeMatch(case, ACCEPTED, None, inferred)
+    reason = None if verdict == ACCEPTED else (
+        "survives all arithmetic filters; exclusion of this shape "
+        "requires classification results beyond this engine"
+    )
+    return ShapeMatch(case, verdict, reason, inferred)
+
+
+def _composition_shape(p: SrgParams, c: int, case: str, shape: tuple[int, ...]) -> ShapeMatch:
+    """Coincidence A: alpha = 0 (K = lambda1) and +-beta = r, s.  The
+    induced graph would be a Deza graph with b = K, i.e. a composition of
+    a strongly regular graph with an empty graph; its multiplicity
+    arithmetic needs 2(m-1) >= mn, impossible for proper parameters, so
+    this shape always dies.  ``shape`` is (g1, g2, f1 + f2)."""
+    g1, g2, f_sum = shape
+    V = p.v - c
+    m = g1 + g2 + 1
+    inferred = {"K": p.k + p.s, "V": V, "m": m, "f1+f2": f_sum, "g1": g1, "g2": g2}
+    n, rem = divmod(V, m)
+    if rem:
+        reason = f"m = {m} does not divide V = {V}"
+    else:
+        inferred["n"] = n
+        if f_sum != m * (n - 1):
+            reason = f"f1 + f2 = {f_sum} != m(n-1) = {m * (n - 1)}"
+        elif 2 * (m - 1) < m * n:
+            reason = "composition shape needs 2(m-1) >= mn, impossible for m >= 2, n >= 2"
+        else:
+            return ShapeMatch(case, OPEN, "survives arithmetic filters", inferred)
+    return ShapeMatch(case, REJECTED, reason, inferred)
 
 
 def match_spectrum_shapes(p: SrgParams) -> list[ShapeMatch]:
@@ -358,133 +377,68 @@ def match_spectrum_shapes(p: SrgParams) -> list[ShapeMatch]:
 
     The punctured spectrum has non-principal values r > r+s > s with
     multiplicities f-c+1, c-1, g-c.  The DDG spectrum contributes
-    +-alpha = +-sqrt(K - lambda1) and +-beta = +-sqrt(K^2 - lambda2*V).
-    Cases "1".."8" drop one of the four multiplicities; the two
-    coincidence cases merge a +- pair at 0 (forcing r + s = 0).  Rows
-    whose shape collapses to a coincidence case when r + s = 0 are
+    +-alpha = +-sqrt(K - lambda1) and +-beta = +-sqrt(K^2 - lambda2*V)
+    (Haemers, Kharaghani and Meulenberg, "Divisible design graphs", JCTA
+    118 (2011)).  Cases "1".."8" drop one of the four multiplicities;
+    the two coincidence cases merge a +- pair at 0 (forcing r + s = 0).
+    Rows whose shape collapses to a coincidence case when r + s = 0 are
     reported as subsumed by it.
     """
     if not p.primitive:
         raise ValueError("match_spectrum_shapes needs a primitive strongly regular graph")
     c = p.hoffman_size()
-    r, s, f, g = p.r, p.s, p.f, p.g
-    mr, mm, ms = f - c + 1, c - 1, g - c  # punctured multiplicities
-    out: list[ShapeMatch] = []
-
-    def rejected(case, reason):
-        out.append(ShapeMatch(case, REJECTED, reason, {}))
-
-    # Case 1: alpha = r, beta = r+s, -beta = s  (needs r = -2s), f2 = 0
-    if r == -2 * s:
-        out.append(_finish_candidate(
-            "1", p, c, alpha2=r * r, beta2=s * s,
-            f1=mr, f2=0, g1=mm, g2=ms, inferred={},
-        ))
-    else:
-        rejected("1", f"shape needs r = -2s; have r = {r}, s = {s}")
-
-    # Case 2/3: alpha = r, -alpha = s and one beta multiplicity vanishes;
-    # this forces r + s = 0 and beta = 0, identical to coincidence B.
-    for case in ("2", "3"):
-        if r + s == 0:
-            out.append(ShapeMatch(
-                case, SUBSUMED,
-                "with r + s = 0 both beta eigenvalues merge at 0; "
-                "evaluated as the beta-degenerate coincidence case",
-                {},
-            ))
+    r, s = p.r, p.s
+    mr, mm, ms = p.f - c + 1, c - 1, p.g - c  # punctured multiplicities
+    # the eigenvalue conditions, each mapped to the reason a shape that
+    # needs it is rejected, or to None where it holds; the coincidence
+    # rows write r + s = 0 as r = -s and give a shorter reason
+    unmet = {
+        "r = -2s": None if r == -2 * s else f"shape needs r = -2s; have r = {r}, s = {s}",
+        "s = -2r": None if s == -2 * r else f"shape needs s = -2r; have r = {r}, s = {s}",
+        "r + s = 0": None if r + s == 0 else f"shape needs r + s = 0; have r + s = {r + s}",
+        "r = -s": None if r + s == 0 else f"needs r + s = 0; have {r + s}",
+    }
+    # One row per shape, in report order: the case, the condition it
+    # needs, then (alpha2, beta2, f1, f2, g1, g2) and the verdict if every
+    # filter passes (open where only classification results, which this
+    # engine does not replay, could exclude the shape); or the pair that
+    # merges at 0 in the coincidence it is subsumed by; or, for the
+    # composition shape, (g1, g2, f1 + f2) and no verdict.
+    shapes = (
+        # alpha = r, beta = r+s, -beta = s, f2 = 0
+        ("1", "r = -2s", (r * r, s * s, mr, 0, mm, ms), OPEN),
+        # 2/3: alpha = r, -alpha = s and one beta multiplicity vanishes;
+        # this forces r + s = 0 and beta = 0, identical to coincidence B
+        ("2", "r + s = 0", "beta", SUBSUMED),
+        ("3", "r + s = 0", "beta", SUBSUMED),
+        # beta = r, -beta = r+s, -alpha = s, f1 = 0
+        ("4", "s = -2r", (s * s, r * r, 0, ms, mr, mm), OPEN),
+        # beta = r, alpha = r+s, -alpha = s, g2 = 0
+        ("5", "r = -2s", (s * s, r * r, mm, ms, mr, 0), OPEN),
+        # 6/7: beta = r, -beta = s and one alpha multiplicity vanishes;
+        # forces r + s = 0 and alpha = 0, identical to coincidence A
+        ("6", "r + s = 0", "alpha", SUBSUMED),
+        ("7", "r + s = 0", "alpha", SUBSUMED),
+        # alpha = r, -alpha = r+s, -beta = s, g1 = 0
+        ("8", "s = -2r", (r * r, s * s, mr, mm, 0, ms), OPEN),
+        # coincidence A: alpha = 0 (K = lambda1), +-beta = r, s
+        ("coincidence K=lambda1", "r = -s", (mr, ms, mm), None),
+        # coincidence B: beta = 0 (K^2 = lambda2 V), +-alpha = r, s; the
+        # shape the (n, s) families realize
+        ("coincidence K^2=lambda2*V", "r = -s", (r * r, 0, mr, ms, mm, 0), ACCEPTED),
+    )
+    out = []
+    for case, needs, shape, verdict in shapes:
+        if unmet[needs]:
+            out.append(ShapeMatch(case, REJECTED, unmet[needs], {}))
+        elif verdict == SUBSUMED:
+            reason = (f"with r + s = 0 both {shape} eigenvalues merge at 0; "
+                      f"evaluated as the {shape}-degenerate coincidence case")
+            out.append(ShapeMatch(case, SUBSUMED, reason, {}))
+        elif verdict is None:
+            out.append(_composition_shape(p, c, case, shape))
         else:
-            rejected(case, f"shape needs r + s = 0; have r + s = {r + s}")
-
-    # Case 4: beta = r, -beta = r+s, -alpha = s  (needs s = -2r), f1 = 0
-    if s == -2 * r:
-        out.append(_finish_candidate(
-            "4", p, c, alpha2=s * s, beta2=r * r,
-            f1=0, f2=ms, g1=mr, g2=mm, inferred={},
-        ))
-    else:
-        rejected("4", f"shape needs s = -2r; have r = {r}, s = {s}")
-
-    # Case 5: beta = r, alpha = r+s, -alpha = s  (needs r = -2s), g2 = 0
-    if r == -2 * s:
-        out.append(_finish_candidate(
-            "5", p, c, alpha2=s * s, beta2=r * r,
-            f1=mm, f2=ms, g1=mr, g2=0, inferred={},
-        ))
-    else:
-        rejected("5", f"shape needs r = -2s; have r = {r}, s = {s}")
-
-    # Case 6/7: beta = r, -beta = s and one alpha multiplicity vanishes;
-    # forces r + s = 0 and alpha = 0, identical to coincidence A.
-    for case in ("6", "7"):
-        if r + s == 0:
-            out.append(ShapeMatch(
-                case, SUBSUMED,
-                "with r + s = 0 both alpha eigenvalues merge at 0; "
-                "evaluated as the alpha-degenerate coincidence case",
-                {},
-            ))
-        else:
-            rejected(case, f"shape needs r + s = 0; have r + s = {r + s}")
-
-    # Case 8: alpha = r, -alpha = r+s, -beta = s  (needs s = -2r), g1 = 0
-    if s == -2 * r:
-        out.append(_finish_candidate(
-            "8", p, c, alpha2=r * r, beta2=s * s,
-            f1=mr, f2=mm, g1=0, g2=ms, inferred={},
-        ))
-    else:
-        rejected("8", f"shape needs s = -2r; have r = {r}, s = {s}")
-
-    # Coincidence A: alpha = 0 (K = lambda1), +-beta = r, s with r = -s.
-    # The induced graph would be a Deza graph with b = K, i.e. a
-    # composition of a strongly regular graph with an empty graph; its
-    # multiplicity arithmetic needs 2(m-1) >= mn, impossible for proper
-    # parameters, so this shape always dies.
-    if r + s == 0:
-        V = p.v - c
-        K = p.k + p.s
-        g1, g2 = mr, ms
-        m = g1 + g2 + 1
-        inferred = {"K": K, "V": V, "m": m, "f1+f2": mm, "g1": g1, "g2": g2}
-        if V % m:
-            out.append(ShapeMatch(
-                "coincidence K=lambda1", REJECTED,
-                f"m = {m} does not divide V = {V}", inferred,
-            ))
-        else:
-            n = V // m
-            inferred["n"] = n
-            if mm != m * (n - 1):
-                out.append(ShapeMatch(
-                    "coincidence K=lambda1", REJECTED,
-                    f"f1 + f2 = {mm} != m(n-1) = {m * (n - 1)}", inferred,
-                ))
-            elif 2 * (m - 1) < m * n:
-                out.append(ShapeMatch(
-                    "coincidence K=lambda1", REJECTED,
-                    "composition shape needs 2(m-1) >= mn, impossible "
-                    "for m >= 2, n >= 2",
-                    inferred,
-                ))
-            else:
-                out.append(ShapeMatch(
-                    "coincidence K=lambda1", OPEN,
-                    "survives arithmetic filters", inferred,
-                ))
-    else:
-        rejected("coincidence K=lambda1", f"needs r + s = 0; have {r + s}")
-
-    # Coincidence B: beta = 0 (K^2 = lambda2 V), +-alpha = r, s with
-    # r = -s.  This is the shape the (n, s) families realize.
-    if r + s == 0:
-        out.append(_finish_candidate(
-            "coincidence K^2=lambda2*V", p, c, alpha2=r * r, beta2=0,
-            f1=mr, f2=ms, g1=mm, g2=0, inferred={},
-        ))
-    else:
-        rejected("coincidence K^2=lambda2*V", f"needs r + s = 0; have {r + s}")
-
+            out.append(_finish_candidate(p, c, case, shape, verdict))
     return out
 
 
@@ -529,9 +483,9 @@ def enumerate_feasible(
         raise ValueError("need s_max <= -2")
     out = []
     for s in range(s_min, s_max + 1):
-        N = s * (s + 1)
+        # s and s + 1 are coprime: factor each apart, not their product
         divisors = [1]
-        for p, e in _factor(N).items():
+        for p, e in (_factor(s) | _factor(s + 1)).items():
             divisors = [d * p**i for d in divisors for i in range(e + 1)]
         for d in divisors:
             n = d - s

@@ -10,7 +10,7 @@ from srgddg import designs as ds
 from srgddg import galois, theory
 from srgddg import graphcore as gc
 from srgddg import recognize as rec
-from srgddg.errors import BudgetExceeded
+from srgddg.errors import BudgetExceeded, SrgddgError
 
 
 def plain_induced(graph, keep):
@@ -287,6 +287,13 @@ class TestDecompose:
         g = gc.complement_of(gc.from_edges(6, [(0, 1), (2, 3), (4, 5)]))
         with pytest.raises(asm.AssemblyError, match="imprimitive"):
             asm.decompose(g)
+
+    def test_errors_share_the_package_base(self):
+        # one except SrgddgError catches them; ValueError still does too
+        with pytest.raises(SrgddgError, match="not strongly regular"):
+            asm.decompose(gc.cycle(6))
+        with pytest.raises(ValueError, match="not strongly regular"):
+            asm.decompose(gc.cycle(6))
 
     def test_budget_flagged_partial(self, sp62):
         with pytest.raises(BudgetExceeded) as info:

@@ -3,6 +3,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -152,11 +153,12 @@ class TestCocliqueCmd:
         assert second["count"] == 5 and all(len(c) == 4 for c in second["cocliques"])
 
     def test_bad_target_ends_the_run(self, tmp_path, capsys, petersen):
-        # a bad flag is no fault of one graph, so it gets no error row
+        # a bad flag is no fault of one graph: a usage error, before any row
         f = tmp_path / "p.g6"
         f.write_bytes(gc.encode_graph6(petersen) + b"\n")
-        code, rep = run_json(capsys, ["coclique", str(f), "--target", "-1"])
-        assert code == 1 and rep["results"] == {"error": "size must be >= 1"}
+        assert cli.run(["coclique", str(f), "--target", "-1"]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and "--target must be >= 0, got -1" in out.err
 
     def test_maximum_mode_is_usage_error(self, tmp_path, petersen):
         f = tmp_path / "p.g6"
@@ -329,6 +331,23 @@ class TestConstructJson:
         assert code == 1
         assert bad in rep["results"]["error"]
 
+    def test_no_classes_gives_error_report(self, files, sp42):
+        # run as the installed command would be, so that a traceback
+        # would show on stderr
+        tmp_path, ddg = files
+        design = asm.decompose(sp42, cq.CocliqueQuery(mode="first"))[0].design
+        blocks = [design.block_points(i) for i in range(len(design.blocks))]
+        (tmp_path / "part.json").write_text(json.dumps({"classes": []}))
+        (tmp_path / "design.json").write_text(json.dumps({"v": 3, "blocks": blocks}))
+        proc = subprocess.run([
+            sys.executable, "-m", "srgddg.cli", "construct", "--ddg", ddg, "--phi", "0,1,2",
+            "--partition", str(tmp_path / "part.json"),
+            "--design", str(tmp_path / "design.json"),
+        ], capture_output=True)
+        assert proc.returncode == 1 and b"Traceback" not in proc.stderr
+        rep = json.loads(proc.stdout)
+        assert rep["results"] == {"error": "classes do not partition the vertex set"}
+
 
 class TestFeasible:
     def test_s_minus_6(self, capsys):
@@ -354,6 +373,21 @@ class TestFeasible:
         assert {"q": 11, "d": 2} in [f["prime_power"] for f in fams]
         _, rep = run_json(capsys, ["feasible", "--s", "-6"])
         assert [f["n"] for f in rep["results"]["families"]] == [9, 12, 36]
+
+    def test_large_s_factors_s_and_s_plus_1_apart(self):
+        # s(s+1) = 2 * 500000003 * 1000000007: trial division of the
+        # product runs up to 500000003, of s and s + 1 apart up to their
+        # square roots, 31623 and 22361
+        s = -1000000007
+        t0 = time.monotonic()
+        proc = subprocess.run(
+            [sys.executable, "-m", "srgddg.cli", "feasible", "--s", str(s)],
+            capture_output=True, timeout=20,
+        )
+        assert proc.returncode == 0 and time.monotonic() - t0 < 5
+        (fam,) = json.loads(proc.stdout)["results"]["families"]
+        assert (fam["n"], fam["s"]) == (s * s, s)
+        assert fam["prime_power"] == {"q": -s, "d": 2}
 
     def test_needs_s(self, capsys):
         assert cli.run(["feasible", "--n-max", "5"]) == 2

@@ -1,3 +1,6 @@
+import collections
+import hashlib
+
 import pytest
 
 from srgddg import exact as ex
@@ -293,6 +296,38 @@ class TestShapeMatchingSweep:
                 assert m.verdict in legal
                 if m.verdict == th.REJECTED:
                     assert m.reason
+
+    def test_every_match_pinned_for_k_below_130(self):
+        # every primitive parameter set with k < 130, v from
+        # k(k-lambda-1) = mu(v-k-1): each match, in order, with its case,
+        # verdict, reason and inferred items in key order, and the error
+        # of each set without an integral coclique bound
+        digest = hashlib.sha256()
+        verdicts = collections.Counter()
+        for k in range(1, 130):
+            for lam in range(k):
+                for mu in range(1, k + 1):
+                    v_k_1, rem = divmod(k * (k - lam - 1), mu)
+                    if rem:
+                        continue
+                    p = rec.srg_params_from_tuple(v_k_1 + k + 1, k, lam, mu)
+                    if not p or not p.primitive:
+                        continue
+                    try:
+                        matches = th.match_spectrum_shapes(p)
+                    except NoHoffmanBound as exc:
+                        digest.update(repr(str(exc)).encode())
+                        continue
+                    for m in matches:
+                        verdicts[m.verdict] += 1
+                        item = (m.case, m.verdict, m.reason, list(m.inferred.items()))
+                        digest.update(repr(item).encode())
+        assert verdicts == {
+            th.REJECTED: 89_935, th.SUBSUMED: 660, th.OPEN: 128, th.ACCEPTED: 7,
+        }
+        assert digest.hexdigest() == (
+            "38e7fe9b6c8e78999df60848a6b4c292d653b0edca8cf9459afa9ea2c98cc05c"
+        )
 
 
 class TestEnumerateFeasible:
