@@ -15,7 +15,7 @@ from .designs import (
     required_design_params,
     verify_design,
 )
-from .exact import IntPoly, Spectrum, char_poly, integral_spectrum, rank
+from .exact import Spectrum, char_poly, integral_spectrum, rank
 from .galois import fieldspec, pg_hyperplane_design, symplectic_complement
 from .graphcore import (
     Graph,
@@ -28,7 +28,6 @@ from .graphcore import (
     from_edges,
     grid,
     induced_subgraph,
-    named,
     petersen,
     triangular,
 )

@@ -105,15 +105,6 @@ def read_graph_file(path: str, keep_going: bool = False):
     return list(graphs), graphs.diagnostics, graphs.sha256.hexdigest()
 
 
-def write_graph_file(path: str, graphs) -> None:
-    out = b"\n".join(graphcore.encode_graph6(g) for g in graphs) + b"\n"
-    if path == "-":
-        sys.stdout.buffer.write(out)
-    else:
-        with open(path, "wb") as fh:
-            fh.write(out)
-
-
 def _report(command: str, inputs: dict, results: dict, diagnostics, t0: float) -> dict:
     return {
         "schema": SCHEMA,
@@ -170,21 +161,23 @@ def _per_graph(args, t0, row) -> int:
 # -- subcommand bodies ---------------------------------------------------
 
 
+# name -> builder of the graph from the parsed gen options
+GENERATORS = {
+    "petersen": lambda args: graphcore.petersen(),
+    "triangular": lambda args: graphcore.triangular(args.m),
+    "grid": lambda args: graphcore.grid(args.rows, args.cols),
+    "complete": lambda args: graphcore.complete(args.n),
+    "edgeless": lambda args: graphcore.edgeless(args.n),
+    "cycle": lambda args: graphcore.cycle(args.n),
+    "path": lambda args: graphcore.path(args.n),
+    "sp-complement": lambda args: galois.symplectic_complement(
+        args.d, galois.field_by_order(args.q)),
+}
+
+
 def _cmd_gen(args, t0):
     name = args.name
-    if name == "sp-complement":
-        f = galois.field_by_order(args.q)
-        g = galois.symplectic_complement(args.d, f)
-    elif name == "triangular":
-        g = graphcore.triangular(args.m)
-    elif name == "grid":
-        g = graphcore.grid(args.rows, args.cols)
-    elif name in ("complete", "edgeless", "cycle", "path"):
-        g = graphcore.named(name, args.n)
-    elif name == "petersen":
-        g = graphcore.petersen()
-    else:
-        raise _Usage(f"unknown generator {name!r}")
+    g = GENERATORS[name](args)
     if args.json:
         _emit(_report(
             "gen", {"name": name}, {"order": g.order, "graph6": graphcore.encode_graph6(g).decode()},
@@ -237,8 +230,7 @@ def _cmd_spectrum(args, t0):
     from . import exact
 
     def row(g):
-        exact.check_cap("integral_spectrum", g.order)
-        sp = exact.integral_spectrum(graphcore.adjacency_matrix(g))
+        sp = exact.integral_spectrum(g)
         if sp:
             return {"integral": True, "spectrum": [list(p) for p in sp.pairs]}
         return {
@@ -362,14 +354,27 @@ def _cmd_construct(args, t0):
     return 0
 
 
+def _s_value(text: str) -> int:
+    """An argparse type: an integer s <= -2."""
+    try:
+        s = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if s > -2:
+        raise argparse.ArgumentTypeError(f"need s <= -2, got {s}")
+    return s
+
+
+def _s_range(text: str) -> tuple[int, int]:
+    """An argparse type: two integers A..B, each <= -2."""
+    lo, sep, hi = text.partition("..")
+    if not sep:
+        raise argparse.ArgumentTypeError(f"expected A..B, got {text!r}")
+    return _s_value(lo), _s_value(hi)
+
+
 def _cmd_feasible(args, t0):
-    if args.s is not None:
-        s_min = s_max = args.s
-    elif args.s_range:
-        lo, _, hi = args.s_range.partition("..")
-        s_min, s_max = int(lo), int(hi)
-    else:
-        raise _Usage("feasible needs --s or --s-range")
+    s_min, s_max = args.s_range or (args.s, args.s)
     entries = theory.enumerate_feasible(s_min, s_max, args.n_max, with_brc=args.brc)
     rows = []
     for e in entries:
@@ -498,10 +503,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     g = sub.add_parser("gen", help="emit a generator graph as graph6")
-    g.add_argument("name", choices=[
-        "petersen", "triangular", "grid", "complete", "edgeless", "cycle",
-        "path", "sp-complement",
-    ])
+    g.add_argument("name", choices=list(GENERATORS))
     g.add_argument("--d", type=int, default=2, help="half-rank for sp-complement")
     g.add_argument("--q", type=int, default=2, help="field order for sp-complement")
     g.add_argument("--m", type=int, default=5, help="size for triangular")
@@ -540,8 +542,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_construct)
 
     p = sub.add_parser("feasible", help="enumerate feasible (n, s) families")
-    p.add_argument("--s", type=int, default=None)
-    p.add_argument("--s-range", default=None, help="e.g. --s-range=-12..-2")
+    which = p.add_mutually_exclusive_group(required=True)
+    which.add_argument("--s", type=_s_value, default=None)
+    which.add_argument("--s-range", type=_s_range, default=None, help="e.g. --s-range=-12..-2")
     p.add_argument("--n-max", type=int, default=None, help="list only n <= N (default: all)")
     p.add_argument("--brc", action="store_true", help="annotate with Bruck-Ryser-Chowla (advisory)")
     p.set_defaults(fn=_cmd_feasible)

@@ -1,25 +1,24 @@
-"""Exact integer linear algebra: integral spectra by power sums and
-rank, characteristic polynomials, and fraction-free rank.
+"""Exact integer linear algebra: integral spectra of graphs by power sums
+and rank, characteristic polynomials, and fraction-free rank.
 
 Everything here runs on arbitrary-precision Python ints; there is no
-floating point and no tolerance anywhere.  A matrix whose spectrum is not
+floating point and no tolerance anywhere.  A graph whose spectrum is not
 all integers is a legitimate outcome, reported as :class:`NonIntegral`,
 never approximated.
 
-Integral spectra are certified by power sums s_j = tr A^j.  Let mu be
-the true spectrum of a symmetric A minus a claimed one, as a signed
-measure on the eigenvalues.  Some multiplicities are proven outright
-(the top one of a regular 0/1 matrix is its number of components;
-others by rank), and the claim adds at most two integer points t1, t2
-that are not among them.  If s_0 .. s_4 of the claim match, mu has
-vanishing moments 0-4, so sum((x - t1)^2 (x - t2)^2) over the uncounted
-eigenvalues x is 0: there are none, and mu's mass and first moment then
-force the multiplicities of t1 and t2, so mu = 0.  A 0/1 matrix gives
-s_3 and s_4 for n^2 popcounts of bit rows, so a connected strongly
-regular graph (three eigenvalues) needs no elimination at all.  A matrix
-that is not 0/1 gives s_0 .. s_2 only, which certify one free point.
-See Cvetkovic, Rowlinson & Simic, *An Introduction to the Theory of
-Graph Spectra* (2010), ch. 1 and 3.
+Integral spectra are certified by power sums s_j = tr A^j of the
+adjacency matrix A, read straight from a graph's bit rows.  Let mu be
+the true spectrum minus a claimed one, as a signed measure on the
+eigenvalues.  Some multiplicities are proven outright (the top one of a
+regular graph is its number of components; others by rank), and the
+claim adds at most two integer points t1, t2 that are not among them.
+If s_0 .. s_4 of the claim match, mu has vanishing moments 0-4, so
+sum((x - t1)^2 (x - t2)^2) over the uncounted eigenvalues x is 0: there
+are none, and mu's mass and first moment then force the multiplicities
+of t1 and t2, so mu = 0.  s_3 and s_4 take n^2 popcounts of bit rows, so
+a connected strongly regular graph (three eigenvalues) needs no
+elimination at all.  See Cvetkovic, Rowlinson & Simic, *An Introduction
+to the Theory of Graph Spectra* (2010), ch. 1 and 3.
 
 When the free points do not fit, multiplicities are proven by rank: a
 symmetric integer matrix is diagonalizable, so an integer theta has
@@ -28,9 +27,10 @@ the characteristic polynomial modulo one word-size prime (O(n^3)
 word-size work by Hessenberg reduction), and each survivor's nullity is
 computed exactly by Bareiss elimination, the free points being sought
 again after each; the spectrum is integral exactly when some claim fits.
-:func:`char_poly` (Faddeev-LeVerrier, Theta(n^4) big-int work) is kept
-as an independent route to the same answer.  Operations refuse to run
-above the size cap ``SIZE_CAP`` instead of silently crawling.
+Only this fallback builds the dense matrix.  :func:`char_poly`
+(Faddeev-LeVerrier, Theta(n^4) big-int work) is kept as an independent
+route to the same answer.  Operations refuse to run above the size cap
+``SIZE_CAP`` instead of silently crawling.
 
 Matrices are plain nested lists of ints (``IntMatrix`` is an alias).
 """
@@ -42,7 +42,7 @@ from math import isqrt
 from operator import mul
 
 from .errors import SizeCapExceeded
-from .graphcore import bits
+from .graphcore import Graph, adjacency_matrix, bits
 
 IntMatrix = list  # n x n nested lists of ints
 
@@ -63,56 +63,6 @@ def _check_square(m: IntMatrix) -> int:
         if len(row) != n:
             raise ValueError("matrix is not square")
     return n
-
-
-def is_symmetric(m: IntMatrix) -> bool:
-    n = _check_square(m)
-    return all(m[i][j] == m[j][i] for i in range(n) for j in range(i + 1, n))
-
-
-@dataclass(frozen=True)
-class IntPoly:
-    """Integer polynomial, coefficients in ascending degree order."""
-
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self):
-        c = self.coeffs
-        if len(c) > 1 and c[-1] == 0:
-            raise ValueError("leading coefficient must be nonzero")
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __call__(self, x: int) -> int:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def synthetic_div(self, root: int) -> tuple["IntPoly", int]:
-        """Divide by (x - root); returns (quotient, remainder)."""
-        out = []
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * root + c
-            out.append(acc)
-        rem = out.pop()
-        out.reverse()
-        if not out:
-            out = [0]
-        return IntPoly(tuple(out)), rem
-
-    def __mul__(self, other: "IntPoly") -> "IntPoly":
-        a, b = self.coeffs, other.coeffs
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-        while len(out) > 1 and out[-1] == 0:
-            out.pop()
-        return IntPoly(tuple(out))
 
 
 @dataclass(frozen=True)
@@ -161,41 +111,29 @@ class NonIntegral:
         return False
 
 
-def identity_matrix(n: int) -> IntMatrix:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    """Exact matrix product; skips zero entries, so 0/1 matrices only add."""
-    n = len(a)
-    out = []
-    for i in range(n):
-        acc = [0] * n
-        for j, v in enumerate(a[i]):
-            if v == 0:
-                continue
-            bj = b[j]
-            if v == 1:
-                acc = [x + y for x, y in zip(acc, bj)]
-            else:
-                acc = [x + v * y for x, y in zip(acc, bj)]
-        out.append(acc)
-    return out
-
-
-def char_poly(m: IntMatrix) -> IntPoly:
-    """Characteristic polynomial det(xI - M) by Faddeev-LeVerrier.
+def char_poly(m: IntMatrix) -> tuple[int, ...]:
+    """Coefficients of det(xI - M), ascending degree, by Faddeev-LeVerrier.
 
     The recurrence divides the trace by the step index; that division is
-    exact over the integers, so no fractions ever appear.
+    exact over the integers, so no fractions ever appear.  Each product
+    M W skips the zero entries of M, so a 0/1 matrix only adds.
     """
     n = _check_square(m)
     check_cap("char_poly", n)
     coeffs = [0] * (n + 1)
     coeffs[n] = 1
-    work = identity_matrix(n)
+    work = [[int(i == j) for j in range(n)] for i in range(n)]
     for k in range(1, n + 1):
-        work = mat_mul(m, work)
+        prod = []
+        for row in m:
+            acc = [0] * n
+            for v, wj in zip(row, work):
+                if v == 1:
+                    acc = [x + y for x, y in zip(acc, wj)]
+                elif v:
+                    acc = [x + v * y for x, y in zip(acc, wj)]
+            prod.append(acc)
+        work = prod
         tr = sum(work[i][i] for i in range(n))
         q, r = divmod(-tr, k)
         if r:
@@ -204,7 +142,7 @@ def char_poly(m: IntMatrix) -> IntPoly:
         if k < n:
             for i in range(n):
                 work[i][i] += q
-    return IntPoly(tuple(coeffs))
+    return tuple(coeffs)
 
 
 # Screening modulus, the Mersenne prime 2^61 - 1.  Any prime is sound;
@@ -262,30 +200,26 @@ def char_poly_mod(m: IntMatrix, p: int) -> list[int]:
     return polys[n]
 
 
-def _moments(m: IntMatrix) -> tuple[list[int], dict[int, int]]:
-    """Power sums tr M^j with, for a 0/1 matrix, one proven multiplicity.
+def _moments(g: Graph) -> tuple[list[int], dict[int, int]]:
+    """Power sums tr A^0 .. tr A^4 of g's adjacency matrix A, with, for a
+    regular graph, one proven multiplicity.
 
-    Every matrix gets j = 0, 1, 2: n, tr M and sum(m_ij^2).  A 0/1 matrix
-    also gets j = 3 and 4 from bit rows, where (M^2)_ij is the popcount
-    of row i AND row j: tr M^3 = sum(m_ij (M^2)_ij) and tr M^4 =
-    sum((M^2)_ij^2), streamed one row of M^2 at a time.  If every row of
-    a 0/1 matrix sums to k, k is the largest eigenvalue of each
-    connected component (Perron-Frobenius) and simple there, so its
-    multiplicity is the number of components.
+    s_0 = n, s_1 = 0 (no loops) and s_2 = 2|E|.  (A^2)_xy is the popcount
+    of row x AND row y, so tr A^3 sums it over the neighbours y of each
+    x and tr A^4 = sum((A^2)_xy^2), streamed one row of A^2 at a time.
+    If g is k-regular, k is the largest eigenvalue of each connected
+    component (Perron-Frobenius) and simple there, so its multiplicity
+    is the number of components.
     """
-    n = len(m)
-    sums = [n, sum(m[i][i] for i in range(n)), sum(x * x for row in m for x in row)]
-    if not set().union(*m) <= {0, 1}:
-        return sums, {}
-    rows = [int("".join(map(str, reversed(row))), 2) for row in m]
+    n, rows = g.order, g.rows
     cube = quart = 0
-    for row, bitrow in zip(m, rows):
-        common = [(bitrow & other).bit_count() for other in rows]
-        cube += sum(map(mul, row, common))
+    for row in rows:
+        common = [(row & other).bit_count() for other in rows]
+        cube += sum(map(common.__getitem__, bits(row)))
         quart += sum(map(mul, common, common))
-    sums += [cube, quart]
+    sums = [n, 0, 2 * g.num_edges(), cube, quart]
     degrees = {r.bit_count() for r in rows}
-    if len(degrees) > 1:
+    if len(degrees) != 1:
         return sums, {}
     components = 0
     unseen = (1 << n) - 1
@@ -310,10 +244,9 @@ def _free_points(resid: list[int], proven: dict[int, int]) -> dict[int, int] | N
     (one point if resid has zero variance), and their multiplicities
     solve resid[0..1].  The answer stands only if no multiplicity is
     negative, no point is already proven (so the spectrum is a disjoint
-    union) and every given power sum matches; with only resid[0..2]
-    that allows one point.
+    union) and every given power sum matches.
     """
-    r0, r1, r2 = resid[:3]
+    r0, r1, r2, r3 = resid[:4]
     if not r0:
         return None if any(resid) else {}
     var = r0 * r2 - r1 * r1
@@ -323,9 +256,6 @@ def _free_points(resid: list[int], proven: dict[int, int]) -> dict[int, int] | N
             return None
         sol = {theta: r0}
     else:
-        if len(resid) < 5:
-            return None
-        r3 = resid[3]
         e1, rem1 = divmod(r0 * r3 - r1 * r2, var)
         e2, rem2 = divmod(r1 * r3 - r2 * r2, var)
         disc = e1 * e1 - 4 * e2
@@ -346,28 +276,26 @@ def _free_points(resid: list[int], proven: dict[int, int]) -> dict[int, int] | N
     return sol
 
 
-def integral_spectrum(m: IntMatrix) -> Spectrum | NonIntegral:
-    """Full integer spectrum of a symmetric matrix, or NonIntegral.
+def integral_spectrum(g: Graph) -> Spectrum | NonIntegral:
+    """Full integer adjacency spectrum of g, or NonIntegral.
 
     Some multiplicities are proven outright (the top one of a regular
-    0/1 matrix by its component count, see ``_moments``); the rest of the
-    spectrum must carry the power sums tr M^j left over.  When at most
+    graph by its component count, see ``_moments``); the rest of the
+    spectrum must carry the power sums tr A^j left over.  When at most
     two integer eigenvalues outside the proven ones carry them all
     (``_free_points``), that is the spectrum; see the module docstring
     for the proof.  Otherwise the candidates theta in [-D, D] (D the
-    largest absolute row sum) that are roots of the characteristic
-    polynomial modulo SCREEN_PRIME, a set that holds every integer
-    eigenvalue, are proven one at a time, cheapest (smallest |theta|)
-    first, as n - rank(M - theta I) by Bareiss elimination, and the free
-    points are sought again after each.  Candidates of multiplicity 0
-    drop out; if every candidate is proven and the multiplicities fall
-    short of n, the spectrum is not integral.
+    largest degree) that are roots of the characteristic polynomial
+    modulo SCREEN_PRIME, a set that holds every integer eigenvalue, are
+    proven one at a time, cheapest (smallest |theta|) first, as
+    n - rank(A - theta I) by Bareiss elimination, and the free points
+    are sought again after each.  Candidates of multiplicity 0 drop out;
+    if every candidate is proven and the multiplicities fall short of n,
+    the spectrum is not integral.
     """
-    n = _check_square(m)
+    n = g.order
     check_cap("integral_spectrum", n)
-    if not is_symmetric(m):
-        raise ValueError("integral_spectrum requires a symmetric matrix")
-    sums, proven = _moments(m)
+    sums, proven = _moments(g)
 
     def solve():
         resid = [s - sum(k * t**j for t, k in proven.items()) for j, s in enumerate(sums)]
@@ -375,9 +303,10 @@ def integral_spectrum(m: IntMatrix) -> Spectrum | NonIntegral:
 
     free = solve()
     if free is None:
+        m = adjacency_matrix(g)
         p = SCREEN_PRIME
         poly = char_poly_mod(m, p)
-        bound = max(sum(abs(x) for x in row) for row in m)
+        bound = max(row.bit_count() for row in g.rows)
         cands = []
         for theta in range(bound, -bound - 1, -1):
             acc = 0

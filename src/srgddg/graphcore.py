@@ -268,36 +268,6 @@ def path(n: int) -> Graph:
     return from_edges(n, [(i, i + 1) for i in range(n - 1)], f"P{n}")
 
 
-_NAMED = {
-    "petersen": (petersen, 0),
-    "triangular": (triangular, 1),
-    "grid": (grid, 2),
-    "complete": (complete, 1),
-    "edgeless": (edgeless, 1),
-    "cycle": (cycle, 1),
-    "path": (path, 1),
-}
-
-
-def named(name: str, *args) -> Graph:
-    """Build a generator graph by name.
-
-    Known names: petersen, triangular(m), grid(a,b), complete(n),
-    edgeless(n), cycle(n), path(n), complement-of(G).
-    """
-    if name == "complement-of":
-        if len(args) != 1 or not isinstance(args[0], Graph):
-            raise ValueError("complement-of takes a single Graph argument")
-        return complement_of(args[0])
-    try:
-        fn, arity = _NAMED[name]
-    except KeyError:
-        raise ValueError(f"unknown graph name {name!r}") from None
-    if len(args) != arity:
-        raise ValueError(f"{name} takes {arity} size argument(s), got {len(args)}")
-    return fn(*args)
-
-
 # -- operations --------------------------------------------------------
 
 

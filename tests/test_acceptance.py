@@ -48,7 +48,7 @@ def test_criterion_01_generate_and_recognize_sp42():
         assert p and p.tuple4 == (15, 8, 4, 4)
         assert (p.r, p.s, p.f, p.g) == (2, -2, 5, 9)
         assert p.hoffman_size() == 3
-        spec = ex.integral_spectrum(gc.adjacency_matrix(g))
+        spec = ex.integral_spectrum(g)
         assert spec.pairs == ((8, 1), (2, 5), (-2, 9))
 
 
@@ -105,7 +105,7 @@ def test_criterion_04_decompose_srg_63_32_16_16():
         # punctured spectrum {28^1, 4^(f-c+1), 0^(c-1), (-4)^(g-c)}
         want = th.punctured_spectrum(p)
         assert want.entries == ((28, 1), (4, 21), (0, 6), (-4, 28))
-        spec = ex.integral_spectrum(gc.adjacency_matrix(d.ddg))
+        spec = ex.integral_spectrum(d.ddg)
         assert spec.as_dict() == want.merged()
 
 
@@ -198,14 +198,14 @@ def test_criterion_09_cross_oracle_spectra():
         for g in corpus:
             assert g.order <= 63
             A = gc.adjacency_matrix(g)
-            spec = ex.integral_spectrum(A)
+            spec = ex.integral_spectrum(g)
             assert spec, f"corpus graph {g!r} must have integral spectrum"
             for theta, mult in spec.pairs:
                 assert g.order - ex.rank(ex.add_scaled_identity(A, -theta)) == mult
         for d in ddgs:
             dp = d.ddg_params
             want = th.ddg_spectrum(dp)
-            spec = ex.integral_spectrum(gc.adjacency_matrix(d.ddg))
+            spec = ex.integral_spectrum(d.ddg)
             assert set(spec.as_dict()) <= want.eigenvalue_set()
             sd = spec.as_dict()
             assert sd.get(dp.K) == 1

@@ -47,6 +47,18 @@ class TestGen:
         assert code == 1
         assert "exceeds cap" in rep["results"]["error"]
 
+    @pytest.mark.parametrize("argv,want", [
+        (["triangular", "--m", "6"], gc.triangular(6)),
+        (["grid", "--rows", "2", "--cols", "3"], gc.grid(2, 3)),
+        (["complete", "--n", "4"], gc.complete(4)),
+        (["edgeless", "--n", "4"], gc.edgeless(4)),
+        (["cycle", "--n", "7"], gc.cycle(7)),
+        (["path", "--n", "3"], gc.path(3)),
+    ])
+    def test_gen_by_name(self, capsys, argv, want):
+        code, out = run_raw(capsys, ["gen", *argv])
+        assert code == 0 and gc.decode_graph6(out.strip().encode()) == want
+
     def test_gen_sp_complement(self, capsys):
         code, out = run_raw(capsys, ["gen", "sp-complement", "--d", "2", "--q", "3"])
         assert code == 0
@@ -108,8 +120,8 @@ class TestSpectrum:
 
         f = tmp_path / "path.g6"
         f.write_bytes(gc.encode_graph6(gc.path(exact.SIZE_CAP + 1)) + b"\n")
-        calls = counting(monkeypatch, gc, "adjacency_matrix")
-        counting(monkeypatch, exact, "is_symmetric", calls)
+        calls = counting(monkeypatch, exact, "adjacency_matrix")
+        counting(monkeypatch, exact, "_moments", calls)
         code, rep = run_json(capsys, ["spectrum", str(f)])
         assert code == 0 and calls == []
         assert rep["results"] == {
@@ -392,6 +404,21 @@ class TestFeasible:
     def test_needs_s(self, capsys):
         assert cli.run(["feasible", "--n-max", "5"]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["--s-range=-5..x"],
+        ["--s-range=-5"],
+        ["--s-range=-5..-1"],
+        ["--s-range=0..-3"],
+        ["--s", "-1"],
+        ["--s", "-3", "--s-range=-4..-2"],
+    ])
+    def test_usage_errors(self, capsys, argv):
+        # a malformed range, an s above -2 from either flag, or both
+        # flags: exit 2 with the reason on stderr and no report
+        assert cli.run(["feasible", "--n-max", "5", *argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "error: argument --s" in err
+
 
 class TestIsoCanon:
     def test_iso_command(self, tmp_path, capsys, t6, sp42):
@@ -641,7 +668,7 @@ class TestGraphFileHandling:
 
     def test_roundtrip_write_read(self, tmp_path, petersen, t6):
         f = tmp_path / "two.g6"
-        cli.write_graph_file(str(f), [petersen, t6])
+        f.write_bytes(b"".join(gc.encode_graph6(g) + b"\n" for g in (petersen, t6)))
         graphs, diags, _ = cli.read_graph_file(str(f))
         assert graphs == [petersen, t6] and not diags
 

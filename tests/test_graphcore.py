@@ -159,18 +159,6 @@ class TestGenerators:
             g = random_graph(9, 0.4, rng)
             assert gc.complement_of(gc.complement_of(g)) == g
 
-    def test_named_dispatch(self):
-        assert gc.named("petersen") == gc.petersen()
-        assert gc.named("triangular", 6) == gc.triangular(6)
-        assert gc.named("grid", 2, 3) == gc.grid(2, 3)
-        assert gc.named("complement-of", gc.complete(4)) == gc.edgeless(4)
-
-    def test_named_errors(self):
-        with pytest.raises(ValueError, match="unknown"):
-            gc.named("mystery")
-        with pytest.raises(ValueError):
-            gc.named("triangular")
-
 
 class TestComposition:
     def test_identity_case(self):

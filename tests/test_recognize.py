@@ -94,7 +94,7 @@ class TestSrgParams:
                   gc.grid(3, 3), gc.path(4), gc.composition(t6, gc.edgeless(2))]
         for g in corpus:
             p = rec.srg_params(g)
-            spec = ex.integral_spectrum(gc.adjacency_matrix(g))
+            spec = ex.integral_spectrum(g)
             sr = bool(spec) and len(spec.pairs) == 3 and g.regular_degree() is not None
             if g.order > 1 and g.regular_degree() not in (None, 0, g.order - 1) and g.is_connected():
                 assert bool(p) == sr, g

@@ -118,7 +118,7 @@ class TestPuncturedSpectrum:
         p = rec.srg_params(t6)
         C = hoffman_cocliques(t6, p)[0]
         ddg = gc.induced_subgraph(t6, (1 << 15) - 1 ^ C)
-        spec = ex.integral_spectrum(gc.adjacency_matrix(ddg))
+        spec = ex.integral_spectrum(ddg)
         assert spec.as_dict() == th.punctured_spectrum(p).merged()
 
     def test_holds_even_without_a_divisible_design(self, grid66):
@@ -131,7 +131,7 @@ class TestPuncturedSpectrum:
         diag = gc.mask_of([i * 6 + i for i in range(6)])
         rest = gc.induced_subgraph(grid66, (1 << 36) - 1 ^ diag)
         assert not rec.ddg_recognize(rest)
-        spec = ex.integral_spectrum(gc.adjacency_matrix(rest))
+        spec = ex.integral_spectrum(rest)
         assert spec.as_dict() == ps.merged()
 
 
@@ -166,7 +166,7 @@ class TestDdgSpectrum:
         dp = next(d for d, _ in wits if d.tuple6 == (30, 16, 16, 8, 15, 2))
         want = th.ddg_spectrum(dp)
         assert (want.alpha, want.beta) == (0, 4)
-        spec = ex.integral_spectrum(gc.adjacency_matrix(comp))
+        spec = ex.integral_spectrum(comp)
         sd = spec.as_dict()
         g1, g2 = sd.get(want.beta, 0), sd.get(-want.beta, 0)
         assert g1 + g2 == want.g_sum == 14
