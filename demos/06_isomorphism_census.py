@@ -25,8 +25,15 @@ print("T(6) and the symplectic construction share one certificate")
 # own 40 cocliques; across ALL 28 strongly regular (40,27,18,18) graphs
 # the same census is known to reach 87 classes (needs the external
 # catalog; see README).
+# One dict of leaf certificates shared by the 40 searches, as `census`
+# keeps per graph: a DDG isomorphic to one labeled before stops at the
+# first leaf of its search.
 g40 = symplectic_complement(2, fieldspec(3, 1))
 decs40 = decompose(g40)
-certs40 = {canonical_form(d.ddg).certificate for d in decs40}
+seen = {}
+forms40 = [canonical_form(d.ddg, seen) for d in decs40]
+certs40 = {f.certificate for f in forms40}
 print(f"SRG(40,27,18,18) (symplectic copy): {len(decs40)} decompositions, "
-      f"{len(certs40)} DDG up to isomorphism")
+      f"{len(certs40)} DDG up to isomorphism; "
+      f"{sum(f.leaves == 1 for f in forms40[1:])} of the other {len(forms40) - 1} "
+      "searches stopped at their first leaf")

@@ -366,11 +366,14 @@ def _s_value(text: str) -> int:
 
 
 def _s_range(text: str) -> tuple[int, int]:
-    """An argparse type: two integers A..B, each <= -2."""
+    """An argparse type: two integers A..B with A <= B <= -2."""
     lo, sep, hi = text.partition("..")
     if not sep:
         raise argparse.ArgumentTypeError(f"expected A..B, got {text!r}")
-    return _s_value(lo), _s_value(hi)
+    s_min, s_max = _s_value(lo), _s_value(hi)
+    if s_min > s_max:
+        raise argparse.ArgumentTypeError(f"need A <= B, got {text!r}")
+    return s_min, s_max
 
 
 def _cmd_feasible(args, t0):
@@ -433,11 +436,14 @@ def _census_one(g, budget: int):
     """Row and sorted DDG certificates of one graph.  A budget hit keeps
     the witnesses found before it and flags the row as incomplete; a
     domain error, as in :func:`_per_graph`, gives an error row and no
-    certificates."""
+    certificates.  The DDGs share one ``seen`` dict of leaf
+    certificates, so a DDG isomorphic to one labeled before costs one
+    leaf of its search tree."""
     query = coclique.CocliqueQuery(node_budget=budget)
+    seen: dict[bytes, bytes] = {}
     try:
         decs, flag = _budgeted(lambda: assembly.decompose(g, query))
-        certs = sorted({iso.canonical_form(d.ddg).certificate.decode() for d in decs})
+        certs = sorted({iso.canonical_form(d.ddg, seen).certificate.decode() for d in decs})
     except SrgddgError as exc:
         return {"error": str(exc)}, []
     return {"decompositions": len(decs), **flag}, certs

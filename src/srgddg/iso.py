@@ -36,6 +36,21 @@ parent's equitable partition with only the two cells made by
 individualization, and the cells split off after them, as splitters.
 Splitting by any other splitter would change nothing, so the cells and
 their order are those of refining with every cell.
+
+A caller that labels many graphs can pass :func:`canonical_form` one
+dict ``seen`` that maps leaf certificates to canonical certificates.  A
+full search adds every distinct leaf certificate it reached, each mapped
+to its least one; a search that reaches a leaf whose certificate is in
+``seen`` stops there and returns the mapped certificate.  Proof: equal
+leaf certificates are the same labeled graph, so the two graphs are
+isomorphic and have the same least certificate.  An isomorphic copy
+stops at its first leaf: the tree is built by isomorphism-invariant
+rules, so an isomorphism maps the copy's tree onto the tree searched
+before, and the first leaf of the copy onto some leaf of that tree with
+the same certificate; pruning skipped only leaves whose certificates it
+had reached, so that certificate is in ``seen``.  A graph isomorphic to
+none labeled before reaches no certificate in ``seen`` and searches in
+full.
 """
 
 from __future__ import annotations
@@ -59,6 +74,10 @@ class CanonicalForm:
     counts the leaves reached, ``automorphisms`` the leaves that gave an
     automorphism, and ``backjumps`` those whose jump abandoned the
     remaining siblings of at least one ancestor above the leaf's parent.
+    A search stopped by a leaf certificate in ``seen`` holds the
+    certificate mapped to it and what was found up to that leaf: for a
+    graph isomorphic to one labeled before, ``leaves == 1`` and no
+    generators.
     """
 
     certificate: bytes
@@ -71,6 +90,11 @@ class CanonicalForm:
 class _Backjump(Exception):
     def __init__(self, level: int):
         self.level = level
+
+
+class _Seen(Exception):
+    def __init__(self, certificate: bytes):
+        self.certificate = certificate
 
 
 def _refine(rows: tuple[int, ...], cells: list[int], queue: list[int]) -> list[int]:
@@ -202,9 +226,11 @@ def _leaf_certificate(n: int, matrix: list[str], order: list[int]) -> bytes:
 
 class _Search:
     """Depth-first search of one graph's tree, keeping the first and the
-    best leaf as (certificate, vertex order, path)."""
+    best leaf as (certificate, vertex order, path).  With ``seen``, it
+    stops at a leaf whose certificate is there and collects the distinct
+    leaf certificates in ``reached``."""
 
-    def __init__(self, g: Graph):
+    def __init__(self, g: Graph, seen: dict[bytes, bytes] | None = None):
         self.n = n = g.order
         self.rows = g.rows
         self.matrix = [format(row, f"0{n}b")[::-1] for row in g.rows]
@@ -214,11 +240,17 @@ class _Search:
         self.autos: list[tuple[int, ...]] = []
         self.leaves = 0
         self.backjumps = 0
+        self.seen = seen
+        self.reached: set[bytes] = set()
 
     def leaf(self, cells: list[int]):
         self.leaves += 1
         order = [cell.bit_length() - 1 for cell in cells]
         cert = _leaf_certificate(self.n, self.matrix, order)
+        if self.seen is not None:
+            if cert in self.seen:
+                raise _Seen(self.seen[cert])
+            self.reached.add(cert)
         path = self.path
         first, best = self.first, self.best
         if first is None:
@@ -277,17 +309,26 @@ class _Search:
                 searched.add(orbits.find(v))
 
 
-def canonical_form(g: Graph) -> CanonicalForm:
+def canonical_form(g: Graph, seen: dict[bytes, bytes] | None = None) -> CanonicalForm:
     """Certificate by individualization-refinement with orbit pruning
-    and automorphism backjumping."""
+    and automorphism backjumping.  ``seen``, shared by the calls on a set
+    of graphs, maps the leaf certificates of the graphs labeled so far to
+    their certificates (see the module docstring)."""
     n = g.order
     if n > SIZE_CAP:
         raise SizeCapExceeded(f"canonical_form: order {n} exceeds cap {SIZE_CAP}")
-    search = _Search(g)
+    search = _Search(g, seen)
     full = (1 << n) - 1
-    search.node([full], [full], 0)
+    try:
+        search.node([full], [full], 0)
+    except _Seen as hit:
+        cert = hit.certificate
+    else:
+        cert = search.best[0]
+        if seen is not None:
+            seen.update(dict.fromkeys(search.reached, cert))
     autos = search.autos
-    return CanonicalForm(search.best[0], tuple(autos), search.leaves, len(autos), search.backjumps)
+    return CanonicalForm(cert, tuple(autos), search.leaves, len(autos), search.backjumps)
 
 
 def are_isomorphic(g: Graph, h: Graph) -> bool:
@@ -296,4 +337,5 @@ def are_isomorphic(g: Graph, h: Graph) -> bool:
         return False
     if sorted(g.degrees()) != sorted(h.degrees()):
         return False
-    return canonical_form(g) == canonical_form(h)
+    seen: dict[bytes, bytes] = {}
+    return canonical_form(g, seen) == canonical_form(h, seen)

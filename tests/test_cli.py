@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from srgddg import assembly as asm, cli, coclique as cq, graphcore as gc, recognize
+from srgddg import assembly as asm, cli, coclique as cq, graphcore as gc, iso, recognize
 from srgddg.errors import BudgetExceeded, SrgddgError
 
 
@@ -409,6 +409,7 @@ class TestFeasible:
         ["--s-range=-5"],
         ["--s-range=-5..-1"],
         ["--s-range=0..-3"],
+        ["--s-range=-2..-5"],
         ["--s", "-1"],
         ["--s", "-3", "--s-range=-4..-2"],
     ])
@@ -458,6 +459,17 @@ class TestCensus:
         assert res["graphs"] == 2
         assert res["decomposable"] == 1
         assert res["distinct_ddg_certificates"] == 1
+
+    def test_census_one_matches_per_witness_certificates(self, sp42, sp43, sp62):
+        # oracle: a fresh canonical form for every witness's DDG
+        dec = asm.decompose(sp62, cq.CocliqueQuery(mode="first"))[0]
+        twisted = [asm.attach_coclique(dec.ddg, dec.ddg_partition, dec.design, phi)
+                   for phi in ((1, 2, 0, 3, 4, 5, 6), (1, 2, 3, 0, 4, 5, 6))]
+        for g, witnesses in zip([sp42, sp43, sp62, *twisted], (15, 40, 135, 9, 1)):
+            row, certs = cli._census_one(g, cq.DEFAULT_NODE_BUDGET)
+            want = {iso.canonical_form(d.ddg).certificate.decode() for d in asm.decompose(g)}
+            assert row == {"decompositions": witnesses}
+            assert certs == sorted(want)
 
     def test_census_threads_same_counts(self, tmp_path, sp42, grid66):
         f = tmp_path / "cat.g6"

@@ -172,6 +172,52 @@ class TestPinnedCertificates:
         assert time.perf_counter() - t0 < 20
 
 
+class TestSeenCertificates:
+    """A ``seen`` dict shared across searches: an isomorphic copy stops at
+    its first leaf, and any other graph searches in full.  A copy that
+    missed at its first leaf would mean that pruning skipped a leaf
+    certificate that no visited leaf had."""
+
+    def test_corpus_and_relabelings(self, sp43, sp62):
+        rng = random.Random(2024)
+        seen: dict[bytes, bytes] = {}
+        classes: set[bytes] = set()
+        for g in certificate_corpus(sp43, sp62):
+            fresh = iso.canonical_form(g)
+            before = len(seen)
+            cf = iso.canonical_form(g, seen)
+            assert cf.certificate == fresh.certificate
+            if fresh.certificate in classes:
+                # isomorphic to an earlier graph of the corpus
+                assert (cf.leaves, cf.generators, len(seen)) == (1, (), before)
+            else:
+                # a full search adds at least its first leaf; a hit adds none
+                assert len(seen) > before
+                assert (cf.leaves, cf.generators, cf.backjumps) == (
+                    fresh.leaves, fresh.generators, fresh.backjumps)
+                classes.add(fresh.certificate)
+            for _ in range(2):
+                copy = iso.canonical_form(random_relabel(g, rng), seen)
+                assert (copy.certificate, copy.leaves, copy.generators) == (fresh.certificate, 1, ())
+        assert set(seen.values()) == classes
+
+    def test_every_graph_on_five_vertices(self):
+        # 1,024 labeled graphs in 34 classes: one full search per class
+        pairs = list(combinations(range(5), 2))
+        seen: dict[bytes, bytes] = {}
+        full = 0
+        for code in range(1 << len(pairs)):
+            g = gc.from_edges(5, [p for i, p in enumerate(pairs) if code >> i & 1])
+            before = len(seen)
+            cf = iso.canonical_form(g, seen)
+            assert cf.certificate == iso.canonical_form(g).certificate
+            if len(seen) > before:
+                full += 1
+            else:
+                assert cf.leaves == 1
+        assert full == 34 == len(set(seen.values()))
+
+
 def is_automorphism(g, image):
     return sorted(image) == list(range(g.order)) and all(
         g.has_edge(image[x], image[y]) for x, y in g.edges()
@@ -234,6 +280,19 @@ class TestNodeOrbits:
 class TestAreIsomorphic:
     def test_relabeled_graph(self, t6):
         assert iso.are_isomorphic(t6, random_relabel(t6, random.Random(9)))
+
+    def test_isomorphic_second_graph_stops_at_first_leaf(self, monkeypatch, sp43):
+        forms = []
+        real = iso.canonical_form
+
+        def recorded(g, seen=None):
+            forms.append(real(g, seen))
+            return forms[-1]
+
+        monkeypatch.setattr(iso, "canonical_form", recorded)
+        g = assembly.decompose(sp43, CocliqueQuery(mode="first"))[0].ddg
+        assert iso.are_isomorphic(g, random_relabel(g, random.Random(17)))
+        assert forms[0].leaves > 1 and forms[1].leaves == 1
 
     def test_degree_shortcut(self, petersen):
         assert not iso.are_isomorphic(petersen, gc.complete(10))
