@@ -46,24 +46,30 @@ hash pass; the blocks of the design are the distinct N_C sets; and the
 DDG parameters follow as (V, k+s, lambda+s, lambda-lambda_D, m, n),
 lambda_D the design's lambda.  No pair counting on Gamma - C is needed.
 
-Each witness is proven from that identity, once, and from C being a
+Whether any witness can exist is read off the graph's parameters, once.
+The family pattern demands K = k + s = (-s)(n-1), so the class size is
+n = k/(-s), and the graph's (v, k, lambda, mu) must be
+``theory.family_from(n, s).srg``: k = (-s)n, lambda = mu = (-s)(n+s),
+and the coclique bound is the family's m.  Any other graph has no
+witness and needs no search.  On a family graph, every coclique whose
+vertices outside it fall into m groups of n with -s points in each N_C
+set is a witness, proven from the identity, once, and from C being a
 coclique; nothing is rebuilt or re-verified afterwards:
 
 - The design.  Members of a class share N_C, so a point z of C is
   joined to whole classes only, and as C is a coclique, N(z) is a union
-  of classes outside C.  So z lies on k/n blocks, and two points z, z'
-  lie together on mu/n blocks: their mu common neighbours are all
-  outside C.  With m blocks of -s points on m points, counting
-  incidences gives k/n = -s, so the blocks form a 2-(m, -s, mu/n) design
-  with as many blocks as points.  By Ryser's theorem such a design is
-  symmetric: any two blocks meet in lambda_D = mu/n (Beth, Jungnickel
-  and Lenz, Design Theory, 2nd ed., ch. II).  So blocks 0 and 1 give
-  lambda_D.
-- The parameters.  If the DDG parameters fit the family pattern of
-  (n, s) and s is the graph's s, then K = k + s = (-s)(n-1) and
-  lambda1 = lambda + s = (-s)(n+s-1) give k = (-s)n and
-  lambda = (-s)(n+s), and m is the family's m.  So the design has the
-  parameters (m, -s, (-s)(n+s)/n) that :func:`attach_coclique` demands.
+  of classes outside C.  So z lies on k/n = -s blocks, and two points
+  z, z' lie together on mu/n blocks: their mu common neighbours are all
+  outside C.  So the m blocks of -s points on m points form a
+  2-(m, -s, mu/n) design with as many blocks as points.  By Ryser's
+  theorem such a design is symmetric: any two blocks meet in
+  lambda_D = mu/n (Beth, Jungnickel and Lenz, Design Theory, 2nd ed.,
+  ch. II).  With mu = (-s)(n+s), these are the parameters
+  (m, -s, (-s)(n+s)/n) that :func:`attach_coclique` demands.
+- The parameters.  The DDG's (V, k+s, lambda+s, lambda - mu/n, m, n)
+  are then (mn, (-s)(n-1), (-s)(n+s-1), (-s)(n-1)(n+s)/n, m, n), the
+  family's DDG parameters, so no lambda_D is read off the blocks and no
+  parameter is compared.
 - The graph.  The DDG is the induced graph on the vertices outside C,
   a class vertex x is joined to its class's block N_C(x), and a point z
   is joined to exactly the x with z in N_C(x), which is N(z) - C = N(z).
@@ -88,9 +94,9 @@ from dataclasses import dataclass
 from . import theory
 from .coclique import CocliqueQuery, hoffman_cocliques
 from .designs import SymmetricDesign, required_design_params, verify_design
-from .errors import BudgetExceeded, NoHoffmanBound, SrgddgError
+from .errors import BudgetExceeded, SrgddgError
 from .graphcore import Graph, VertexSet, _trusted_graph, bit_picker, bits, induced_subgraph, set_of
-from .recognize import CanonicalPartition, DdgParams, SrgParams, _check_ddg_partition, srg_params
+from .recognize import CanonicalPartition, DdgParams, _check_ddg_partition, srg_params
 
 __all__ = [
     "Decomposition",
@@ -237,41 +243,35 @@ def decompose(
 
     1. ``srg_params`` on the input, once: the graph is strongly regular
        (and primitive, or AssemblyError).
-    2. lambda = mu, else ``[]`` without any search: the construction
-       only makes graphs with lambda = mu.  A Hoffman bound that is not
-       an integer also gives ``[]``: no coclique attains it.
+    2. its (v, k, lambda, mu) are ``theory.family_from(n, s).srg`` for
+       n = k/(-s), else ``[]`` without any search: only a family graph
+       has a witness.  This gives lambda = mu and the family's m as the
+       coclique bound.
 
     Then per coclique C, with the vertices outside C grouped by N_C(x):
 
     3. every N_C(x) has -s points, the premise of the identity in the
        module docstring.
-    4. there are at least 2 groups, as many as points of C, all of one
-       size n >= 2: the groups can be the classes of a proper DDG whose
-       blocks form a symmetric design.
-    5. the DDG parameters given by the identity are the family's
-       ``theory.family_from(n, s)`` for the group size n and the graph's
-       s.
+    4. there are exactly m groups, each of n vertices.
 
-    Checks 3-5 are the whole proof (module docstring).  With the
+    Checks 2-4 are the whole proof (module docstring).  With the
     identity and C a coclique they prove that the distinct N_C sets form
     a symmetric design with the parameters ``required_design_params(n,
-    s)``, by Ryser's theorem; that Gamma - C is a proper DDG whose
-    classes are the groups; and that the witness glues back to the graph
-    edge for edge.  With check 2 they also prove that every vertex
-    outside C has n + s neighbours in every class, the constant quotient
-    matrix; that also follows from the family parameters alone, by the
-    trace argument for :func:`attach_coclique`.
+    s)``, by Ryser's theorem; that Gamma - C is a proper DDG with the
+    family's parameters whose classes are the groups; and that the
+    witness glues back to the graph edge for edge.  They also prove
+    that every vertex outside C has n + s neighbours in every class, the
+    constant quotient matrix; that also follows from the family
+    parameters alone, by the trace argument for :func:`attach_coclique`.
     """
     p = srg_params(graph)
     if not p:
         raise AssemblyError(f"not strongly regular: {p.reason}")
     if not p.primitive:
         raise AssemblyError("graph is imprimitive")
-    if p.lam != p.mu:
-        return []
-    try:
-        p.hoffman_size()
-    except NoHoffmanBound:
+    n, rem = divmod(p.k, -p.s)
+    fam = None if rem else theory.family_from(n, p.s)
+    if not fam or fam.srg.tuple4 != p.tuple4:
         return []
     budget_exc = None
     try:
@@ -279,7 +279,7 @@ def decompose(
     except BudgetExceeded as exc:
         cocliques = exc.partial or []
         budget_exc = exc
-    out = [dec for dec in (_split(graph, p, C) for C in cocliques) if dec is not None]
+    out = [dec for dec in (_split(graph, fam, C) for C in cocliques) if dec is not None]
     if budget_exc is not None:
         raise BudgetExceeded(
             "decompose: coclique search budget exhausted", budget_exc.nodes, out
@@ -287,9 +287,9 @@ def decompose(
     return out
 
 
-def _split(graph: Graph, p: SrgParams, C: VertexSet) -> Decomposition | None:
-    """The witness for one Hoffman coclique C, or None; checks 3-5 of
-    :func:`decompose`."""
+def _split(graph: Graph, fam: theory.FamilyParams, C: VertexSet) -> Decomposition | None:
+    """The witness for one Hoffman coclique C of a family graph, or
+    None; checks 3-4 of :func:`decompose`."""
     rows = graph.rows
     order = graph.order
     rest = ((1 << order) - 1) ^ C
@@ -299,25 +299,18 @@ def _split(graph: Graph, p: SrgParams, C: VertexSet) -> Decomposition | None:
     for x in bits(rest):
         key = rows[x] & C
         groups[key] = groups.get(key, 0) | 1 << x
-    if any(key.bit_count() != -p.s for key in groups):
+    if any(key.bit_count() != -fam.s for key in groups):
         return None
-    pts = set_of(C)
-    m = len(groups)
     classes = tuple(groups.values())
-    n = classes[0].bit_count()
-    if m < 2 or m != len(pts) or n < 2 or any(cl.bit_count() != n for cl in classes):
+    if len(classes) != fam.m or any(cl.bit_count() != fam.n for cl in classes):
         return None
-    blocks = tuple(map(bit_picker(pts, order), groups))
-    lam_d = (blocks[0] & blocks[1]).bit_count()
-    dp = DdgParams(m * n, p.k + p.s, p.lam + p.s, p.lam - lam_d, m, n)
-    fam = theory.family_from(n, p.s)
-    if not fam or fam.ddg.tuple6 != dp.tuple6:
-        return None
+    blocks = tuple(map(bit_picker(set_of(C), order), groups))
+    m, k_blk, lam_d = fam.design_params
     return Decomposition(
         coclique=C,
         partition=CanonicalPartition(classes),
         ddg_partition=CanonicalPartition(tuple(map(bit_picker(set_of(rest), order), classes))),
-        ddg_params=dp,
+        ddg_params=fam.ddg,
         ddg=induced_subgraph(graph, rest),
-        design=SymmetricDesign(m, blocks, -p.s, lam_d),
+        design=SymmetricDesign(m, blocks, k_blk, lam_d),
     )

@@ -471,6 +471,8 @@ def _census_outcomes(one, graphs, threads: int):
 
 
 def _cmd_census(args, t0):
+    if args.threads < 1:
+        raise _Usage(f"--threads must be >= 1, got {args.threads}")
     # catalogs are processed one graph at a time with bounded memory;
     # only counters and certificates accumulate
     graphs = GraphFile(args.file, args.keep_going)

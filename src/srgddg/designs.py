@@ -13,8 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import isqrt
+from math import gcd, isqrt
 
+from .errors import SizeCapExceeded
 from .graphcore import bits, mask_of
 
 __all__ = [
@@ -148,19 +149,97 @@ def required_design_params(n: int, s: int) -> tuple[int, int, int]:
     return (m, -s, lam)
 
 
+# Miller-Rabin with the 13 primes up to 41 as bases proves primality
+# below FACTOR_CAP (Sorenson and Webster, "Strong pseudoprimes to twelve
+# prime bases", Math. Comp. 86 (2017)), and with the first four below
+# _FOUR_BASES_BELOW (Jaeschke, "On strong pseudoprimes to several
+# bases", Math. Comp. 61 (1993)).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+FACTOR_CAP = 3_317_044_064_679_887_385_961_981
+_FOUR_BASES_BELOW = 3_215_031_751
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin for n < FACTOR_CAP."""
+    if n < 2:
+        return False
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    if n < 43 * 43:  # no prime factor up to 41 and below 43^2: prime
+        return True
+    d, r = n - 1, 0
+    while not d & 1:
+        d >>= 1
+        r += 1
+    for a in _MR_BASES[:4] if n < _FOUR_BASES_BELOW else _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _rho(n: int) -> int:
+    """A proper factor of a composite n with no prime factor in
+    _MR_BASES: Brent's variant of Pollard's rho on x -> x^2 + c from
+    x = 2, for c = 1, 2, ... until a run does not end on n itself."""
+    c = 0
+    while True:
+        c += 1
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:  # the batched product hit 0: retrace one step at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(abs(x - ys), n)
+        if g != n:
+            return g
+
+
 def _factor(n: int) -> dict[int, int]:
-    """{prime: exponent} of |n|; the package's only trial division."""
+    """{prime: exponent} of |n|; the package's only factorization.
+
+    Small primes are divided out, primality is proven by Miller-Rabin
+    and composites are split by Pollard's rho, which finds a prime
+    factor p in about sqrt(p) steps where trial division takes p.  At
+    or above FACTOR_CAP, where the Miller-Rabin bases are no proof, it
+    raises SizeCapExceeded before any work."""
     n = abs(n)
+    if n >= FACTOR_CAP:
+        raise SizeCapExceeded(f"_factor: {n} is not below the cap {FACTOR_CAP}")
     out: dict[int, int] = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
+    for p in _MR_BASES:
+        while n > 1 and n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+    todo = [n] if n > 1 else []
+    while todo:
+        x = todo.pop()
+        if _is_prime(x):
+            out[x] = out.get(x, 0) + 1
+        else:
+            d = _rho(x)
+            todo += (d, x // d)
+    return dict(sorted(out.items()))
 
 
 # -- Bruck-Ryser-Chowla (advisory only) ---------------------------------

@@ -221,19 +221,7 @@ def _moments(g: Graph) -> tuple[list[int], dict[int, int]]:
     degrees = {r.bit_count() for r in rows}
     if len(degrees) != 1:
         return sums, {}
-    components = 0
-    unseen = (1 << n) - 1
-    while unseen:
-        seen = frontier = unseen & -unseen
-        while frontier:
-            reach = 0
-            for v in bits(frontier):
-                reach |= rows[v]
-            frontier = reach & ~seen
-            seen |= frontier
-        unseen &= ~seen
-        components += 1
-    return sums, {degrees.pop(): components}
+    return sums, {degrees.pop(): g.components()}
 
 
 def _free_points(resid: list[int], proven: dict[int, int]) -> dict[int, int] | None:

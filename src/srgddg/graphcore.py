@@ -159,17 +159,26 @@ class Graph:
         k = degs[0]
         return k if all(d == k for d in degs) else None
 
+    def components(self) -> int:
+        """The number of connected components, by breadth-first search
+        from the least vertex not reached yet."""
+        rows = self.rows
+        count = 0
+        unseen = (1 << self.order) - 1
+        while unseen:
+            seen = frontier = unseen & -unseen
+            while frontier:
+                reach = 0
+                for v in bits(frontier):
+                    reach |= rows[v]
+                frontier = reach & ~seen
+                seen |= frontier
+            unseen &= ~seen
+            count += 1
+        return count
+
     def is_connected(self) -> bool:
-        seen = 1
-        frontier = 1
-        full = (1 << self.order) - 1
-        while frontier:
-            nxt = 0
-            for v in bits(frontier):
-                nxt |= self.rows[v]
-            frontier = nxt & ~seen
-            seen |= nxt
-        return seen == full
+        return self.components() == 1
 
     def common_neighbors(self, x: int, y: int) -> int:
         return (self.rows[x] & self.rows[y]).bit_count()

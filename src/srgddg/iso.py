@@ -178,14 +178,14 @@ def _target_cell(cells: list[int]) -> int:
 class _NodeOrbits:
     """Orbits on a node's target cell under the found automorphisms that
     fix every cell of the node, with the automorphisms folded in as they
-    are found.  Such an automorphism maps the target cell to itself, so
-    the pairs (v, a[v]) with v in the cell generate its orbits there."""
+    are found.  The node's cells refine the partition that individualizes
+    the vertices of its path, so an automorphism fixes every cell exactly
+    when it fixes each vertex of the path.  Such an automorphism maps the
+    target cell to itself, so the pairs (v, a[v]) with v in the cell
+    generate its orbits there."""
 
-    def __init__(self, cells: list[int], target: int, n: int):
-        self.cell_of = [0] * n
-        for i, cell in enumerate(cells):
-            for v in bits(cell):
-                self.cell_of[v] = i
+    def __init__(self, path: tuple[int, ...], target: int, n: int):
+        self.path = path
         self.target = target
         self.parent = list(range(n))
         self.folded = 0
@@ -201,9 +201,8 @@ class _NodeOrbits:
         """Take in the automorphisms found since the last call; whether
         any orbit grew."""
         grew = False
-        cell_of = self.cell_of
         for a in autos[self.folded :]:
-            if [cell_of[x] for x in a] != cell_of:
+            if any(a[v] != v for v in self.path):
                 continue
             for v in bits(self.target):
                 ra, rb = self.find(v), self.find(a[v])
@@ -289,7 +288,7 @@ class _Search:
         for v in bits(target):
             if branched and autos:
                 if orbits is None:
-                    orbits = _NodeOrbits(cells, target, self.n)
+                    orbits = _NodeOrbits(tuple(path), target, self.n)
                     searched = set(branched)
                 if orbits.fold(autos):
                     searched = {orbits.find(u) for u in branched}

@@ -271,6 +271,41 @@ class TestDecompose:
         assert p.tuple4 == (16, 10, 6, 6) and str(p.c) == "8/3"
         assert asm.decompose(g) == []
 
+    def test_outside_the_family_needs_no_search(self):
+        # lambda = mu and an integral coclique bound, but no (n, s)
+        # family: grid(4, 4) = SRG(16,6,2,2) would need n = 3 and
+        # lambda2 = 4/3, and L_3(6) = SRG(36,15,6,6), from the cyclic
+        # Latin square i + j mod 6, n = 5 and lambda2 = 24/5.  A budget of
+        # one node would be exhausted by any coclique search.
+        cells = [(i, j) for i in range(6) for j in range(6)]
+        latin = gc.from_edges(36, [
+            (a, b) for b in range(36) for a in range(b)
+            if cells[a][0] == cells[b][0] or cells[a][1] == cells[b][1]
+            or (sum(cells[a]) - sum(cells[b])) % 6 == 0
+        ])
+        one = cq.CocliqueQuery(node_budget=1)
+        for g, tuple4 in ((gc.grid(4, 4), (16, 6, 2, 2)), (latin, (36, 15, 6, 6))):
+            p = rec.srg_params(g)
+            assert p.tuple4 == tuple4 and p.c.denominator == 1
+            assert not theory.family_from(p.k // -p.s, p.s)
+            assert asm.decompose(g, one) == []
+        # the 24 Hoffman cocliques of grid(4, 4) are no witnesses
+        grid44 = gc.grid(4, 4)
+        cocliques = cq.hoffman_cocliques(grid44, rec.srg_params(grid44))
+        assert len(cocliques) == 24 and generic_decompose(grid44) == []
+
+    def test_one_family_lookup_per_graph(self, monkeypatch, sp62):
+        calls = []
+        real = theory.family_from
+
+        def counted(n, s):
+            calls.append((n, s))
+            return real(n, s)
+
+        monkeypatch.setattr(theory, "family_from", counted)
+        assert len(asm.decompose(sp62)) == 135
+        assert calls == [(8, -4)]
+
     def test_quotient_always_constant(self, sp42):
         # the oracle of the constant quotient matrix, which decompose
         # derives from lambda = mu and the design instead of checking it

@@ -311,6 +311,18 @@ class TestNoHoffmanCoclique:
         assert res["per_graph"] == [{"decompositions": 0}] * 2
 
 
+class TestOutsideTheFamily:
+    def test_complete_answer_without_a_search(self, tmp_path, capsys):
+        # grid(4, 4) = SRG(16,6,2,2) has lambda = mu and 24 Hoffman
+        # cocliques but no (n, s) family, so a budget of one node is no
+        # limit: the row is complete
+        f = tmp_path / "grid44.g6"
+        f.write_bytes(gc.encode_graph6(gc.grid(4, 4)) + b"\n")
+        code, rep = run_json(capsys, ["decompose", str(f), "--budget-nodes", "1"])
+        assert code == 0
+        assert rep["results"]["graphs"] == [{"count": 0, "decompositions": []}]
+
+
 class TestConstructJson:
     @pytest.fixture
     def files(self, tmp_path, sp42):
@@ -497,6 +509,14 @@ class TestCensus:
             reports.append(rep)
         assert reports[0] == reports[1]
         assert reports[0]["results"]["graphs"] == 7
+
+    @pytest.mark.parametrize("threads", ["0", "-4"])
+    def test_threads_below_one_is_usage_error(self, tmp_path, capsys, sp42, threads):
+        f = tmp_path / "cat.g6"
+        f.write_bytes(gc.encode_graph6(sp42) + b"\n")
+        assert cli.run(["census", str(f), "--threads", threads]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and f"--threads must be >= 1, got {threads}" in out.err
 
     def test_threads_submit_window_is_bounded(self):
         drawn = []

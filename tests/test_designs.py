@@ -1,8 +1,10 @@
+import random
 from itertools import combinations
 
 import pytest
 
 from srgddg import designs as ds
+from srgddg.errors import SizeCapExceeded
 
 FANO_BLOCKS = [[0, 1, 2], [0, 3, 4], [0, 5, 6], [1, 3, 5], [1, 4, 6], [2, 3, 6], [2, 4, 5]]
 
@@ -90,3 +92,54 @@ class TestBruckRyserChowla:
 
     def test_identity_required(self):
         assert not ds.bruck_ryser_chowla(8, 3, 1)
+
+
+def trial_division(n):
+    """{prime: exponent} of |n| by trial division, the oracle of _factor."""
+    n = abs(n)
+    out = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+class TestFactor:
+    def test_against_trial_division(self):
+        rng = random.Random(16)
+        sample = [rng.randrange(1, 10**9) for _ in range(300)]
+        # small, negative, prime powers above the Miller-Rabin bases,
+        # and products of two primes near 31,600
+        sample += list(range(-50, 300)) + [43**2, 43**5, 65537**2, 31607 * 31627, 2**29, 3**18 * 41]
+        for n in sample:
+            got = ds._factor(n)
+            assert got == trial_division(n), n
+            assert list(got) == sorted(got), n
+
+    def test_strong_pseudoprimes_at_the_base_bounds(self):
+        # the least strong pseudoprimes to the first 4 and the first 12
+        # prime bases; each is where fewer bases would stop being a proof
+        assert ds._factor(3215031751) == {151: 1, 751: 1, 28351: 1}
+        assert ds._factor(318665857834031151167461) == {399165290221: 1, 798330580441: 1}
+
+    def test_prime_near_10_18(self):
+        assert ds._factor(10**18 + 3) == {10**18 + 3: 1}
+
+    def test_large_semiprime(self):
+        p, q = 1000003, 1000000007
+        assert ds._factor(-p * q) == {p: 1, q: 1}
+
+    def test_cap_refused_before_any_work(self, monkeypatch):
+        def no_work(n):
+            raise AssertionError("primality tested above the cap")
+
+        monkeypatch.setattr(ds, "_is_prime", no_work)
+        with pytest.raises(SizeCapExceeded, match="cap"):
+            ds._factor(ds.FACTOR_CAP)
+        with pytest.raises(SizeCapExceeded):
+            ds._factor(-ds.FACTOR_CAP - 1)

@@ -119,6 +119,24 @@ class TestGraphInvariants:
             assert gc.Graph(g.order, g.rows) == g
 
 
+    def test_components_against_union_find(self):
+        rng = random.Random(23)
+        for _ in range(60):
+            g = random_graph(rng.randint(1, 30), rng.choice([0.02, 0.06, 0.15]), rng)
+            parent = list(range(g.order))
+
+            def find(x):
+                while parent[x] != x:
+                    x = parent[x]
+                return x
+
+            for x, y in g.edges():
+                parent[find(x)] = find(y)
+            count = len({find(x) for x in range(g.order)})
+            assert g.components() == count
+            assert g.is_connected() == (count == 1)
+
+
 class TestGenerators:
     def test_petersen_shape(self):
         p = gc.petersen()

@@ -259,9 +259,9 @@ class TestSearchStatistics:
 
 
 class TestNodeOrbits:
-    # cells {0, 1}, {2}, {3} with target {0, 1}
+    # path (2, 3), so cells {0, 1}, {2}, {3}, with target {0, 1}
     def orbits(self):
-        return iso._NodeOrbits([0b0011, 0b0100, 0b1000], 0b0011, 4)
+        return iso._NodeOrbits((2, 3), 0b0011, 4)
 
     def test_automorphism_moving_a_cell_is_not_used(self):
         orb = self.orbits()
