@@ -289,7 +289,8 @@ def decompose(
 
 def _split(graph: Graph, fam: theory.FamilyParams, C: VertexSet) -> Decomposition | None:
     """The witness for one Hoffman coclique C of a family graph, or
-    None; checks 3-4 of :func:`decompose`."""
+    None; checks 3-4 of :func:`decompose`.  The rest has fam.m * fam.n
+    vertices, so groups of fam.n vertices are fam.m groups."""
     rows = graph.rows
     order = graph.order
     rest = ((1 << order) - 1) ^ C
@@ -302,7 +303,7 @@ def _split(graph: Graph, fam: theory.FamilyParams, C: VertexSet) -> Decompositio
     if any(key.bit_count() != -fam.s for key in groups):
         return None
     classes = tuple(groups.values())
-    if len(classes) != fam.m or any(cl.bit_count() != fam.n for cl in classes):
+    if any(cl.bit_count() != fam.n for cl in classes):
         return None
     blocks = tuple(map(bit_picker(set_of(C), order), groups))
     m, k_blk, lam_d = fam.design_params

