@@ -378,24 +378,31 @@ def _s_range(text: str) -> tuple[int, int]:
 
 def _cmd_feasible(args, t0):
     s_min, s_max = args.s_range or (args.s, args.s)
-    entries = theory.enumerate_feasible(s_min, s_max, args.n_max, with_brc=args.brc)
     rows = []
-    for e in entries:
-        fam = e.family
-        rows.append({
-            "n": e.n,
-            "s": e.s,
-            "m": fam.m,
-            "srg": list(fam.srg.tuple4),
-            "ddg": list(fam.ddg.tuple6),
-            "design": list(fam.design_params),
-            "handshake_ok": e.handshake_ok,
-            "prime_power": (
-                {"q": e.prime_power.q, "d": e.prime_power.d}
-                if e.prime_power else None
-            ),
-            "brc_ok": e.brc_ok,
-        })
+    for s in range(s_min, s_max + 1):
+        # an s refused by the factoring cap gets one error entry, as a bad
+        # graph does in _per_graph; the other values of s keep theirs
+        try:
+            entries = theory.enumerate_feasible(s, s, args.n_max, with_brc=args.brc)
+        except SrgddgError as exc:
+            rows.append({"s": s, "error": str(exc)})
+            continue
+        for e in entries:
+            fam = e.family
+            rows.append({
+                "n": e.n,
+                "s": e.s,
+                "m": fam.m,
+                "srg": list(fam.srg.tuple4),
+                "ddg": list(fam.ddg.tuple6),
+                "design": list(fam.design_params),
+                "handshake_ok": e.handshake_ok,
+                "prime_power": (
+                    {"q": e.prime_power.q, "d": e.prime_power.d}
+                    if e.prime_power else None
+                ),
+                "brc_ok": e.brc_ok,
+            })
     _emit(_report(
         "feasible",
         {"s_min": s_min, "s_max": s_max, "n_max": args.n_max},

@@ -20,7 +20,25 @@ a connected strongly regular graph (three eigenvalues) needs no
 elimination at all.  See Cvetkovic, Rowlinson & Simic, *An Introduction
 to the Theory of Graph Spectra* (2010), ch. 1 and 3.
 
-When the free points do not fit, multiplicities are proven by rank: a
+A divisible design graph (DDG) has four eigenvalues, too many for the
+free points, but its identity A^2 = (K - l1) I + (l1 - l2) B + l2 J (B
+the 0/1 matrix of a partition into m classes of one size, J all ones)
+is read off the same rows of A^2 that give s_3 and s_4.  On the
+orthogonal spaces spanned by the all-ones vector, by the class-constant
+vectors orthogonal to it and by the vectors summing to 0 on each class,
+of dimensions 1, m - 1 and n - m, A^2 acts as the scalars K^2,
+K^2 - l2 n and K - l1.  A is symmetric and commutes with A^2, so the
+squares of its eigenvalues are exactly these, with these
+multiplicities.  mult(K) is proven, so mult(-K) is the rest of K^2; a
+square t that is not a perfect square gives +-sqrt(t) equal
+multiplicities, as both are roots of one factor x^2 - t of the integer
+characteristic polynomial (Galois conjugates), and they are left out of
+the integer spectrum; for each other square u^2 > 0 the split of its
+multiplicity between u and -u solves s_1 and s_3.  So a DDG needs no
+elimination either.  See Haemers, Kharaghani & Meulenberg, "Divisible
+design graphs", J. Combin. Theory Ser. A 118 (2011).
+
+When neither route fits, multiplicities are proven by rank: a
 symmetric integer matrix is diagonalizable, so an integer theta has
 multiplicity n - rank(A - theta I).  Candidates theta are screened with
 the characteristic polynomial modulo one word-size prime (O(n^3)
@@ -200,28 +218,105 @@ def char_poly_mod(m: IntMatrix, p: int) -> list[int]:
     return polys[n]
 
 
-def _moments(g: Graph) -> tuple[list[int], dict[int, int]]:
+class _DdgRows:
+    """The divisible design graph identity, tested one row of A^2 at a
+    time: A^2 = (K - l1) I + (l1 - l2) B + l2 J for some l1 != l2, where
+    B is the 0/1 matrix of a partition of the vertices into classes of
+    one size c > 1.  So every row has diagonal K, and a vertex x shares
+    l1 neighbours with the c - 1 other vertices of its class R(x) and l2
+    with the rest.
+
+    Row 0 fixes K, l1, l2 and c.  Its off-diagonal entries take exactly
+    two values; the value taken as l1 has c - 1 places, the other
+    order - c, and the class size c divides the order.  Two divisors of
+    the order that are both at least 2 sum to at most the order, not
+    order + 1, so at most one of the two values can be l1; if neither
+    gives a divisor, a later row fails.
+
+    R(x), x with the places of l1 in row x, is symmetric in x and y and
+    has c members.  It is a partition once R(x) = R(min R(x)) for every
+    x.  Take y in R(x) and l = min R(x), l' = min R(y).  l is in R(y),
+    so l' <= l; l is in R(y) = R(l'), so l' is in R(l) = R(x) and
+    l' >= l.  Hence R(y) = R(l) = R(x).  A row whose least member is
+    itself stores its class, and any other row must match the class
+    stored for its least member.  ``fits`` checks one row and is called
+    until a row fails.
+    """
+
+    def __init__(self, order: int):
+        self.order = order
+        self.classes: dict[int, list[int]] = {}  # least member -> class
+
+    def _off_count(self, common: list[int], value: int) -> int:
+        # places of value off the diagonal, whose entry is K
+        return common.count(value) - (value == self.k)
+
+    def fits(self, x: int, common: list[int]) -> bool:
+        if x == 0:
+            self.k = common[0]
+            values = set(common[1:])
+            if len(values) != 2:
+                return False
+            l1, l2 = values
+            if self.order % (self._off_count(common, l1) + 1):
+                l1, l2 = l2, l1
+            self.l1, self.l2 = l1, l2
+            self.size = self._off_count(common, l1) + 1
+        k, l1, size = self.k, self.l1, self.size
+        if (common[x] != k or self._off_count(common, l1) != size - 1
+                or self._off_count(common, self.l2) != self.order - size):
+            return False
+        least = min(common.index(l1), x)
+        if least == x:
+            self.classes[x] = [y for y, v in enumerate(common) if v == l1 or y == x]
+            return True
+        members = self.classes.get(least)
+        # x's c - 1 places of l1 are the c members other than x exactly
+        # when x is a member
+        return members is not None and all(common[y] == l1 for y in members if y != x)
+
+    def squares(self) -> dict[int, int]:
+        """Eigenvalues of A^2 with their multiplicities: K^2 on the all-ones
+        vector, K^2 - l2 v on the m - 1 dimensions of class-constant
+        vectors orthogonal to it, and K - l1 on the v - m dimensions of
+        vectors that sum to 0 on each class (v the order, m classes)."""
+        v, k = self.order, self.k
+        m = v // self.size
+        out: dict[int, int] = {}
+        for t, dim in ((k * k, 1), (k * k - self.l2 * v, m - 1), (k - self.l1, v - m)):
+            out[t] = out.get(t, 0) + dim
+        return out
+
+
+def _moments(g: Graph) -> tuple[list[int], dict[int, int], dict[int, int] | None]:
     """Power sums tr A^0 .. tr A^4 of g's adjacency matrix A, with, for a
-    regular graph, one proven multiplicity.
+    regular graph, one proven multiplicity, and for a divisible design
+    graph the eigenvalues of A^2.
 
     s_0 = n, s_1 = 0 (no loops) and s_2 = 2|E|.  (A^2)_xy is the popcount
     of row x AND row y, so tr A^3 sums it over the neighbours y of each
     x and tr A^4 = sum((A^2)_xy^2), streamed one row of A^2 at a time.
+    The same rows are tested against the divisible design graph identity
+    (``_DdgRows``) until one fails; a graph that passes gets A^2's
+    eigenvalues with their multiplicities, any other None.
     If g is k-regular, k is the largest eigenvalue of each connected
     component (Perron-Frobenius) and simple there, so its multiplicity
     is the number of components.
     """
     n, rows = g.order, g.rows
     cube = quart = 0
-    for row in rows:
+    ddg = _DdgRows(n)
+    for x, row in enumerate(rows):
         common = [(row & other).bit_count() for other in rows]
         cube += sum(map(common.__getitem__, bits(row)))
         quart += sum(map(mul, common, common))
+        if ddg and not ddg.fits(x, common):
+            ddg = None
     sums = [n, 0, 2 * g.num_edges(), cube, quart]
     degrees = {r.bit_count() for r in rows}
     if len(degrees) != 1:
-        return sums, {}
-    return sums, {degrees.pop(): g.components()}
+        return sums, {}, None
+    return sums, {degrees.pop(): g.components()}, ddg and ddg.squares()
 
 
 def _free_points(resid: list[int], proven: dict[int, int]) -> dict[int, int] | None:
@@ -264,32 +359,96 @@ def _free_points(resid: list[int], proven: dict[int, int]) -> dict[int, int] | N
     return sol
 
 
+def _signed(
+    sums: list[int], top: dict[int, int], squares: dict[int, int]
+) -> Spectrum | NonIntegral | None:
+    """The spectrum of a regular graph whose eigenvalue squares are known
+    with their multiplicities (``squares``, from the divisible design
+    graph identity), or None if the power sums admit no consistent split.
+
+    top = {K: mult(K)} is proven, so mult(-K) is the rest of K^2.  A
+    square t that is not a perfect square is carried by +-sqrt(t), two
+    roots of the irreducible factor x^2 - t of the characteristic
+    polynomial, so each has half its multiplicity and they cancel in
+    every odd power sum.  0 is its own square.  For the at most two
+    integers u > 0 left, the differences d_u = mult(u) - mult(-u) solve
+    s_1 and s_3, a linear system with determinant u1 u2 (u2^2 - u1^2),
+    which is not 0.
+    """
+    (k, comps), = top.items()
+    mult = {k: comps, -k: squares[k * k] - comps}
+    pairs, irrational = [], {}
+    for t, dim in squares.items():
+        u = isqrt(t)
+        if u * u != t:
+            irrational[t] = dim
+        elif u == 0:
+            mult[0] = dim
+        elif u != k:
+            pairs.append((u, dim))
+    e = comps - mult[-k]
+    r1, r3 = sums[1] - k * e, sums[3] - k**3 * e
+    if len(pairs) == 2:
+        (a, _), (b, _) = pairs
+        det, nums = a * b * (b * b - a * a), (r1 * b**3 - r3 * b, r3 * a - r1 * a**3)
+    else:
+        det, nums = (pairs[0][0] if pairs else 1), (r1,)
+    for (u, dim), num in zip(pairs, nums):
+        d = num // det
+        mult[u], mult[-u] = (dim + d) // 2, (dim - d) // 2
+    # a remainder in d or an odd dim - d shows below as an s_1, s_3 or
+    # s_0 that does not match
+    if min(mult.values()) < 0 or any(dim % 2 for dim in irrational.values()):
+        return None
+    for j, s in enumerate(sums):
+        got = sum(c * t**j for t, c in mult.items())
+        if j % 2 == 0:
+            got += sum(dim * t ** (j // 2) for t, dim in irrational.items())
+        if got != s:
+            return None
+    found = tuple(sorted(((t, c) for t, c in mult.items() if c), reverse=True))
+    residual = sum(irrational.values())
+    return NonIntegral(found, residual) if residual else Spectrum(found)
+
+
 def integral_spectrum(g: Graph) -> Spectrum | NonIntegral:
     """Full integer adjacency spectrum of g, or NonIntegral.
 
     Some multiplicities are proven outright (the top one of a regular
     graph by its component count, see ``_moments``); the rest of the
-    spectrum must carry the power sums tr A^j left over.  When at most
-    two integer eigenvalues outside the proven ones carry them all
-    (``_free_points``), that is the spectrum; see the module docstring
-    for the proof.  Otherwise the candidates theta in [-D, D] (D the
-    largest degree) that are roots of the characteristic polynomial
-    modulo SCREEN_PRIME, a set that holds every integer eigenvalue, are
-    proven one at a time, cheapest (smallest |theta|) first, as
-    n - rank(A - theta I) by Bareiss elimination, and the free points
-    are sought again after each.  Candidates of multiplicity 0 drop out;
-    if every candidate is proven and the multiplicities fall short of n,
-    the spectrum is not integral.
+    spectrum must carry the power sums tr A^j left over.  The routes, in
+    order (see the module docstring for the proofs):
+
+    1. at most two integer eigenvalues outside the proven ones carry
+       them all (``_free_points``);
+    2. g is a divisible design graph: its identity gives the squares of
+       its eigenvalues with their multiplicities, K^2 on the all-ones
+       vector, K^2 - l2 n on the class-constant vectors orthogonal to it
+       and K - l1 on the vectors summing to 0 on each class, and
+       ``_signed`` splits each square between +-sqrt, an irrational
+       pair evenly (the two are Galois conjugates);
+    3. the candidates theta in [-D, D] (D the largest degree) that are
+       roots of the characteristic polynomial modulo SCREEN_PRIME, a set
+       that holds every integer eigenvalue, are proven one at a time,
+       cheapest (smallest |theta|) first, as n - rank(A - theta I) by
+       Bareiss elimination, and the free points are sought again after
+       each.  Candidates of multiplicity 0 drop out; if every candidate
+       is proven and the multiplicities fall short of n, the spectrum
+       is not integral.
     """
     n = g.order
     check_cap("integral_spectrum", n)
-    sums, proven = _moments(g)
+    sums, proven, squares = _moments(g)
 
     def solve():
         resid = [s - sum(k * t**j for t, k in proven.items()) for j, s in enumerate(sums)]
         return _free_points(resid, proven)
 
     free = solve()
+    if free is None and squares:
+        spec = _signed(sums, proven, squares)
+        if spec is not None:
+            return spec
     if free is None:
         m = adjacency_matrix(g)
         p = SCREEN_PRIME

@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from srgddg import assembly as asm, cli, coclique as cq, graphcore as gc, iso, recognize
+from srgddg import assembly as asm, cli, coclique as cq, designs, graphcore as gc, iso, recognize
 from srgddg.errors import BudgetExceeded, SrgddgError
 
 
@@ -412,6 +412,21 @@ class TestFeasible:
         (fam,) = json.loads(proc.stdout)["results"]["families"]
         assert (fam["n"], fam["s"]) == (s * s, s)
         assert fam["prime_power"] == {"q": -s, "d": 2}
+
+    def test_s_at_the_factoring_cap_gets_one_error_entry(self, capsys):
+        # -FACTOR_CAP cannot be factored with a proof; the two s above it
+        # keep the families they get on their own, and the run exits 0
+        cap = designs.FACTOR_CAP
+        code, rep = run_json(capsys, ["feasible", f"--s-range={-cap}..{-cap + 2}"])
+        assert code == 0
+        assert rep["inputs"] == {"s_min": -cap, "s_max": -cap + 2, "n_max": None}
+        first, *rest = rep["results"]["families"]
+        assert first == {"s": -cap, "error": f"_factor: {cap} is not below the cap {cap}"}
+        alone = []
+        for s in (-cap + 1, -cap + 2):
+            _, one = run_json(capsys, ["feasible", "--s", str(s)])
+            alone += one["results"]["families"]
+        assert rest == alone and len(alone) == 9
 
     def test_needs_s(self, capsys):
         assert cli.run(["feasible", "--n-max", "5"]) == 2

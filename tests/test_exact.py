@@ -1,6 +1,7 @@
 import random
+from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -98,6 +99,43 @@ def rank_spectrum(m):
     return tuple(found), n - sum(k for _, k in found)
 
 
+def heawood():
+    """Point-line incidence graph of the Fano plane: a bipartite DDG with
+    eigenvalues +-3 and +-sqrt(2)."""
+    fano = galois.pg_hyperplane_design(3, galois.fieldspec(2, 1))
+    return gc.from_edges(14, [(p, 7 + i) for i, b in enumerate(fano.blocks) for p in gc.bits(b)])
+
+
+def first_ddg(g):
+    return asm.decompose(g, cq.CocliqueQuery(mode="first"))[0].ddg
+
+
+def ddg_squares_oracle(g):
+    """Independent test of the DDG identity on the dense A^2: if A^2 =
+    (K - l1) I + (l1 - l2) B + l2 J with B the 0/1 matrix of a partition
+    into classes of one size c > 1, the eigenvalues of A^2 with their
+    multiplicities (K^2 once, K^2 - l2 n on m - 1, K - l1 on n - m
+    dimensions); else None."""
+    n = g.order
+    A = gc.adjacency_matrix(g)
+    sq = mat_mul(A, A)
+    k = sq[0][0]
+    off = {sq[x][y] for x in range(n) for y in range(n) if x != y}
+    if len(off) != 2 or any(sq[x][x] != k for x in range(n)):
+        return None
+    for l1, l2 in permutations(off):
+        classes = {frozenset([x] + [y for y in range(n) if y != x and sq[x][y] == l1])
+                   for x in range(n)}
+        c, *other_sizes = {len(cl) for cl in classes}
+        m = len(classes)
+        # distinct sets, each holding its own vertex, that sum to n are
+        # a partition
+        if not other_sizes and c > 1 and c * m == n:
+            return dict(Counter({k * k: 1}) + Counter({k * k - l2 * n: m - 1})
+                        + Counter({k - l1: n - m}))
+    return None
+
+
 def random_graphs():
     """Seeded random graphs, regular and not, connected and not."""
     rng = random.Random(1234)
@@ -124,7 +162,7 @@ def corpus(petersen, t6, grid66, sp42, sp43, sp62):
         gc.complete(1), gc.complete(5), gc.edgeless(4), gc.grid(3, 3), gc.cycle(6),
         gc.cycle(5), gc.cycle(60), gc.path(10), random_regular(20, 3, rng),
     ]
-    graphs += [asm.decompose(g, cq.CocliqueQuery(mode="first"))[0].ddg for g in (sp42, sp43, sp62)]
+    graphs += [first_ddg(g) for g in (sp42, sp43, sp62)]
     return graphs
 
 
@@ -279,7 +317,7 @@ class TestIntegralSpectrum:
         # a regular graph's top multiplicity is its component count, and
         # power sums 0-4 give SRG(63)'s other two: no rank at all.  C5's
         # only integer candidate is that top one, so it takes none either,
-        # and the v = 56 DDG's four eigenvalues take one, the cheapest
+        # and the v = 56 DDG's four eigenvalues follow from its identity
         shifts = []
         real_rank = ex.rank
 
@@ -293,10 +331,9 @@ class TestIntegralSpectrum:
         assert shifts == []
         assert not ex.integral_spectrum(gc.cycle(5))
         assert shifts == []
-        ddg = asm.decompose(sp62, cq.CocliqueQuery(mode="first"))[0].ddg
-        spec = ex.integral_spectrum(ddg)
+        spec = ex.integral_spectrum(first_ddg(sp62))
         assert spec.pairs == ((28, 1), (4, 21), (0, 6), (-4, 28))
-        assert shifts == [0]
+        assert shifts == []
 
     def test_srg_needs_no_screen_and_no_rank(self, sp62, monkeypatch):
         # a connected SRG is certified from its bit rows alone: no dense
@@ -307,10 +344,88 @@ class TestIntegralSpectrum:
         assert ex.integral_spectrum(sp62).pairs == ((32, 1), (4, 27), (-4, 35))
         assert ex.integral_spectrum(sp45).pairs == ((125, 1), (5, 65), (-5, 90))
 
-    def test_certificate_vs_rank_oracle(self, corpus):
+    def test_ddg_needs_no_screen_and_no_rank(self, sp43, sp62, monkeypatch):
+        # a DDG's spectrum follows from its identity A^2 = (K - l1) I +
+        # (l1 - l2) B + l2 J, read from the rows of A^2 that give the power
+        # sums; the Heawood graph's +-sqrt(2) stay uncounted
+        sp82 = galois.symplectic_complement(4, galois.fieldspec(2, 1))
+        ddgs = [first_ddg(g) for g in (sp43, sp62, sp82)]
+        for name in ("adjacency_matrix", "char_poly_mod", "rank"):
+            monkeypatch.setattr(ex, name, refuse)
+        assert [ex.integral_spectrum(g).pairs for g in ddgs] == [
+            ((24, 1), (3, 12), (0, 3), (-3, 20)),
+            ((28, 1), (4, 21), (0, 6), (-4, 28)),
+            ((120, 1), (8, 105), (0, 14), (-8, 120)),
+        ]
+        assert ex.integral_spectrum(heawood()) == ex.NonIntegral(
+            found=((3, 1), (-3, 1)), residual_degree=12)
+
+    def test_ddg_identity_vs_dense_oracle(self, corpus, sp42):
+        # the row test in _moments against the identity checked on the
+        # dense A^2; C60 and C9 have the right values and counts in every
+        # row of A^2 but no partition, and C6, K_{3,3} minus a perfect
+        # matching, is a DDG
+        graphs = corpus + random_graphs() + [heawood(), gc.cycle(6), gc.cycle(9)]
+        graphs += [gc.composition(sp42, gc.edgeless(2)), gc.composition(gc.edgeless(3), gc.complete(4))]
+        kinds = Counter()
+        for g in graphs:
+            want = ddg_squares_oracle(g)
+            kinds[want is not None] += 1
+            assert ex._moments(g)[2] == want, g
+        assert kinds == {True: 9, False: 83}
+
+    def test_ddg_rows_stop_at_the_first_row_off_the_identity(self):
+        # rows of M = (K - l1) I + (l1 - l2) B + l2 J, classes {x : x % 3 = r}
+        # of size 4, then M with symmetric pairs of entries changed: a third
+        # value, a diagonal entry, an l1 or l2 too many, or one l1 moved out
+        # of vertex 4's class, which keeps every count.  The row test must
+        # stop at the first row that differs
+        n, k, l1, l2 = 12, 5, 2, 1
+
+        def first_failure(m):
+            rows = ex._DdgRows(n)
+            return next((x for x in range(n) if not rows.fits(x, m[x])), None), rows
+
+        ideal = [[k if x == y else l1 if x % 3 == y % 3 else l2 for y in range(n)] for x in range(n)]
+        stop, rows = first_failure(ideal)
+        assert stop is None and rows.squares() == {25: 1, 13: 2, 3: 9}
+        changes = [
+            [(5, 9, 4)], [(7, 7, k + 1)], [(4, 6, l1)], [(4, 7, l2)], [(0, 4, 9)],
+            [(4, 6, l1), (4, 7, l2)],
+        ]
+        for change in changes:
+            m = [list(row) for row in ideal]
+            for x, y, value in change:
+                m[x][y] = m[y][x] = value
+            assert first_failure(m)[0] == change[0][0], change
+
+    def test_signed_checks_its_claim(self):
+        # the split is accepted only with multiplicities >= 0, each
+        # irrational pair even and s_0 .. s_4 reproduced
+        def sums(spec, irrational=()):
+            return [sum(c * t**j for t, c in spec) + sum(c * t ** (j // 2) for t, c in irrational
+                                                         if j % 2 == 0) for j in range(5)]
+
+        ddg56 = ((28, 1), (4, 21), (0, 6), (-4, 28))
+        squares = {784: 1, 16: 49, 0: 6}
+        assert ex._signed(sums(ddg56), {28: 1}, squares) == ex.Spectrum(ddg56)
+        tampered = sums(ddg56)
+        tampered[4] += 1
+        assert ex._signed(tampered, {28: 1}, squares) is None
+        # s_1 and s_3 of 4^53 (-4)^-4: a split with a negative multiplicity
+        assert ex._signed(sums(((28, 1), (4, 53), (0, 6), (-4, -4))), {28: 1}, squares) is None
+        # +-3 and an odd number of +-sqrt(2)
+        assert ex._signed(sums(((3, 1), (-3, 1)), ((2, 3),)), {3: 1}, {9: 2, 2: 3}) is None
+        heawood_sums = sums(((3, 1), (-3, 1)), ((2, 12),))
+        assert ex._signed(heawood_sums, {3: 1}, {9: 2, 2: 12}) == ex.NonIntegral(((3, 1), (-3, 1)), 12)
+
+    def test_certificate_vs_rank_oracle(self, corpus, sp42):
         sp44 = galois.symplectic_complement(2, galois.fieldspec(2, 2))
         sp45 = galois.symplectic_complement(2, galois.fieldspec(5, 1))
-        graphs = corpus + random_graphs() + [sp44, sp45]
+        graphs = corpus + random_graphs() + [sp44, sp45, first_ddg(sp44), heawood()]
+        # the lexicographic product Sp(4,2)c[2 K1]: a DDG whose classes
+        # have identical neighbourhoods, so l1 = K
+        graphs.append(gc.composition(sp42, gc.edgeless(2)))
         graphs += [gc.complete(n) for n in range(1, 9)] + [gc.edgeless(n) for n in range(1, 9)]
         kinds = set()
         for g in graphs:
