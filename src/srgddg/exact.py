@@ -45,7 +45,20 @@ the characteristic polynomial modulo one word-size prime (O(n^3)
 word-size work by Hessenberg reduction), and each survivor's nullity is
 computed exactly by Bareiss elimination, the free points being sought
 again after each; the spectrum is integral exactly when some claim fits.
-Only this fallback builds the dense matrix.  :func:`char_poly`
+A bipartite graph, with sides X and Y (the smaller colour class of each
+component in X, so a = |X| <= n/2), has A = [[0, N], [N^T, 0]] and
+A^2 = N N^T (+) N^T N (Brouwer & Haemers, *Spectra of Graphs* (2012),
+1.3.6).  Its spectrum is symmetric, A being similar to -A by the
+diagonal matrix that is -1 on Y, so a proven mult(K) proves mult(-K).
+For u > 0, x -> (x, N^T x / u) maps the u^2-eigenspace of M = A^2[X, X]
+= N N^T onto the u-eigenspace of A, so mult(u) = mult(-u) = a -
+rank(M - u^2 I); and mult(0) = n - rank A = n - 2 rank N = n - 2 rank M,
+as rank N N^T = rank N over the rationals.  So the fallback screens and
+ranks the a x a matrix M, whose entries are the popcounts (A^2)_xy, at
+t = u^2 for u = 0 .. D; when 0 is not a root modulo the prime, det M is
+not 0, rank M = a and mult(0) = n - 2a with no rank.  Only this
+fallback builds a dense matrix, and only a graph that is not bipartite
+builds A itself.  :func:`char_poly`
 (Faddeev-LeVerrier, Theta(n^4) big-int work) is kept as an independent
 route to the same answer.  Operations refuse to run above the size cap
 ``SIZE_CAP`` instead of silently crawling.
@@ -434,7 +447,13 @@ def integral_spectrum(g: Graph) -> Spectrum | NonIntegral:
        Bareiss elimination, and the free points are sought again after
        each.  Candidates of multiplicity 0 drop out; if every candidate
        is proven and the multiplicities fall short of n, the spectrum
-       is not integral.
+       is not integral.  A bipartite graph (``Graph.bipartite_side``)
+       runs the same steps on M = A^2[X, X], X the smaller side, a = |X|:
+       its proven multiplicities are mirrored to -theta, the candidates
+       are the u in [0, D] with u^2 a root of M's characteristic
+       polynomial, and each gives mult(u) = mult(-u) = a - rank(M - u^2 I),
+       or for u = 0 mult(0) = n - 2 rank M; if 0 is not a candidate, M is
+       nonsingular and mult(0) = n - 2a.
     """
     n = g.order
     check_cap("integral_spectrum", n)
@@ -450,22 +469,44 @@ def integral_spectrum(g: Graph) -> Spectrum | NonIntegral:
         if spec is not None:
             return spec
     if free is None:
-        m = adjacency_matrix(g)
+        bound = max(row.bit_count() for row in g.rows)
+        side = g.bipartite_side()
+        if side is None:
+            m = adjacency_matrix(g)
+            shifts = {theta: theta for theta in range(bound, -bound - 1, -1)}
+        else:
+            # the spectrum is symmetric, so -K is proven with K; A^2[X, X]
+            # has eigenvalue u^2 for each pair +-u (X is not empty: an
+            # edgeless graph is settled by route 1)
+            proven.update({-t: k for t, k in proven.items()})
+            xs, rows = list(bits(side)), g.rows
+            m = [[(rows[x] & rows[y]).bit_count() for y in xs] for x in xs]
+            shifts = {u: u * u for u in range(bound + 1)}
         p = SCREEN_PRIME
         poly = char_poly_mod(m, p)
-        bound = max(row.bit_count() for row in g.rows)
         cands = []
-        for theta in range(bound, -bound - 1, -1):
+        for theta, t in shifts.items():
             acc = 0
             for c in reversed(poly):
-                acc = (acc * theta + c) % p
+                acc = (acc * t + c) % p
             if not acc and theta not in proven:
                 cands.append(theta)
-        for theta in sorted(cands, key=abs):
-            proven[theta] = n - rank(add_scaled_identity(m, -theta))
+        if side is not None:
+            if 0 not in cands:
+                # det M is not 0 modulo p, so M has full rank a
+                proven[0] = n - 2 * len(m)
             free = solve()
+        for theta in sorted(cands, key=abs):
             if free is not None:
                 break
+            null = len(m) - rank(add_scaled_identity(m, -shifts[theta]))
+            if side is None:
+                proven[theta] = null
+            elif theta:
+                proven[theta] = proven[-theta] = null
+            else:
+                proven[0] = n - 2 * (len(m) - null)
+            free = solve()
     found = tuple(sorted(((t, k) for t, k in proven.items() if k), reverse=True))
     if free is None:
         return NonIntegral(found, n - sum(proven.values()))

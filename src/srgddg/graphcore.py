@@ -159,23 +159,47 @@ class Graph:
         k = degs[0]
         return k if all(d == k for d in degs) else None
 
-    def components(self) -> int:
-        """The number of connected components, by breadth-first search
-        from the least vertex not reached yet."""
+    def _layer_parities(self) -> Iterator[tuple[VertexSet, VertexSet]]:
+        """For each connected component, by breadth-first search from the
+        least vertex not reached yet: the union of its even layers and
+        the union of its odd layers."""
         rows = self.rows
-        count = 0
         unseen = (1 << self.order) - 1
         while unseen:
             seen = frontier = unseen & -unseen
+            sides = [frontier, 0]
+            odd = 1
             while frontier:
                 reach = 0
                 for v in bits(frontier):
                     reach |= rows[v]
                 frontier = reach & ~seen
                 seen |= frontier
+                sides[odd] |= frontier
+                odd ^= 1
             unseen &= ~seen
-            count += 1
-        return count
+            yield sides[0], sides[1]
+
+    def components(self) -> int:
+        """The number of connected components."""
+        return sum(1 for _ in self._layer_parities())
+
+    def bipartite_side(self) -> VertexSet | None:
+        """A side X of a bipartition, the smaller colour class of each
+        component, or None if the graph has an odd cycle.
+
+        An edge of a breadth-first search joins two vertices of one layer
+        or of adjacent layers, so a component is bipartite exactly when
+        neither its even nor its odd layers hold an edge; its 2-colouring
+        is then unique up to swapping the two.  X holds no vertex of an
+        isolated component, and is empty only for an edgeless graph."""
+        rows = self.rows
+        side = 0
+        for even, odd in self._layer_parities():
+            if any(rows[v] & part for part in (even, odd) for v in bits(part)):
+                return None
+            side |= min(even, odd, key=int.bit_count)
+        return side
 
     def is_connected(self) -> bool:
         return self.components() == 1

@@ -148,7 +148,50 @@ def random_graphs():
         graphs.append(random_regular(n, d, rng))
     # two copies side by side: regular and disconnected, so mult(k) = 2
     for g in (gc.petersen(), *(random_regular(n, d, rng) for n, d in ((6, 2), (8, 3), (7, 4)))):
-        graphs.append(gc.Graph(2 * g.order, g.rows + tuple(r << g.order for r in g.rows)))
+        graphs.append(union(g, g))
+    return graphs
+
+
+def union(*graphs):
+    """Disjoint union, each graph's vertices numbered after the ones before."""
+    rows, order = [], 0
+    for g in graphs:
+        rows += [r << order for r in g.rows]
+        order += g.order
+    return gc.Graph(order, rows)
+
+
+def complete_bipartite(a, b):
+    return gc.from_edges(a + b, [(x, a + y) for x in range(a) for y in range(b)])
+
+
+def hypercube(d):
+    return gc.from_edges(1 << d, [(x, x | 1 << i) for x in range(1 << d) for i in range(d)
+                                  if not x >> i & 1])
+
+
+def benchmark_c60(seed):
+    """C60 with vertex x renamed perm[x], perm drawn as the spectrum
+    benchmark draws it for a seed."""
+    perm = list(range(60))
+    random.Random(f"{seed}:cycle60").shuffle(perm)
+    return gc.from_edges(60, [(perm[x], perm[(x + 1) % 60]) for x in range(60)])
+
+
+def bipartite_graphs():
+    """Bipartite graphs, regular and not, integral and not, connected and
+    with isolated vertices, among them K_{1,3} + K_{4,2}, whose smaller
+    sides are the even breadth-first layers of one component and the odd
+    layers of the other."""
+    rng = random.Random(1801)
+    tree = gc.from_edges(20, [(x, rng.randrange(x)) for x in range(1, 20)])
+    graphs = [gc.cycle(n) for n in range(4, 13, 2)] + [gc.path(n) for n in range(2, 10)]
+    graphs += [complete_bipartite(1, b) for b in range(1, 7)]
+    graphs += [complete_bipartite(3, 5), complete_bipartite(4, 4), hypercube(3), hypercube(4), tree]
+    graphs += [union(gc.cycle(8), gc.edgeless(3)), union(gc.edgeless(2), complete_bipartite(2, 3))]
+    graphs += [union(complete_bipartite(1, 3), complete_bipartite(4, 2))]
+    graphs += [benchmark_c60(seed) for seed in (3, 7, 11)]
+    assert all(g.bipartite_side() is not None for g in graphs)
     return graphs
 
 
@@ -284,7 +327,7 @@ class TestIntegralSpectrum:
 
     def test_agrees_with_char_poly_oracle(self, corpus):
         kinds = set()
-        for g in corpus:
+        for g in corpus + bipartite_graphs():
             assert g.order <= 63
             res = ex.integral_spectrum(g)
             found, residual = oracle_spectrum(gc.adjacency_matrix(g))
@@ -360,6 +403,32 @@ class TestIntegralSpectrum:
         assert ex.integral_spectrum(heawood()) == ex.NonIntegral(
             found=((3, 1), (-3, 1)), residual_degree=12)
 
+    def test_bipartite_fallback_runs_at_half_dimension(self, monkeypatch):
+        # a bipartite graph that is neither an SRG nor a DDG is screened
+        # and ranked on A^2 restricted to its smaller side, of dimension at
+        # most n/2; the dense A is never built.  K_{1,3} + K_{4,2} has
+        # sides of 3 and 7 vertices, and eigenvalues +-sqrt(3), +-sqrt(8)
+        dims = []
+
+        def recording(real):
+            def call(m, *args):
+                dims.append(len(m))
+                return real(m, *args)
+            return call
+
+        for name in ("char_poly_mod", "rank"):
+            monkeypatch.setattr(ex, name, recording(getattr(ex, name)))
+        monkeypatch.setattr(ex, "adjacency_matrix", refuse)
+        c60 = ex.NonIntegral(found=((2, 1), (1, 2), (0, 2), (-1, 2), (-2, 1)), residual_degree=52)
+        q6 = ((6, 1), (4, 6), (2, 15), (0, 20), (-2, 15), (-4, 6), (-6, 1))
+        unequal = ex.NonIntegral(found=((0, 6),), residual_degree=4)
+        for g, want in ((gc.cycle(60), c60), (benchmark_c60(3), c60), (hypercube(6), q6),
+                        (union(complete_bipartite(1, 3), complete_bipartite(4, 2)), unequal)):
+            dims.clear()
+            res = ex.integral_spectrum(g)
+            assert (res if not res else res.pairs) == want
+            assert dims and max(dims) <= g.order // 2, g
+
     def test_ddg_identity_vs_dense_oracle(self, corpus, sp42):
         # the row test in _moments against the identity checked on the
         # dense A^2; C60 and C9 have the right values and counts in every
@@ -422,7 +491,8 @@ class TestIntegralSpectrum:
     def test_certificate_vs_rank_oracle(self, corpus, sp42):
         sp44 = galois.symplectic_complement(2, galois.fieldspec(2, 2))
         sp45 = galois.symplectic_complement(2, galois.fieldspec(5, 1))
-        graphs = corpus + random_graphs() + [sp44, sp45, first_ddg(sp44), heawood()]
+        graphs = corpus + random_graphs() + bipartite_graphs()
+        graphs += [sp44, sp45, first_ddg(sp44), heawood()]
         # the lexicographic product Sp(4,2)c[2 K1]: a DDG whose classes
         # have identical neighbourhoods, so l1 = K
         graphs.append(gc.composition(sp42, gc.edgeless(2)))

@@ -136,6 +136,29 @@ class TestGraphInvariants:
             assert g.components() == count
             assert g.is_connected() == (count == 1)
 
+    def test_bipartite_side_against_brute_force(self):
+        # a proper 2-colouring exists exactly when the side is found, and
+        # the side is a least colour class over every proper 2-colouring
+        rng = random.Random(41)
+        graphs = [random_graph(rng.randint(1, 10), rng.choice([0.1, 0.2, 0.4]), rng)
+                  for _ in range(150)]
+        graphs += [gc.cycle(6), gc.cycle(7), gc.path(5), gc.edgeless(3), gc.grid(3, 4)]
+        kinds = set()
+        for g in graphs:
+            full = (1 << g.order) - 1
+            proper = [x for x in range(1 << g.order)
+                      if not any(x >> a & 1 == x >> b & 1 for a, b in g.edges())]
+            side = g.bipartite_side()
+            kinds.add(side is None)
+            if side is None:
+                assert not proper, g
+            else:
+                assert side in proper and side & ~full == 0, g
+                assert side.bit_count() == min(x.bit_count() for x in proper), g
+        assert kinds == {True, False}
+        assert gc.cycle(6).bipartite_side() == 0b10101
+        assert gc.edgeless(4).bipartite_side() == 0
+
 
 class TestGenerators:
     def test_petersen_shape(self):
