@@ -309,7 +309,10 @@ def _read_int_lists(path: str, key: str) -> tuple[list[list[int]], dict]:
     """The list of lists of vertex numbers under ``key`` in a JSON object
     file, and the object itself; ValueError names what is malformed."""
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except (RecursionError, ValueError) as exc:
+            raise ValueError(f"{path}: not readable as JSON: {exc}") from None
     lists = data.get(key) if isinstance(data, dict) else None
     if not isinstance(lists, list) or not all(
         isinstance(x, list) and all(type(i) is int and i >= 0 for i in x) for x in lists
@@ -321,17 +324,27 @@ def _read_int_lists(path: str, key: str) -> tuple[list[list[int]], dict]:
     return lists, data
 
 
+def _check_below(path: str, lists: list[list[int]], bound: int, what: str) -> None:
+    """Refuse a number >= bound before any bitset is built from it."""
+    big = max((i for x in lists for i in x), default=-1)
+    if big >= bound:
+        raise ValueError(f"{path}: {what} {big} is outside 0..{bound - 1}")
+
+
 def _cmd_construct(args, t0):
     graphs, _, _ = read_graph_file(args.ddg)
     if len(graphs) != 1:
         raise _Usage("construct needs exactly one graph in --ddg")
     ddg = graphs[0]
     classes, _ = _read_int_lists(args.partition, "classes")
+    _check_below(args.partition, classes, ddg.order, "vertex")
     part = recognize.CanonicalPartition(tuple(graphcore.mask_of(cl) for cl in classes))
     blocks, ddata = _read_int_lists(args.design, "blocks")
     v = ddata.get("v")
     if v is not None and (type(v) is not int or v < 1):
         raise ValueError(f"{args.design}: \"v\" must be a positive integer")
+    # a symmetric design has as many points as blocks
+    _check_below(args.design, blocks, len(blocks) if v is None else v, "point")
     from .designs import design_from_blocks
 
     design = design_from_blocks(blocks, v)

@@ -69,6 +69,8 @@ def design_from_blocks(blocks: list[list[int]], v_pts: int | None = None) -> Sym
         raise ValueError("no blocks given")
     if v_pts is None:
         v_pts = max(max(b) for b in blocks if b) + 1
+    if len(blocks) != v_pts:  # before any mask as wide as v_pts is built
+        raise ValueError(f"symmetric design needs {v_pts} blocks, got {len(blocks)}")
     masks = tuple(mask_of(b) for b in blocks)
     k_blk = masks[0].bit_count()
     if len(masks) > 1:

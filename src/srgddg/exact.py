@@ -23,12 +23,13 @@ to the Theory of Graph Spectra* (2010), ch. 1 and 3.
 A divisible design graph (DDG) has four eigenvalues, too many for the
 free points, but its identity A^2 = (K - l1) I + (l1 - l2) B + l2 J (B
 the 0/1 matrix of a partition into m classes of one size, J all ones)
-is read off the same rows of A^2 that give s_3 and s_4.  On the
-orthogonal spaces spanned by the all-ones vector, by the class-constant
-vectors orthogonal to it and by the vectors summing to 0 on each class,
-of dimensions 1, m - 1 and n - m, A^2 acts as the scalars K^2,
-K^2 - l2 n and K - l1.  A is symmetric and commutes with A^2, so the
-squares of its eigenvalues are exactly these, with these
+is tested on the same rows of A^2 that give s_3 and s_4, by the one DDG
+recognizer, ``recognize._DdgRows``.  On the orthogonal spaces spanned
+by the all-ones vector, by the class-constant vectors orthogonal to it
+and by the vectors summing to 0 on each class, of dimensions 1, m - 1
+and n - m, A^2 acts as the scalars K^2, K^2 - l2 n and K - l1, which
+``theory.ddg_spectrum`` gives.  A is symmetric and commutes with A^2,
+so the squares of its eigenvalues are exactly these, with these
 multiplicities.  mult(K) is proven, so mult(-K) is the rest of K^2; a
 square t that is not a perfect square gives +-sqrt(t) equal
 multiplicities, as both are roots of one factor x^2 - t of the integer
@@ -68,12 +69,15 @@ Matrices are plain nested lists of ints (``IntMatrix`` is an alias).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from math import isqrt
 from operator import mul
 
 from .errors import SizeCapExceeded
 from .graphcore import Graph, adjacency_matrix, bits
+from .recognize import _DdgRows
+from .theory import ddg_spectrum
 
 IntMatrix = list  # n x n nested lists of ints
 
@@ -231,76 +235,6 @@ def char_poly_mod(m: IntMatrix, p: int) -> list[int]:
     return polys[n]
 
 
-class _DdgRows:
-    """The divisible design graph identity, tested one row of A^2 at a
-    time: A^2 = (K - l1) I + (l1 - l2) B + l2 J for some l1 != l2, where
-    B is the 0/1 matrix of a partition of the vertices into classes of
-    one size c > 1.  So every row has diagonal K, and a vertex x shares
-    l1 neighbours with the c - 1 other vertices of its class R(x) and l2
-    with the rest.
-
-    Row 0 fixes K, l1, l2 and c.  Its off-diagonal entries take exactly
-    two values; the value taken as l1 has c - 1 places, the other
-    order - c, and the class size c divides the order.  Two divisors of
-    the order that are both at least 2 sum to at most the order, not
-    order + 1, so at most one of the two values can be l1; if neither
-    gives a divisor, a later row fails.
-
-    R(x), x with the places of l1 in row x, is symmetric in x and y and
-    has c members.  It is a partition once R(x) = R(min R(x)) for every
-    x.  Take y in R(x) and l = min R(x), l' = min R(y).  l is in R(y),
-    so l' <= l; l is in R(y) = R(l'), so l' is in R(l) = R(x) and
-    l' >= l.  Hence R(y) = R(l) = R(x).  A row whose least member is
-    itself stores its class, and any other row must match the class
-    stored for its least member.  ``fits`` checks one row and is called
-    until a row fails.
-    """
-
-    def __init__(self, order: int):
-        self.order = order
-        self.classes: dict[int, list[int]] = {}  # least member -> class
-
-    def _off_count(self, common: list[int], value: int) -> int:
-        # places of value off the diagonal, whose entry is K
-        return common.count(value) - (value == self.k)
-
-    def fits(self, x: int, common: list[int]) -> bool:
-        if x == 0:
-            self.k = common[0]
-            values = set(common[1:])
-            if len(values) != 2:
-                return False
-            l1, l2 = values
-            if self.order % (self._off_count(common, l1) + 1):
-                l1, l2 = l2, l1
-            self.l1, self.l2 = l1, l2
-            self.size = self._off_count(common, l1) + 1
-        k, l1, size = self.k, self.l1, self.size
-        if (common[x] != k or self._off_count(common, l1) != size - 1
-                or self._off_count(common, self.l2) != self.order - size):
-            return False
-        least = min(common.index(l1), x)
-        if least == x:
-            self.classes[x] = [y for y, v in enumerate(common) if v == l1 or y == x]
-            return True
-        members = self.classes.get(least)
-        # x's c - 1 places of l1 are the c members other than x exactly
-        # when x is a member
-        return members is not None and all(common[y] == l1 for y in members if y != x)
-
-    def squares(self) -> dict[int, int]:
-        """Eigenvalues of A^2 with their multiplicities: K^2 on the all-ones
-        vector, K^2 - l2 v on the m - 1 dimensions of class-constant
-        vectors orthogonal to it, and K - l1 on the v - m dimensions of
-        vectors that sum to 0 on each class (v the order, m classes)."""
-        v, k = self.order, self.k
-        m = v // self.size
-        out: dict[int, int] = {}
-        for t, dim in ((k * k, 1), (k * k - self.l2 * v, m - 1), (k - self.l1, v - m)):
-            out[t] = out.get(t, 0) + dim
-        return out
-
-
 def _moments(g: Graph) -> tuple[list[int], dict[int, int], dict[int, int] | None]:
     """Power sums tr A^0 .. tr A^4 of g's adjacency matrix A, with, for a
     regular graph, one proven multiplicity, and for a divisible design
@@ -310,8 +244,9 @@ def _moments(g: Graph) -> tuple[list[int], dict[int, int], dict[int, int] | None
     of row x AND row y, so tr A^3 sums it over the neighbours y of each
     x and tr A^4 = sum((A^2)_xy^2), streamed one row of A^2 at a time.
     The same rows are tested against the divisible design graph identity
-    (``_DdgRows``) until one fails; a graph that passes gets A^2's
-    eigenvalues with their multiplicities, any other None.
+    (``recognize._DdgRows``) until one fails; a graph that passes gets
+    A^2's eigenvalues with their multiplicities, the squares of the
+    eigenvalues of ``theory.ddg_spectrum``, any other None.
     If g is k-regular, k is the largest eigenvalue of each connected
     component (Perron-Frobenius) and simple there, so its multiplicity
     is the number of components.
@@ -329,7 +264,11 @@ def _moments(g: Graph) -> tuple[list[int], dict[int, int], dict[int, int] | None
     degrees = {r.bit_count() for r in rows}
     if len(degrees) != 1:
         return sums, {}, None
-    return sums, {degrees.pop(): g.components()}, ddg and ddg.squares()
+    # the eigenvalues of A^2, equal ones adding their dimensions; A^2 is
+    # positive semidefinite, so ddg_spectrum finds none negative
+    sp = ddg and ddg_spectrum(ddg.params())
+    squares = sp and Counter({sp.K**2: 1}) + Counter({sp.beta2: sp.g_sum}) + Counter({sp.alpha2: sp.f_sum})
+    return sums, {degrees.pop(): g.components()}, squares
 
 
 def _free_points(resid: list[int], proven: dict[int, int]) -> dict[int, int] | None:
@@ -435,10 +374,8 @@ def integral_spectrum(g: Graph) -> Spectrum | NonIntegral:
     1. at most two integer eigenvalues outside the proven ones carry
        them all (``_free_points``);
     2. g is a divisible design graph: its identity gives the squares of
-       its eigenvalues with their multiplicities, K^2 on the all-ones
-       vector, K^2 - l2 n on the class-constant vectors orthogonal to it
-       and K - l1 on the vectors summing to 0 on each class, and
-       ``_signed`` splits each square between +-sqrt, an irrational
+       its eigenvalues with their multiplicities (``theory.ddg_spectrum``),
+       and ``_signed`` splits each square between +-sqrt, an irrational
        pair evenly (the two are Galois conjugates);
     3. the candidates theta in [-D, D] (D the largest degree) that are
        roots of the characteristic polynomial modulo SCREEN_PRIME, a set

@@ -1,14 +1,14 @@
 """Graph classification: regular / strongly regular / Deza / divisible
 design, plus canonical-partition recovery and equitable quotient matrices.
 
-All common-neighbour counting is one primitive, :func:`_pair_counts`
-(row AND + popcount on bitset rows), keyed by a relation the caller
-passes: adjacency in :func:`srg_params` (lambda, mu), none in
-:func:`deza_params`, the class mask in :func:`_check_ddg_partition`
-(lambda1, lambda2).  Recognition functions return falsy result objects
-(NotSrg, NotDeza, NotDdg, ...) carrying a reason and a witness instead
-of raising, so callers can classify arbitrary graphs without exception
-plumbing.
+All common-neighbour counts are popcounts of row ANDs on bitset rows.
+:func:`_pair_counts` keys them by a relation the caller passes:
+adjacency in :func:`srg_params` (lambda, mu), none in :func:`deza_params`,
+the class mask in :func:`_check_ddg_partition` (lambda1, lambda2).
+:class:`_DdgRows`, the one DDG recognizer, tests rows of A^2 instead.
+Recognition functions return falsy result objects (NotSrg, NotDeza,
+NotDdg, ...) carrying a reason and a witness instead of raising, so
+callers can classify arbitrary graphs without exception plumbing.
 """
 
 from __future__ import annotations
@@ -301,15 +301,77 @@ def _check_ddg_partition(g: Graph, partition: CanonicalPartition) -> DdgParams |
     return DdgParams(g.order, K, lam1.pop(), lam2.pop(), partition.m, partition.n)
 
 
-def ddg_recognize(g: Graph) -> list[tuple[DdgParams, CanonicalPartition]] | NotDdg:
-    """Recover every proper divisible-design structure of a graph.
+class _DdgRows:
+    """The divisible design graph identity, tested one row of A^2 at a
+    time: A^2 = (K - l1) I + (l1 - l2) B + l2 J for some l1 != l2, where
+    B is the 0/1 matrix of a partition of the vertices into classes of
+    one size c > 1.  So every row has diagonal K, and a vertex x shares
+    l1 neighbours with the c - 1 other vertices of its class R(x) and l2
+    with the rest.
 
-    Needs the graph to be Deza with counts {b, a}.  For each choice of
-    lambda1, a candidate class is the least uncovered vertex x with every
-    y sharing lambda1 neighbours with x; all have one size, as the counts
-    at any x sum to k(k - 1).  The candidates must be disjoint and pass
-    :func:`_check_ddg_partition`: exactly when count == lambda1 is an
-    equivalence.  Both choices can succeed, so all witnesses are returned.
+    Row 0 fixes K, l1, l2 and c: of its two off-diagonal values, l1 is
+    the one whose c - 1 places give a c that divides the order.  At most
+    one does (:func:`ddg_recognize`); if neither does, a later row fails.
+
+    R(x), x with the places of l1 in row x, is symmetric in x and y and
+    has c members.  It is a partition once R(x) = R(min R(x)) for every
+    x.  Take y in R(x) and l = min R(x), l' = min R(y).  l is in R(y),
+    so l' <= l; l is in R(y) = R(l'), so l' is in R(l) = R(x) and
+    l' >= l.  Hence R(y) = R(l) = R(x).  A row whose least member is
+    itself stores its class, and any other row must match the class
+    stored for its least member.  ``fits`` checks one row and is called
+    until a row fails; if none does, ``params`` and ``partition`` hold.
+    """
+
+    def __init__(self, order: int):
+        self.order = order
+        self.classes: dict[int, list[int]] = {}  # least member -> class
+
+    def _off_count(self, common: list[int], value: int) -> int:
+        # places of value off the diagonal, whose entry is K
+        return common.count(value) - (value == self.k)
+
+    def fits(self, x: int, common: list[int]) -> bool:
+        if x == 0:
+            self.k = common[0]
+            values = set(common[1:])
+            if len(values) != 2:
+                return False
+            l1, l2 = values
+            if self.order % (self._off_count(common, l1) + 1):
+                l1, l2 = l2, l1
+            self.l1, self.l2 = l1, l2
+            self.size = self._off_count(common, l1) + 1
+        k, l1, size = self.k, self.l1, self.size
+        if (common[x] != k or self._off_count(common, l1) != size - 1
+                or self._off_count(common, self.l2) != self.order - size):
+            return False
+        least = min(common.index(l1), x)
+        if least == x:
+            self.classes[x] = [y for y, v in enumerate(common) if v == l1 or y == x]
+            return True
+        members = self.classes.get(least)
+        # x's c - 1 places of l1 are the c members other than x exactly
+        # when x is a member
+        return members is not None and all(common[y] == l1 for y in members if y != x)
+
+    def params(self) -> DdgParams:
+        return DdgParams(self.order, self.k, self.l1, self.l2, self.order // self.size, self.size)
+
+    def partition(self) -> CanonicalPartition:
+        return CanonicalPartition(tuple(map(mask_of, self.classes.values())))
+
+
+def ddg_recognize(g: Graph) -> list[tuple[DdgParams, CanonicalPartition]] | NotDdg:
+    """Recover the proper divisible-design structure of a graph.
+
+    Needs the graph to be Deza with counts b > a; then one pass of
+    :class:`_DdgRows` over the rows of A^2 finds and proves the classes.
+    A success is a list of exactly one witness: the same-class count l1
+    is b or a, and at each vertex x the c_b - 1 vertices sharing b
+    neighbours with x and the c_a - 1 sharing a are the other v - 1, so
+    c_b + c_a = v + 1.  A proper class size divides v and lies in 2..v/2
+    (m > 1 and n > 1), so two of them sum to at most v.
     """
     return _ddg_from_deza(g, deza_params(g))
 
@@ -326,26 +388,11 @@ def _ddg_from_deza(
             "with lambda = mu, an improper divisible design",
             srg_note=True,
         )
-    witnesses: list[tuple[DdgParams, CanonicalPartition]] = []
-    for lam1 in (dz.b, dz.a):
-        classes: list[int] = []
-        free = (1 << g.order) - 1
-        while free:
-            x = (free & -free).bit_length() - 1
-            rx = g.rows[x]
-            cl = 1 << x | mask_of(y for y, ry in enumerate(g.rows) if (rx & ry).bit_count() == lam1)
-            if cl & ~free:
-                break
-            classes.append(cl)
-            free ^= cl
-        else:
-            part = CanonicalPartition(tuple(classes))
-            dp = _check_ddg_partition(g, part)
-            if dp:
-                witnesses.append((dp, part))
-    if not witnesses:
-        return NotDdg("same-count relation is not an equivalence with equal classes")
-    return witnesses
+    rows, test = g.rows, _DdgRows(g.order)
+    for x, rx in enumerate(rows):
+        if not test.fits(x, [(rx & ry).bit_count() for ry in rows]):
+            return NotDdg("same-count relation is not an equivalence with equal classes")
+    return [(test.params(), test.partition())]
 
 
 # -- equitable quotient --------------------------------------------------

@@ -323,6 +323,10 @@ class TestOutsideTheFamily:
         assert rep["results"]["graphs"] == [{"count": 0, "decompositions": []}]
 
 
+HUGE_VERTEX = {"classes": [[0, 1, 2, 3], [4, 5, 8, 9], [6, 7, 10, 10**35]]}
+DEEP_CLASSES = '{"classes": ' + "[" * 100_000 + "]" * 100_000 + "}"
+
+
 class TestConstructJson:
     @pytest.fixture
     def files(self, tmp_path, sp42):
@@ -332,9 +336,10 @@ class TestConstructJson:
         return tmp_path, str(ddg)
 
     def run_construct(self, capsys, files, partition, design):
+        # a str is written as it is, for JSON that json.dumps cannot make
         tmp_path, ddg = files
-        (tmp_path / "part.json").write_text(json.dumps(partition))
-        (tmp_path / "design.json").write_text(json.dumps(design))
+        for name, obj in (("part.json", partition), ("design.json", design)):
+            (tmp_path / name).write_text(obj if isinstance(obj, str) else json.dumps(obj))
         return run_json(capsys, [
             "construct", "--ddg", ddg, "--phi", "0,1,2",
             "--partition", str(tmp_path / "part.json"),
@@ -349,6 +354,14 @@ class TestConstructJson:
         ({"classes": [[0, 1]]}, {"v": 3}, "design.json"),
         ({"classes": [[0, 1]]}, {"blocks": "012"}, "design.json"),
         ({"classes": [[0, 1]]}, {"blocks": [[0, 1]], "v": "3"}, "design.json"),
+        # numbers out of range would build huge bitsets; deep nesting
+        # overflows the JSON parser's recursion
+        (HUGE_VERTEX, {"blocks": [[0, 1]]}, "part.json"),
+        pytest.param(DEEP_CLASSES, {"blocks": [[0, 1]]}, "part.json", id="deep-classes"),
+        pytest.param('{"classes": [[0, 1]', {"blocks": [[0, 1]]}, "part.json", id="truncated"),
+        ({"classes": [[0, 1]]}, {"blocks": [[0, 10**35]]}, "design.json"),
+        ({"classes": [[0, 1]]}, {"blocks": [[0, 1], [1, 2]]}, "design.json"),
+        ({"classes": [[0, 1]]}, {"blocks": [[0, 3]], "v": 3}, "design.json"),
     ])
     def test_malformed_gives_error_report(self, capsys, files, partition, design, bad):
         code, rep = self.run_construct(capsys, files, partition, design)
@@ -371,6 +384,20 @@ class TestConstructJson:
         assert proc.returncode == 1 and b"Traceback" not in proc.stderr
         rep = json.loads(proc.stdout)
         assert rep["results"] == {"error": "classes do not partition the vertex set"}
+
+    @pytest.mark.parametrize("partition", [HUGE_VERTEX, DEEP_CLASSES], ids=["huge-vertex", "deep"])
+    def test_out_of_range_or_deep_partition_gives_error_report(self, files, partition):
+        tmp_path, ddg = files
+        text = partition if isinstance(partition, str) else json.dumps(partition)
+        (tmp_path / "part.json").write_text(text)
+        (tmp_path / "design.json").write_text(json.dumps({"blocks": [[0, 1]]}))
+        proc = subprocess.run([
+            sys.executable, "-m", "srgddg.cli", "construct", "--ddg", ddg, "--phi", "0,1,2",
+            "--partition", str(tmp_path / "part.json"),
+            "--design", str(tmp_path / "design.json"),
+        ], capture_output=True)
+        assert proc.returncode == 1 and b"Traceback" not in proc.stderr
+        assert "part.json" in json.loads(proc.stdout)["results"]["error"]
 
 
 class TestFeasible:

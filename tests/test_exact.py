@@ -443,31 +443,6 @@ class TestIntegralSpectrum:
             assert ex._moments(g)[2] == want, g
         assert kinds == {True: 9, False: 83}
 
-    def test_ddg_rows_stop_at_the_first_row_off_the_identity(self):
-        # rows of M = (K - l1) I + (l1 - l2) B + l2 J, classes {x : x % 3 = r}
-        # of size 4, then M with symmetric pairs of entries changed: a third
-        # value, a diagonal entry, an l1 or l2 too many, or one l1 moved out
-        # of vertex 4's class, which keeps every count.  The row test must
-        # stop at the first row that differs
-        n, k, l1, l2 = 12, 5, 2, 1
-
-        def first_failure(m):
-            rows = ex._DdgRows(n)
-            return next((x for x in range(n) if not rows.fits(x, m[x])), None), rows
-
-        ideal = [[k if x == y else l1 if x % 3 == y % 3 else l2 for y in range(n)] for x in range(n)]
-        stop, rows = first_failure(ideal)
-        assert stop is None and rows.squares() == {25: 1, 13: 2, 3: 9}
-        changes = [
-            [(5, 9, 4)], [(7, 7, k + 1)], [(4, 6, l1)], [(4, 7, l2)], [(0, 4, 9)],
-            [(4, 6, l1), (4, 7, l2)],
-        ]
-        for change in changes:
-            m = [list(row) for row in ideal]
-            for x, y, value in change:
-                m[x][y] = m[y][x] = value
-            assert first_failure(m)[0] == change[0][0], change
-
     def test_signed_checks_its_claim(self):
         # the split is accepted only with multiplicities >= 0, each
         # irrational pair even and s_0 .. s_4 reproduced

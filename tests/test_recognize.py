@@ -176,8 +176,8 @@ class TestDdgRecognize:
         assert (30, 16, 16, 8, 15, 2) in tuples
 
     def test_witness_observed_unique(self, t6, grid66):
-        # recovery from the bare graph has never produced two witnesses
-        # on the corpus; recorded as an observation, not asserted theory
+        # at most one witness: the two class sizes at a vertex sum to
+        # v + 1 (ddg_recognize's docstring)
         corpus = [
             gc.composition(t6, gc.edgeless(2)),
             gc.induced_subgraph(t6, (1 << 15) - 1 ^ t6_coclique_mask()),
@@ -188,6 +188,32 @@ class TestDdgRecognize:
             wits = rec.ddg_recognize(g)
             if wits:
                 assert len(wits) == 1
+
+    def test_ddg_rows_stop_at_the_first_row_off_the_identity(self):
+        # rows of M = (K - l1) I + (l1 - l2) B + l2 J, classes {x : x % 3 = r}
+        # of size 4, then M with symmetric pairs of entries changed: a third
+        # value, a diagonal entry, an l1 or l2 too many, or one l1 moved out
+        # of vertex 4's class, which keeps every count.  The row test must
+        # stop at the first row that differs
+        n, k, l1, l2 = 12, 5, 2, 1
+
+        def first_failure(m):
+            rows = rec._DdgRows(n)
+            return next((x for x in range(n) if not rows.fits(x, m[x])), None), rows
+
+        ideal = [[k if x == y else l1 if x % 3 == y % 3 else l2 for y in range(n)] for x in range(n)]
+        stop, rows = first_failure(ideal)
+        assert stop is None and rows.params() == rec.DdgParams(12, 5, 2, 1, 3, 4)
+        assert rows.partition() == rec.CanonicalPartition(tuple(gc.mask_of(range(r, n, 3)) for r in range(3)))
+        changes = [
+            [(5, 9, 4)], [(7, 7, k + 1)], [(4, 6, l1)], [(4, 7, l2)], [(0, 4, 9)],
+            [(4, 6, l1), (4, 7, l2)],
+        ]
+        for change in changes:
+            m = [list(row) for row in ideal]
+            for x, y, value in change:
+                m[x][y] = m[y][x] = value
+            assert first_failure(m)[0] == change[0][0], change
 
     def test_quotient_succeeds_on_every_recognized_ddg(self, t6):
         # the canonical partition of a divisible design graph is equitable
@@ -399,7 +425,10 @@ def loop_pair_counts(rows, related, limit):
 def assert_recognition_matches_loops(g):
     assert rec.srg_params(g) == loop_srg_params(g)
     assert rec.deza_params(g) == loop_deza_params(g)
-    assert rec.ddg_recognize(g) == loop_ddg_recognize(g)
+    wits = rec.ddg_recognize(g)
+    assert wits == loop_ddg_recognize(g)
+    # the loop tries both choices of lambda1; at most one succeeds
+    assert not wits or len(wits) == 1
 
 
 def assert_partition_check_matches_loop(g, part):
