@@ -7,24 +7,35 @@ lexicographically smallest monic irreducible of degree e (equivalently,
 smallest under this integer encoding), so vertex numberings derived from
 field arithmetic are reproducible across runs and platforms.
 
+Both builders are one routine, ``_hyperplanes(forms, pts, f)``: for each
+form c, the bitset of the points x with c . x = 0.  It first files the
+points by coordinate, ``cells[j][a]`` holding those whose coordinate j
+is a; a pass over the coordinates of c then keeps, for each field value
+t, the points whose partial sum c_0 x_0 + ... + c_j x_j is t.  Each point
+lies in exactly one of those sets after every step, so the set for t = 0
+after the last coordinate is exactly the hyperplane: no search and no
+sampling, and q^2 bitset ANDs per coordinate instead of one field sum
+per point.
+
 Convention note: ``symplectic_complement`` builds the graph whose
 adjacency is NON-vanishing of the standard alternating form
 B(x, y) = sum_i (x_{2i} y_{2i+1} - x_{2i+1} y_{2i}).  Conventions for
 "the symplectic graph" differ across the literature; everything in this
 package uses the B != 0 graph directly rather than building B = 0 and
-complementing.
+complementing.  B(x, y) = (Jx) . y with Jx = (-x_1, x_0, -x_3, x_2, ...),
+so the row of x is the complement of the hyperplane of the form Jx.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 
 from .designs import SymmetricDesign, _factor
 from .errors import SizeCapExceeded
-from .graphcore import Graph
+from .graphcore import GRAPH_SIZE_CAP, Graph, check_order
 
 FIELD_SIZE_CAP = 1 << 16
-GRAPH_SIZE_CAP = 5000
 
 
 def _poly_of(n: int, p: int) -> list[int]:
@@ -35,22 +46,24 @@ def _poly_of(n: int, p: int) -> list[int]:
     return out
 
 
+def _monic(low: int, p: int, deg: int) -> list[int]:
+    """The monic polynomial of degree deg whose lower coefficients are
+    the base-p digits of low < p^deg."""
+    return (_poly_of(low, p) + [0] * deg)[:deg] + [1]
+
+
 def _poly_mod(num: list[int], den: list[int], p: int) -> list[int]:
+    """num mod the monic den over GF(p), with no trailing zeros."""
     num = num[:]
     dd = len(den) - 1
-    inv_lead = pow(den[-1], p - 2, p)
-    while len(num) - 1 >= dd and any(num):
+    while True:
         while num and num[-1] == 0:
             num.pop()
-        if len(num) - 1 < dd:
-            break
-        shift = len(num) - 1 - dd
-        factor = num[-1] * inv_lead % p
+        if len(num) <= dd:
+            return num
+        shift, factor = len(num) - 1 - dd, num[-1]
         for i, c in enumerate(den):
             num[shift + i] = (num[shift + i] - factor * c) % p
-        while num and num[-1] == 0:
-            num.pop()
-    return num
 
 
 def _poly_mul(a: list[int], b: list[int], p: int) -> list[int]:
@@ -65,13 +78,8 @@ def _poly_mul(a: list[int], b: list[int], p: int) -> list[int]:
 def _irreducible(candidate: list[int], p: int) -> bool:
     # trial division by every monic of degree 1..deg/2
     deg = len(candidate) - 1
-    for d in range(1, deg // 2 + 1):
-        for low in range(p**d):
-            div = _poly_of(low, p) + [0] * (d - len(_poly_of(low, p)))
-            div = div[:d] + [1]
-            if not _poly_mod(candidate, div, p):
-                return False
-    return True
+    return all(_poly_mod(candidate, _monic(low, p, d), p)
+               for d in range(1, deg // 2 + 1) for low in range(p**d))
 
 
 @dataclass(frozen=True)
@@ -116,9 +124,6 @@ class FieldSpec:
             mult *= p
         return out
 
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
-
     def mul(self, a: int, b: int) -> int:
         if self.e == 1:
             return a * b % self.p
@@ -141,10 +146,7 @@ def _mul_poly_direct(a: int, b: int, p: int, modulus: tuple[int, ...]) -> int:
     pa = _poly_of(a, p)
     pb = _poly_of(b, p)
     prod = _poly_mod(_poly_mul(pa, pb, p), list(modulus), p)
-    out = 0
-    for c in reversed(prod):
-        out = out * p + c
-    return out
+    return sum(c * p**i for i, c in enumerate(prod))
 
 
 def fieldspec(p: int, e: int = 1) -> FieldSpec:
@@ -161,32 +163,17 @@ def fieldspec(p: int, e: int = 1) -> FieldSpec:
     q = p**e
     if e == 1:
         return FieldSpec(p, 1, (0, 1))
-    modulus = None
-    for low in range(q):
-        cand = _poly_of(low, p)
-        cand += [0] * (e - len(cand))
-        cand = cand[:e] + [1]
-        if _irreducible(cand, p):
-            modulus = tuple(cand)
-            break
-    assert modulus is not None, "an irreducible of every degree exists"
-    # discrete-log tables over a multiplicative generator
+    monics = (_monic(low, p, e) for low in range(q))
+    modulus = tuple(next(m for m in monics if _irreducible(m, p)))
+    # discrete-log tables over the least multiplicative generator
     for gen in range(2, q):
-        seen = [False] * q
-        x = 1
-        order = 0
-        while not seen[x]:
-            seen[x] = True
-            x = _mul_poly_direct(x, gen, p, modulus)
-            order += 1
-        if order == q - 1:
-            exp = [0] * (q - 1)
+        exp = [1]
+        while (x := _mul_poly_direct(exp[-1], gen, p, modulus)) != 1:
+            exp.append(x)
+        if len(exp) == q - 1:
             log = [0] * q
-            x = 1
-            for i in range(q - 1):
-                exp[i] = x
+            for i, x in enumerate(exp):
                 log[x] = i
-                x = _mul_poly_direct(x, gen, p, modulus)
             return FieldSpec(p, e, modulus, tuple(exp), tuple(log))
     raise AssertionError("no multiplicative generator found")
 
@@ -205,55 +192,60 @@ def field_by_order(q: int) -> FieldSpec:
 def projective_points(dim: int, f: FieldSpec) -> list[tuple[int, ...]]:
     """Points of PG(dim-1, q): vectors of length dim normalized so the
     first nonzero coordinate is 1, in lexicographic order."""
-    q = f.q
-    pts = []
-    for code in range(1, q**dim):
-        vec = []
-        rest = code
-        for i in range(dim - 1, -1, -1):  # most-significant digit first
-            digit, rest = divmod(rest, q**i)
-            vec.append(digit)
-        first = next(c for c in vec if c)
-        if first == 1:
-            pts.append(tuple(vec))
-    return pts
+    return [x for x in product(range(f.q), repeat=dim) if next(filter(None, x), 0) == 1]
 
 
-def symplectic_form(x: tuple[int, ...], y: tuple[int, ...], f: FieldSpec) -> int:
-    """Standard alternating form on hyperbolic pairs (0,1), (2,3), ..."""
-    acc = 0
-    for i in range(0, len(x), 2):
-        term = f.sub(f.mul(x[i], y[i + 1]), f.mul(x[i + 1], y[i]))
-        acc = f.add(acc, term)
-    return acc
+def _hyperplanes(forms, pts, f: FieldSpec) -> list[int]:
+    """For each form c of ``forms``, the bitset of the indices i with
+    c . pts[i] = 0 over f; see the module docstring."""
+    els = range(f.q)
+    add = [[f.add(t, b) for b in els] for t in els]
+    mul = [[f.mul(c, a) for a in els] for c in els]
+    cells = [[0] * f.q for _ in pts[0]]
+    for i, x in enumerate(pts):
+        for cell, a in zip(cells, x):
+            cell[a] |= 1 << i
+    full = (1 << len(pts)) - 1
+    out = []
+    for form in forms:
+        sums = [full] + [0] * (f.q - 1)  # points by partial sum
+        for c, cell in zip(form, cells):
+            if c:
+                step = [0] * f.q
+                for t, part in enumerate(sums):
+                    if part:
+                        for a, at_a in enumerate(cell):
+                            step[add[t][mul[c][a]]] |= part & at_a
+                sums = step
+        out.append(sums[0])
+    return out
 
 
 def symplectic_complement(d: int, f: FieldSpec) -> Graph:
     """Graph on the points of PG(2d-1, q), adjacent iff B(x, y) != 0.
 
     Scaling a point multiplies B by a nonzero constant, so adjacency is
-    well defined on projective points.
+    well defined on projective points, and Jx needs no normalizing.
     """
     if d < 2:
         raise ValueError("symplectic_complement needs d >= 2")
     q = f.q
+    bits = GRAPH_SIZE_CAP.bit_length()
+    if d > bits:  # v > 2^(2d-1): over the cap, and q^(2d) is not built
+        raise SizeCapExceeded(f"graph on over 2^{2 * bits + 1} vertices exceeds cap {GRAPH_SIZE_CAP}")
     v = (q ** (2 * d) - 1) // (q - 1)
-    if v > GRAPH_SIZE_CAP:
-        raise SizeCapExceeded(f"graph on {v} vertices exceeds cap {GRAPH_SIZE_CAP}")
+    check_order(v)
     pts = projective_points(2 * d, f)
     assert len(pts) == v
-    rows = [0] * v
-    for i in range(v):
-        for j in range(i + 1, v):
-            if symplectic_form(pts[i], pts[j], f) != 0:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-    return Graph(v, rows, f"Sp({2*d},{q}) complement")
+    forms = [tuple(c for i in range(0, 2 * d, 2) for c in (f.neg(x[i + 1]), x[i])) for x in pts]
+    full = (1 << v) - 1
+    return Graph(v, [full ^ h for h in _hyperplanes(forms, pts, f)], f"Sp({2*d},{q}) complement")
 
 
 def pg_hyperplane_design(d: int, f: FieldSpec) -> SymmetricDesign:
     """Points and hyperplanes of PG(d-1, q), the classical symmetric
-    2-((q^d-1)/(q-1), (q^(d-1)-1)/(q-1), (q^(d-2)-1)/(q-1)) design."""
+    2-((q^d-1)/(q-1), (q^(d-1)-1)/(q-1), (q^(d-2)-1)/(q-1)) design.
+    Duals are normalized as points are, so the points are the forms."""
     if d < 3:
         raise ValueError("pg_hyperplane_design needs d >= 3 (lambda >= 1)")
     q = f.q
@@ -261,17 +253,6 @@ def pg_hyperplane_design(d: int, f: FieldSpec) -> SymmetricDesign:
     if v > GRAPH_SIZE_CAP:
         raise SizeCapExceeded(f"design on {v} points exceeds cap {GRAPH_SIZE_CAP}")
     pts = projective_points(d, f)
-    forms = pts  # duals are normalized the same way
-    blocks = []
-    for form in forms:
-        blk = 0
-        for i, x in enumerate(pts):
-            acc = 0
-            for a, b in zip(form, x):
-                acc = f.add(acc, f.mul(a, b))
-            if acc == 0:
-                blk |= 1 << i
-        blocks.append(blk)
     k = (q ** (d - 1) - 1) // (q - 1)
     lam = (q ** (d - 2) - 1) // (q - 1)
-    return SymmetricDesign(v, tuple(blocks), k, lam)
+    return SymmetricDesign(v, tuple(_hyperplanes(pts, pts, f)), k, lam)

@@ -15,7 +15,8 @@ graph6 is decoded through ``binascii``; the decoder builds its rows
 symmetric, so they skip that check.
 
 All generators document a deterministic vertex numbering so results are
-reproducible across runs:
+reproducible across runs, and refuse an order above ``GRAPH_SIZE_CAP``
+before they build a row:
 
 * ``triangular(m)``: vertices are the 2-subsets of {0..m-1} in
   lexicographic order.
@@ -31,7 +32,7 @@ from itertools import combinations, zip_longest
 from operator import itemgetter
 from typing import Iterable, Iterator
 
-from .errors import Graph6Error
+from .errors import Graph6Error, SizeCapExceeded
 
 # A VertexSet is an int bitset over the vertices of a host graph.
 VertexSet = int
@@ -230,10 +231,20 @@ def adjacency_matrix(g: Graph) -> list[list[int]]:
 
 # -- generators --------------------------------------------------------
 
+# n bitset rows, then n strings of n characters in Graph: memory grows as n^2
+GRAPH_SIZE_CAP = 5000
+
+
+def check_order(n: int) -> None:
+    """Refuse a generated graph of order n above GRAPH_SIZE_CAP."""
+    if n > GRAPH_SIZE_CAP:
+        raise SizeCapExceeded(f"graph on {n} vertices exceeds cap {GRAPH_SIZE_CAP}")
+
 
 def complete(n: int) -> Graph:
     if n < 1:
         raise ValueError("complete(n) needs n >= 1")
+    check_order(n)
     full = (1 << n) - 1
     return Graph(n, [full ^ (1 << v) for v in range(n)], f"K{n}")
 
@@ -241,6 +252,7 @@ def complete(n: int) -> Graph:
 def edgeless(n: int) -> Graph:
     if n < 1:
         raise ValueError("edgeless(n) needs n >= 1")
+    check_order(n)
     return Graph(n, [0] * n, f"empty{n}")
 
 
@@ -257,6 +269,7 @@ def triangular(m: int) -> Graph:
     """
     if m < 3:
         raise ValueError("triangular(m) needs m >= 3")
+    check_order(m * (m - 1) // 2)
     pairs = list(combinations(range(m), 2))
     idx = {p: i for i, p in enumerate(pairs)}
     rows = [0] * len(pairs)
@@ -276,6 +289,7 @@ def grid(a: int, b: int) -> Graph:
     """Rook's graph on an a x b board; (i, j) is vertex i*b + j."""
     if a < 1 or b < 1:
         raise ValueError("grid(a, b) needs a, b >= 1")
+    check_order(a * b)
     rows = [0] * (a * b)
     for i in range(a):
         for j in range(b):
@@ -292,12 +306,14 @@ def grid(a: int, b: int) -> Graph:
 def cycle(n: int) -> Graph:
     if n < 3:
         raise ValueError("cycle(n) needs n >= 3")
+    check_order(n)
     return from_edges(n, [(i, (i + 1) % n) for i in range(n)], f"C{n}")
 
 
 def path(n: int) -> Graph:
     if n < 1:
         raise ValueError("path(n) needs n >= 1")
+    check_order(n)
     return from_edges(n, [(i, i + 1) for i in range(n - 1)], f"P{n}")
 
 

@@ -1,6 +1,8 @@
 """Generic integer polynomial and matrix arithmetic, kept beside the
 tests as independent oracles for ``srgddg.exact``: the package itself
-certifies spectra from bit rows and never needs them."""
+certifies spectra from bit rows and never needs them.  Also the
+pairwise builders of ``srgddg.galois``, which evaluate the form of every
+pair of points one field operation at a time."""
 
 from __future__ import annotations
 
@@ -59,3 +61,53 @@ def identity_matrix(n: int) -> list[list[int]]:
 def mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
     """Exact matrix product of nested lists of ints."""
     return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def projective_points(dim, f):
+    """Points of PG(dim-1, q) by counting through the base-q codes of the
+    vectors, keeping those whose first nonzero digit is 1."""
+    q = f.q
+    pts = []
+    for code in range(1, q**dim):
+        vec = [code // q**i % q for i in range(dim - 1, -1, -1)]
+        if next(c for c in vec if c) == 1:
+            pts.append(tuple(vec))
+    return pts
+
+
+def symplectic_form(x, y, f):
+    """B(x, y) = sum_i (x_{2i} y_{2i+1} - x_{2i+1} y_{2i}) over f."""
+    acc = 0
+    for i in range(0, len(x), 2):
+        term = f.add(f.mul(x[i], y[i + 1]), f.neg(f.mul(x[i + 1], y[i])))
+        acc = f.add(acc, term)
+    return acc
+
+
+def symplectic_rows(d, f):
+    """Rows of the Sp(2d, q) complement, B(x, y) != 0 checked pair by pair."""
+    pts = projective_points(2 * d, f)
+    rows = [0] * len(pts)
+    for i, x in enumerate(pts):
+        for j in range(i + 1, len(pts)):
+            if symplectic_form(x, pts[j], f) != 0:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+    return rows
+
+
+def pg_blocks(d, f):
+    """Hyperplanes of PG(d-1, q), the dot product checked point by point;
+    the forms are the points."""
+    pts = projective_points(d, f)
+    blocks = []
+    for form in pts:
+        blk = 0
+        for i, x in enumerate(pts):
+            acc = 0
+            for a, b in zip(form, x):
+                acc = f.add(acc, f.mul(a, b))
+            if acc == 0:
+                blk |= 1 << i
+        blocks.append(blk)
+    return blocks

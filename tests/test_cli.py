@@ -65,6 +65,24 @@ class TestGen:
         g = gc.decode_graph6(out.strip().encode())
         assert g.order == 40
 
+    @pytest.mark.parametrize("argv,order", [
+        (["complete", "--n", "5001"], 5001),
+        (["edgeless", "--n", "5001"], 5001),
+        (["cycle", "--n", "5001"], 5001),
+        (["path", "--n", "5001"], 5001),
+        (["grid", "--rows", "3", "--cols", "1667"], 5001),
+        (["triangular", "--m", "101"], 5050),  # the least T(m) order above the cap
+    ])
+    def test_gen_above_graph_cap(self, capsys, monkeypatch, argv, order):
+        # refused with an error report before a graph is built
+        def refuse(*args):
+            raise AssertionError("graph built above the cap")
+
+        monkeypatch.setattr(gc, "Graph", refuse)
+        code, rep = run_json(capsys, ["gen", *argv])
+        assert code == 1
+        assert rep["results"]["error"] == f"graph on {order} vertices exceeds cap 5000"
+
 
 class TestRecognize:
     def test_pipeline_recognize(self, tmp_path, capsys, sp42):

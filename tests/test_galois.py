@@ -1,9 +1,12 @@
 import time
+from pathlib import Path
 
 import pytest
 
+import oracles
 from srgddg import designs as ds
 from srgddg import galois as gf
+from srgddg import graphcore as gc
 from srgddg import recognize as rec
 from srgddg.coclique import CocliqueQuery, cocliques_of_size
 from srgddg.errors import SizeCapExceeded
@@ -99,10 +102,11 @@ class TestSymplecticComplement:
             assert set(g.degrees()) == {want}
 
     def test_form_is_alternating(self):
+        # B(x, x) = 0 keeps every point off its own row
         for q in (2, 3, 4):
             F = gf.field_by_order(q)
-            pts = gf.projective_points(4, F)
-            assert all(gf.symplectic_form(x, x, F) == 0 for x in pts)
+            pts = oracles.projective_points(4, F)
+            assert all(oracles.symplectic_form(x, x, F) == 0 for x in pts)
 
     def test_isotropic_cocliques_attain_bound(self, sp42, sp62):
         # maximal totally isotropic subspaces give cocliques of size
@@ -125,10 +129,51 @@ class TestSymplecticComplement:
         monkeypatch.setattr(gf, "projective_points", refuse)
         with pytest.raises(SizeCapExceeded, match="graph on 16383 vertices exceeds cap 5000"):
             gf.symplectic_complement(7, gf.fieldspec(2, 1))
+        # v > 2^(2d-1), so a large d is refused before q^(2d) is built
+        start = time.perf_counter()
+        with pytest.raises(SizeCapExceeded, match=r"graph on over 2\^27 vertices exceeds cap 5000"):
+            gf.symplectic_complement(10**6, gf.fieldspec(3, 1))
+        assert time.perf_counter() - start < 0.1
 
     def test_vertex_order_deterministic(self, sp42):
         again = gf.symplectic_complement(2, gf.fieldspec(2, 1))
         assert again.rows == sp42.rows
+
+    def test_sp10_2_within_a_second(self):
+        start = time.perf_counter()
+        g = gf.symplectic_complement(5, gf.fieldspec(2, 1))
+        assert time.perf_counter() - start < 1.0
+        assert g.order == 1023
+
+
+BASE_G6 = Path(__file__).resolve().parent.parent / "perfbench" / "base.g6"
+
+
+@pytest.mark.parametrize("name,d,q", [("sp4_3", 2, 3), ("sp6_2", 3, 2), ("sp4_4", 2, 4), ("sp10_2", 5, 2)])
+def test_graph6_pinned_by_benchmark_input(name, d, q):
+    # the committed benchmark input holds the graph6 of these complements
+    lines = dict(line.split() for line in BASE_G6.read_text().splitlines() if line.strip())
+    g = gf.symplectic_complement(d, gf.field_by_order(q))
+    assert gc.encode_graph6(g).decode() == lines[name]
+
+
+class TestHyperplaneOracles:
+    """The bitset hyperplanes against the pairwise builders of oracles.py."""
+
+    @pytest.mark.parametrize("dim,q", [(2, 2), (3, 3), (4, 2), (3, 4), (2, 7)])
+    def test_projective_points(self, dim, q):
+        F = gf.field_by_order(q)
+        assert gf.projective_points(dim, F) == oracles.projective_points(dim, F)
+
+    @pytest.mark.parametrize("d,q", [(2, 2), (2, 3), (3, 2), (2, 4), (2, 5), (4, 2), (3, 3), (2, 7), (2, 8)])
+    def test_symplectic_rows(self, d, q):
+        F = gf.field_by_order(q)
+        assert list(gf.symplectic_complement(d, F).rows) == oracles.symplectic_rows(d, F)
+
+    @pytest.mark.parametrize("d,q", [(3, 2), (3, 3), (3, 4), (3, 5), (4, 2), (4, 3), (5, 2)])
+    def test_pg_blocks(self, d, q):
+        F = gf.field_by_order(q)
+        assert list(gf.pg_hyperplane_design(d, F).blocks) == oracles.pg_blocks(d, F)
 
 
 class TestPgHyperplaneDesign:

@@ -4,7 +4,7 @@ from itertools import combinations
 import pytest
 
 from srgddg import galois, graphcore as gc
-from srgddg.errors import Graph6Error
+from srgddg.errors import Graph6Error, SizeCapExceeded
 
 
 def random_graph(n, p, rng):
@@ -199,6 +199,11 @@ class TestGenerators:
         for _ in range(10):
             g = random_graph(9, 0.4, rng)
             assert gc.complement_of(gc.complement_of(g)) == g
+
+    def test_order_cap_boundary(self):
+        gc.check_order(gc.GRAPH_SIZE_CAP)
+        with pytest.raises(SizeCapExceeded, match="graph on 5001 vertices exceeds cap 5000"):
+            gc.check_order(gc.GRAPH_SIZE_CAP + 1)
 
 
 class TestComposition:
