@@ -15,16 +15,16 @@ claim adds at most two integer points t1, t2 that are not among them.
 If s_0 .. s_4 of the claim match, mu has vanishing moments 0-4, so
 sum((x - t1)^2 (x - t2)^2) over the uncounted eigenvalues x is 0: there
 are none, and mu's mass and first moment then force the multiplicities
-of t1 and t2, so mu = 0.  s_3 and s_4 take n^2 popcounts of bit rows, so
-a connected strongly regular graph (three eigenvalues) needs no
-elimination at all.  See Cvetkovic, Rowlinson & Simic, *An Introduction
-to the Theory of Graph Spectra* (2010), ch. 1 and 3.
+of t1 and t2, so mu = 0.  s_3 and s_4 take a popcount of two bit rows
+for each pair x < y, so a connected strongly regular graph (three
+eigenvalues) needs no elimination at all.  See Cvetkovic, Rowlinson &
+Simic, *An Introduction to the Theory of Graph Spectra* (2010), ch. 1, 3.
 
 A divisible design graph (DDG) has four eigenvalues, too many for the
 free points, but its identity A^2 = (K - l1) I + (l1 - l2) B + l2 J (B
 the 0/1 matrix of a partition into m classes of one size, J all ones)
-is tested on the same rows of A^2 that give s_3 and s_4, by the one DDG
-recognizer, ``recognize._DdgRows``.  On the orthogonal spaces spanned
+is tested on the pair counts that give s_3 and s_4, once the graph is
+K-regular, by ``recognize._DdgRows``.  On the orthogonal spaces spanned
 by the all-ones vector, by the class-constant vectors orthogonal to it
 and by the vectors summing to 0 on each class, of dimensions 1, m - 1
 and n - m, A^2 acts as the scalars K^2, K^2 - l2 n and K - l1, which
@@ -58,8 +58,8 @@ as rank N N^T = rank N over the rationals.  So the fallback screens and
 ranks the a x a matrix M, whose entries are the popcounts (A^2)_xy, at
 t = u^2 for u = 0 .. D; when 0 is not a root modulo the prime, det M is
 not 0, rank M = a and mult(0) = n - 2a with no rank.  Only this
-fallback builds a dense matrix, and only a graph that is not bipartite
-builds A itself.  :func:`char_poly`
+fallback builds a dense matrix, M from its own a^2 popcounts, and only
+a graph that is not bipartite builds A itself.  :func:`char_poly`
 (Faddeev-LeVerrier, Theta(n^4) big-int work) is kept as an independent
 route to the same answer.  Operations refuse to run above the size cap
 ``SIZE_CAP`` instead of silently crawling.
@@ -76,7 +76,7 @@ from operator import mul
 
 from .errors import SizeCapExceeded
 from .graphcore import Graph, adjacency_matrix, bits
-from .recognize import _DdgRows
+from .recognize import _DdgRows, _pair_rows
 from .theory import ddg_spectrum
 
 IntMatrix = list  # n x n nested lists of ints
@@ -240,10 +240,11 @@ def _moments(g: Graph) -> tuple[list[int], dict[int, int], dict[int, int] | None
     regular graph, one proven multiplicity, and for a divisible design
     graph the eigenvalues of A^2.
 
-    s_0 = n, s_1 = 0 (no loops) and s_2 = 2|E|.  (A^2)_xy is the popcount
-    of row x AND row y, so tr A^3 sums it over the neighbours y of each
-    x and tr A^4 = sum((A^2)_xy^2), streamed one row of A^2 at a time.
-    The same rows are tested against the divisible design graph identity
+    s_0 = n, s_1 = 0 (no loops) and s_2 = 2|E|.  (A^2)_xx is the degree
+    of x, and for x < y (A^2)_xy = c_xy, the popcount of row x AND row y
+    from ``recognize._pair_rows``; so tr A^3 = 2 sum(c_xy, x ~ y) and
+    tr A^4 = sum(deg(x)^2) + 2 sum(c_xy^2).  For a regular graph the same
+    rows are tested against the divisible design graph identity
     (``recognize._DdgRows``) until one fails; a graph that passes gets
     A^2's eigenvalues with their multiplicities, the squares of the
     eigenvalues of ``theory.ddg_spectrum``, any other None.
@@ -252,23 +253,22 @@ def _moments(g: Graph) -> tuple[list[int], dict[int, int], dict[int, int] | None
     is the number of components.
     """
     n, rows = g.order, g.rows
+    k = g.regular_degree()
+    ddg = k is not None and _DdgRows(n, k)
     cube = quart = 0
-    ddg = _DdgRows(n)
-    for x, row in enumerate(rows):
-        common = [(row & other).bit_count() for other in rows]
-        cube += sum(map(common.__getitem__, bits(row)))
-        quart += sum(map(mul, common, common))
-        if ddg and not ddg.fits(x, common):
+    for x, upper in enumerate(_pair_rows(rows)):
+        cube += sum(map(upper.__getitem__, bits(rows[x] >> x + 1)))
+        quart += sum(map(mul, upper, upper))
+        if ddg and not ddg.fits(x, upper):
             ddg = None
-    sums = [n, 0, 2 * g.num_edges(), cube, quart]
-    degrees = {r.bit_count() for r in rows}
-    if len(degrees) != 1:
+    sums = [n, 0, 2 * g.num_edges(), 2 * cube, sum(d * d for d in g.degrees()) + 2 * quart]
+    if k is None:
         return sums, {}, None
     # the eigenvalues of A^2, equal ones adding their dimensions; A^2 is
     # positive semidefinite, so ddg_spectrum finds none negative
     sp = ddg and ddg_spectrum(ddg.params())
     squares = sp and Counter({sp.K**2: 1}) + Counter({sp.beta2: sp.g_sum}) + Counter({sp.alpha2: sp.f_sum})
-    return sums, {degrees.pop(): g.components()}, squares
+    return sums, {k: g.components()}, squares
 
 
 def _free_points(resid: list[int], proven: dict[int, int]) -> dict[int, int] | None:

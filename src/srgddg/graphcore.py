@@ -238,7 +238,11 @@ GRAPH_SIZE_CAP = 5000
 def check_order(n: int) -> None:
     """Refuse a generated graph of order n above GRAPH_SIZE_CAP."""
     if n > GRAPH_SIZE_CAP:
-        raise SizeCapExceeded(f"graph on {n} vertices exceeds cap {GRAPH_SIZE_CAP}")
+        try:
+            order = str(n)
+        except ValueError:  # too many digits to print: name a power of 2 below n
+            order = f"over 2^{(n - 1).bit_length() - 1}"
+        raise SizeCapExceeded(f"graph on {order} vertices exceeds cap {GRAPH_SIZE_CAP}")
 
 
 def complete(n: int) -> Graph:
@@ -269,15 +273,14 @@ def triangular(m: int) -> Graph:
     """
     if m < 3:
         raise ValueError("triangular(m) needs m >= 3")
-    check_order(m * (m - 1) // 2)
-    pairs = list(combinations(range(m), 2))
-    idx = {p: i for i, p in enumerate(pairs)}
-    rows = [0] * len(pairs)
-    for p, i in idx.items():
-        for q, j in idx.items():
-            if p != q and (p[0] in q or p[1] in q):
-                rows[i] |= 1 << j
-    return Graph(len(pairs), rows, f"T({m})")
+    n = m * (m - 1) // 2
+    check_order(n)
+    # {a, b} meets the pairs through a or b, and is the one pair through both
+    through = [0] * m
+    for i, (a, b) in enumerate(combinations(range(m), 2)):
+        through[a] |= 1 << i
+        through[b] |= 1 << i
+    return Graph(n, [through[a] ^ through[b] for a, b in combinations(range(m), 2)], f"T({m})")
 
 
 def petersen() -> Graph:
@@ -456,23 +459,17 @@ def _decode_order(data: bytes) -> tuple[int, int]:
         if not 63 <= b0 <= 125:
             raise Graph6Error(f"invalid graph6 byte {b0:#x}", 0)
         return b0 - 63, 1
-    if len(data) >= 2 and data[1] == 126:
-        if len(data) < 8:
-            raise Graph6Error("truncated 8-byte order field", len(data))
-        n = 0
-        for off in range(2, 8):
-            if not 63 <= data[off] <= 126:
-                raise Graph6Error(f"invalid graph6 byte {data[off]:#x}", off)
-            n = n << 6 | (data[off] - 63)
-        return n, 8
-    if len(data) < 4:
-        raise Graph6Error("truncated 4-byte order field", len(data))
+    # the 4-byte field is 126 and 3 digits of 6 bits, the 8-byte one 126,
+    # 126 and 6 digits: width // 4 bytes of 126 before the digits
+    width = 8 if len(data) >= 2 and data[1] == 126 else 4
+    if len(data) < width:
+        raise Graph6Error(f"truncated {width}-byte order field", len(data))
     n = 0
-    for off in range(1, 4):
+    for off in range(width // 4, width):
         if not 63 <= data[off] <= 126:
             raise Graph6Error(f"invalid graph6 byte {data[off]:#x}", off)
         n = n << 6 | (data[off] - 63)
-    return n, 4
+    return n, width
 
 
 _DECODE_BLOCK = 128  # upper-triangle columns transposed at a time by decode_graph6

@@ -1,11 +1,12 @@
 """Graph classification: regular / strongly regular / Deza / divisible
 design, plus canonical-partition recovery and equitable quotient matrices.
 
-All common-neighbour counts are popcounts of row ANDs on bitset rows.
+All common-neighbour counts are popcounts of row ANDs on bitset rows,
+made a row of the pairs x < y at a time by :func:`_pair_rows`.
 :func:`_pair_counts` keys them by a relation the caller passes:
 adjacency in :func:`srg_params` (lambda, mu), none in :func:`deza_params`,
 the class mask in :func:`_check_ddg_partition` (lambda1, lambda2).
-:class:`_DdgRows`, the one DDG recognizer, tests rows of A^2 instead.
+:class:`_DdgRows`, the one DDG recognizer, tests them on the DDG identity.
 Recognition functions return falsy result objects (NotSrg, NotDeza,
 NotDdg, ...) carrying a reason and a witness instead of raising, so
 callers can classify arbitrary graphs without exception plumbing.
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
 from math import isqrt
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .errors import NoHoffmanBound
 from .graphcore import Graph, VertexSet, bits, mask_of
@@ -46,6 +47,12 @@ __all__ = [
 _KEY0, _KEY1 = bytes.maketrans(b"01", b"\1\0"), bytes.maketrans(b"01", b"\0\1")
 
 
+def _pair_rows(rows: Sequence[int]) -> Iterator[list[int]]:
+    """For each x, the counts |rows[x] & rows[y]| of the pairs x < y, by y."""
+    for x, rx in enumerate(rows):
+        yield [(rx & ry).bit_count() for ry in rows[x + 1 :]]
+
+
 def _pair_counts(
     rows: Sequence[int], related: Sequence[int], limit: int = 1
 ) -> tuple[tuple[set[int], set[int]], tuple[int, int] | None]:
@@ -55,8 +62,7 @@ def _pair_counts(
     when all pairs fit, else the first pair (x, then y, ascending) whose
     count is one too many for its key, found holding the counts before it."""
     found: tuple[set[int], set[int]] = (set(), set())
-    for x, rx in enumerate(rows):
-        counts = [(rx & ry).bit_count() for ry in rows[x + 1 :]]
+    for x, counts in enumerate(_pair_rows(rows)):
         if (found[0] & found[1]).issuperset(counts):
             continue  # each count fits under either key, as when lambda = mu
         # byte y - x - 1 is "1" when y is in related[x]
@@ -302,71 +308,67 @@ def _check_ddg_partition(g: Graph, partition: CanonicalPartition) -> DdgParams |
 
 
 class _DdgRows:
-    """The divisible design graph identity, tested one row of A^2 at a
-    time: A^2 = (K - l1) I + (l1 - l2) B + l2 J for some l1 != l2, where
-    B is the 0/1 matrix of a partition of the vertices into classes of
-    one size c > 1.  So every row has diagonal K, and a vertex x shares
-    l1 neighbours with the c - 1 other vertices of its class R(x) and l2
-    with the rest.
+    """The divisible design graph identity A^2 = (K - l1) I + (l1 - l2) B
+    + l2 J, for some l1 != l2 and B the 0/1 matrix of a partition of the
+    vertices into classes of one size c > 1, tested on the rows of
+    :func:`_pair_rows`.  On the diagonal, the degrees, it holds when the
+    graph is K-regular, which each caller checks once beforehand.
 
-    Row 0 fixes K, l1, l2 and c: of its two off-diagonal values, l1 is
-    the one whose c - 1 places give a c that divides the order.  At most
-    one does (:func:`ddg_recognize`); if neither does, a later row fails.
+    Row 0 fixes l1, l2 and c: of its two values, l1 is the one whose
+    count plus one, c, divides the order.  At most one does
+    (:func:`ddg_recognize`); if neither does, a later row fails.
 
-    R(x), x with the places of l1 in row x, is symmetric in x and y and
-    has c members.  It is a partition once R(x) = R(min R(x)) for every
-    x.  Take y in R(x) and l = min R(x), l' = min R(y).  l is in R(y),
-    so l' <= l; l is in R(y) = R(l'), so l' is in R(l) = R(x) and
-    l' >= l.  Hence R(y) = R(l) = R(x).  A row whose least member is
-    itself stores its class, and any other row must match the class
-    stored for its least member.  ``fits`` checks one row and is called
-    until a row fails; if none does, ``params`` and ``partition`` hold.
+    Every row holds only l1 and l2.  A vertex in no class yet opens one:
+    itself and its later places of l1, c members, none of them in a
+    class already.  Any other vertex's later places of l1 must be the
+    later members of its class.  So if every row fits, the classes are
+    disjoint, of size c and cover the vertices, and a pair x < y has l1
+    exactly when x and y share a class.  ``fits`` checks one row and is
+    called until a row fails; if none does, ``params`` and
+    ``partition`` hold.
     """
 
-    def __init__(self, order: int):
-        self.order = order
-        self.classes: dict[int, list[int]] = {}  # least member -> class
+    def __init__(self, order: int, k: int):
+        self.order, self.k = order, k
+        self.classes: list[list[int]] = []  # ascending, by least member
+        self.owner: dict[int, list[int]] = {}  # vertex -> its class
 
-    def _off_count(self, common: list[int], value: int) -> int:
-        # places of value off the diagonal, whose entry is K
-        return common.count(value) - (value == self.k)
-
-    def fits(self, x: int, common: list[int]) -> bool:
+    def fits(self, x: int, upper: list[int]) -> bool:
         if x == 0:
-            self.k = common[0]
-            values = set(common[1:])
+            values = set(upper)
             if len(values) != 2:
                 return False
             l1, l2 = values
-            if self.order % (self._off_count(common, l1) + 1):
+            if self.order % (upper.count(l1) + 1):
                 l1, l2 = l2, l1
-            self.l1, self.l2 = l1, l2
-            self.size = self._off_count(common, l1) + 1
-        k, l1, size = self.k, self.l1, self.size
-        if (common[x] != k or self._off_count(common, l1) != size - 1
-                or self._off_count(common, self.l2) != self.order - size):
+            self.l1, self.l2, self.size = l1, l2, upper.count(l1) + 1
+        l1 = self.l1
+        ones = upper.count(l1)
+        if ones + upper.count(self.l2) != len(upper):
             return False
-        least = min(common.index(l1), x)
-        if least == x:
-            self.classes[x] = [y for y, v in enumerate(common) if v == l1 or y == x]
+        members = self.owner.get(x)
+        if members is None:
+            members = [x, *compress(range(x + 1, self.order), map(l1.__eq__, upper))]
+            if ones != self.size - 1 or any(y in self.owner for y in members):
+                return False
+            self.classes.append(members)
+            self.owner.update(dict.fromkeys(members, members))
             return True
-        members = self.classes.get(least)
-        # x's c - 1 places of l1 are the c members other than x exactly
-        # when x is a member
-        return members is not None and all(common[y] == l1 for y in members if y != x)
+        later = members[members.index(x) + 1 :]
+        return ones == len(later) and all(upper[y - x - 1] == l1 for y in later)
 
     def params(self) -> DdgParams:
         return DdgParams(self.order, self.k, self.l1, self.l2, self.order // self.size, self.size)
 
     def partition(self) -> CanonicalPartition:
-        return CanonicalPartition(tuple(map(mask_of, self.classes.values())))
+        return CanonicalPartition(tuple(map(mask_of, self.classes)))
 
 
 def ddg_recognize(g: Graph) -> list[tuple[DdgParams, CanonicalPartition]] | NotDdg:
     """Recover the proper divisible-design structure of a graph.
 
-    Needs the graph to be Deza with counts b > a; then one pass of
-    :class:`_DdgRows` over the rows of A^2 finds and proves the classes.
+    Needs the graph to be Deza with counts b > a (so regular); one pass
+    of :class:`_DdgRows` over the pair rows then finds and proves them.
     A success is a list of exactly one witness: the same-class count l1
     is b or a, and at each vertex x the c_b - 1 vertices sharing b
     neighbours with x and the c_a - 1 sharing a are the other v - 1, so
@@ -388,9 +390,9 @@ def _ddg_from_deza(
             "with lambda = mu, an improper divisible design",
             srg_note=True,
         )
-    rows, test = g.rows, _DdgRows(g.order)
-    for x, rx in enumerate(rows):
-        if not test.fits(x, [(rx & ry).bit_count() for ry in rows]):
+    test = _DdgRows(g.order, dz.k)
+    for x, upper in enumerate(_pair_rows(g.rows)):
+        if not test.fits(x, upper):
             return NotDdg("same-count relation is not an equivalence with equal classes")
     return [(test.params(), test.partition())]
 

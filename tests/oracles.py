@@ -2,11 +2,13 @@
 tests as independent oracles for ``srgddg.exact``: the package itself
 certifies spectra from bit rows and never needs them.  Also the
 pairwise builders of ``srgddg.galois``, which evaluate the form of every
-pair of points one field operation at a time."""
+pair of points one field operation at a time, and the pairwise builder
+of ``srgddg.graphcore.triangular``."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 
 @dataclass(frozen=True)
@@ -111,3 +113,15 @@ def pg_blocks(d, f):
                 blk |= 1 << i
         blocks.append(blk)
     return blocks
+
+
+def triangular_rows(m):
+    """Rows of T(m), every two 2-subsets of {0..m-1} tested for a common
+    point; vertices are the 2-subsets in lexicographic order."""
+    pairs = list(combinations(range(m), 2))
+    rows = [0] * len(pairs)
+    for i, p in enumerate(pairs):
+        for j, q in enumerate(pairs):
+            if p != q and (p[0] in q or p[1] in q):
+                rows[i] |= 1 << j
+    return rows

@@ -72,6 +72,8 @@ class TestGen:
         (["path", "--n", "5001"], 5001),
         (["grid", "--rows", "3", "--cols", "1667"], 5001),
         (["triangular", "--m", "101"], 5050),  # the least T(m) order above the cap
+        # an order of 4,400 digits, too many to print
+        (["grid", "--rows", "9" * 2200, "--cols", "9" * 2200], "over 2^14616"),
     ])
     def test_gen_above_graph_cap(self, capsys, monkeypatch, argv, order):
         # refused with an error report before a graph is built

@@ -429,6 +429,28 @@ class TestIntegralSpectrum:
             assert (res if not res else res.pairs) == want
             assert dims and max(dims) <= g.order // 2, g
 
+    def test_moments_vs_dense_traces(self, corpus):
+        # s_0 .. s_4 from the pair rows against tr A^0 .. tr A^4 of the
+        # dense A, on graphs that are not regular, not connected, bipartite
+        # or edgeless too: there the rank fallback could mask a wrong s_3
+        # or s_4
+        graphs = corpus + random_graphs() + bipartite_graphs()
+        graphs += [gc.edgeless(n) for n in (1, 2, 5)] + [union(gc.cycle(5), gc.path(3))]
+        kinds = Counter()
+        for g in graphs:
+            A, power, traces = gc.adjacency_matrix(g), identity_matrix(g.order), []
+            for _ in range(5):
+                traces.append(sum(power[i][i] for i in range(g.order)))
+                power = mat_mul(power, A)
+            assert ex._moments(g)[0] == traces, g
+            kinds.update({
+                "not regular": g.regular_degree() is None,
+                "disconnected": g.components() > 1,
+                "bipartite": g.bipartite_side() is not None,
+                "edgeless": not g.num_edges(),
+            })
+        assert all(kinds[kind] >= 3 for kind in ("not regular", "disconnected", "bipartite", "edgeless"))
+
     def test_ddg_identity_vs_dense_oracle(self, corpus, sp42):
         # the row test in _moments against the identity checked on the
         # dense A^2; C60 and C9 have the right values and counts in every

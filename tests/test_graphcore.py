@@ -1,10 +1,13 @@
 import random
+import time
 from itertools import combinations
 
 import pytest
 
 from srgddg import galois, graphcore as gc
 from srgddg.errors import Graph6Error, SizeCapExceeded
+
+from oracles import triangular_rows
 
 
 def random_graph(n, p, rng):
@@ -179,6 +182,18 @@ class TestGenerators:
         for m in (3, 5, 7):
             assert set(gc.triangular(m).degrees()) == {2 * (m - 2)}
 
+    def test_triangular_vs_pairwise_oracle(self):
+        for m in range(3, 41):
+            assert gc.triangular(m).rows == tuple(triangular_rows(m)), m
+
+    def test_triangular_near_the_cap_is_fast(self):
+        # T(100), order 4,950, from the 2(m - 2) neighbours of each vertex;
+        # testing all pairs took seconds
+        start = time.perf_counter()
+        t = gc.triangular(100)
+        assert time.perf_counter() - start < 2
+        assert t.order == 4950 and set(t.degrees()) == {196}
+
     def test_triangular_needs_m3(self):
         with pytest.raises(ValueError):
             gc.triangular(2)
@@ -204,6 +219,16 @@ class TestGenerators:
         gc.check_order(gc.GRAPH_SIZE_CAP)
         with pytest.raises(SizeCapExceeded, match="graph on 5001 vertices exceeds cap 5000"):
             gc.check_order(gc.GRAPH_SIZE_CAP + 1)
+
+    def test_order_cap_names_an_unprintable_order(self):
+        # an order of more than 4,300 digits cannot be formatted; the
+        # message names a power of 2 below it
+        with pytest.raises(SizeCapExceeded, match=r"^graph on over 2\^14616 vertices exceeds cap 5000$"):
+            gc.check_order((10**2200 - 1) ** 2)
+        with pytest.raises(SizeCapExceeded, match=r"^graph on over 2\^19999 vertices exceeds cap 5000$"):
+            gc.check_order(2**20000)
+        with pytest.raises(SizeCapExceeded, match=r"^graph on over 2\^20000 vertices exceeds cap 5000$"):
+            gc.check_order(2**20000 + 1)
 
 
 class TestComposition:

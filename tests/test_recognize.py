@@ -10,6 +10,7 @@ from srgddg import assembly as asm
 from srgddg import exact as ex
 from srgddg import graphcore as gc
 from srgddg import recognize as rec
+from srgddg.coclique import CocliqueQuery
 from srgddg.errors import NoHoffmanBound
 from srgddg.graphcore import bits
 
@@ -190,30 +191,68 @@ class TestDdgRecognize:
                 assert len(wits) == 1
 
     def test_ddg_rows_stop_at_the_first_row_off_the_identity(self):
-        # rows of M = (K - l1) I + (l1 - l2) B + l2 J, classes {x : x % 3 = r}
-        # of size 4, then M with symmetric pairs of entries changed: a third
-        # value, a diagonal entry, an l1 or l2 too many, or one l1 moved out
-        # of vertex 4's class, which keeps every count.  The row test must
-        # stop at the first row that differs
+        # pair rows of M = (K - l1) I + (l1 - l2) B + l2 J, classes
+        # {x : x % 3 = r} of size 4, then M with symmetric pairs of entries
+        # changed: a third value, an l1 or l2 too many, or one l1 moved out
+        # of vertex 4's class, which keeps every count; and at vertex 1,
+        # which opens its class, an l1 too many, or one l1 moved into the
+        # class vertex 0 opened.  The row test must stop at the first row
+        # that differs
         n, k, l1, l2 = 12, 5, 2, 1
 
         def first_failure(m):
-            rows = rec._DdgRows(n)
-            return next((x for x in range(n) if not rows.fits(x, m[x])), None), rows
+            rows = rec._DdgRows(n, k)
+            return next((x for x in range(n) if not rows.fits(x, m[x][x + 1 :])), None), rows
 
         ideal = [[k if x == y else l1 if x % 3 == y % 3 else l2 for y in range(n)] for x in range(n)]
         stop, rows = first_failure(ideal)
         assert stop is None and rows.params() == rec.DdgParams(12, 5, 2, 1, 3, 4)
         assert rows.partition() == rec.CanonicalPartition(tuple(gc.mask_of(range(r, n, 3)) for r in range(3)))
         changes = [
-            [(5, 9, 4)], [(7, 7, k + 1)], [(4, 6, l1)], [(4, 7, l2)], [(0, 4, 9)],
-            [(4, 6, l1), (4, 7, l2)],
+            [(5, 9, 4)], [(4, 6, l1)], [(4, 7, l2)], [(0, 4, 9)],
+            [(4, 6, l1), (4, 7, l2)], [(1, 5, l1)], [(1, 3, l1), (1, 4, l2)],
         ]
         for change in changes:
             m = [list(row) for row in ideal]
             for x, y, value in change:
                 m[x][y] = m[y][x] = value
             assert first_failure(m)[0] == change[0][0], change
+
+    def test_ddg_rows_leave_regularity_to_their_callers(self):
+        # the pair rows never see the diagonal of A^2, the degrees.  The
+        # path 0-1-2-3 has c_02 = c_13 = 1 and every other count 0, the
+        # pattern of classes {0, 2} and {1, 3}, but degrees 1, 2, 2, 1:
+        # its rows pass, and both callers refuse it as not regular
+        p4 = gc.path(4)
+        rows = rec._DdgRows(4, 2)
+        assert all(rows.fits(x, upper) for x, upper in enumerate(rec._pair_rows(p4.rows)))
+        assert rows.partition() == rec.CanonicalPartition((0b0101, 0b1010))
+        assert rec.ddg_recognize(p4) == rec.NotDdg("not a Deza graph: not regular")
+        assert ex._moments(p4)[2] is None
+
+    def test_each_pair_is_anded_once(self, t6, sp43):
+        # rows that count the ANDs taken between two of them: the power
+        # sums AND each pair x < y once, and ddg_recognize on a DDG once in
+        # deza_params and once in the row test
+        class CountingRow(int):
+            ands = 0
+
+            def __and__(self, other):
+                if isinstance(other, CountingRow):
+                    CountingRow.ands += 1
+                return int.__and__(self, other)
+
+        ddgs = [gc.induced_subgraph(t6, (1 << 15) - 1 ^ t6_coclique_mask()),
+                asm.decompose(sp43, CocliqueQuery(mode="first"))[0].ddg]
+        for g in ddgs + [t6, gc.petersen(), gc.path(7), gc.cycle(9)]:
+            counting, pairs = gc.Graph(g.order, map(CountingRow, g.rows)), g.order * (g.order - 1) // 2
+            CountingRow.ands = 0
+            ex._moments(counting)
+            assert CountingRow.ands == pairs, g
+            if g in ddgs:
+                CountingRow.ands = 0
+                assert rec.ddg_recognize(counting)
+                assert CountingRow.ands == 2 * pairs, g
 
     def test_quotient_succeeds_on_every_recognized_ddg(self, t6):
         # the canonical partition of a divisible design graph is equitable
