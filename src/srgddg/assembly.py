@@ -37,7 +37,9 @@ and phi is a bijection.
 Backward (:func:`decompose`) rests on one identity.  Let the graph be
 strongly regular with lambda = mu and C a Hoffman coclique.  Every
 vertex x outside C has exactly -s neighbours in C, N_C(x), as every
-vertex outside a coclique attaining the Hoffman bound does.  Two
+vertex outside a coclique attaining the Hoffman bound does (Hoffman's
+equality case; Brouwer and Haemers, Spectra of Graphs, 3.5), so no
+check reads the sizes of the N_C sets.  Two
 vertices x, y outside C have lambda common neighbours whether or not
 they are adjacent, so lambda - |N_C(x) & N_C(y)| of them lie outside C.
 So the classes of the divisible design graph
@@ -51,9 +53,9 @@ The family pattern demands K = k + s = (-s)(n-1), so the class size is
 n = k/(-s), and the graph's (v, k, lambda, mu) must be
 ``theory.family_from(n, s).srg``: k = (-s)n, lambda = mu = (-s)(n+s),
 and the coclique bound is the family's m.  Any other graph has no
-witness and needs no search.  On a family graph, every coclique whose
-vertices outside it fall into m groups of n with -s points in each N_C
-set is a witness, proven from the identity, once, and from C being a
+witness and needs no search.  On a family graph, every Hoffman
+coclique whose vertices outside it fall into m groups of n is a
+witness, proven from the identity, once, and from C being a
 coclique; nothing is rebuilt or re-verified afterwards:
 
 - The design.  Members of a class share N_C, so a point z of C is
@@ -250,12 +252,12 @@ def decompose(
 
     Then per coclique C, with the vertices outside C grouped by N_C(x):
 
-    3. every N_C(x) has -s points, the premise of the identity in the
-       module docstring.
-    4. there are exactly m groups, each of n vertices.
+    3. there are exactly m groups, each of n vertices.
 
-    Checks 2-4 are the whole proof (module docstring).  With the
-    identity and C a coclique they prove that the distinct N_C sets form
+    Every N_C(x) has -s points with no check: that is Hoffman's equality
+    case, the premise of the identity in the module docstring.  Checks
+    2-3 are the whole proof (module docstring).  With the identity and C
+    a coclique they prove that the distinct N_C sets form
     a symmetric design with the parameters ``required_design_params(n,
     s)``, by Ryser's theorem; that Gamma - C is a proper DDG with the
     family's parameters whose classes are the groups; and that the
@@ -289,7 +291,7 @@ def decompose(
 
 def _split(graph: Graph, fam: theory.FamilyParams, C: VertexSet) -> Decomposition | None:
     """The witness for one Hoffman coclique C of a family graph, or
-    None; checks 3-4 of :func:`decompose`.  The rest has fam.m * fam.n
+    None; check 3 of :func:`decompose`.  The rest has fam.m * fam.n
     vertices, so groups of fam.n vertices are fam.m groups."""
     rows = graph.rows
     order = graph.order
@@ -300,8 +302,6 @@ def _split(graph: Graph, fam: theory.FamilyParams, C: VertexSet) -> Decompositio
     for x in bits(rest):
         key = rows[x] & C
         groups[key] = groups.get(key, 0) | 1 << x
-    if any(key.bit_count() != -fam.s for key in groups):
-        return None
     classes = tuple(groups.values())
     if any(cl.bit_count() != fam.n for cl in classes):
         return None

@@ -117,12 +117,6 @@ class Spectrum:
     def n(self) -> int:
         return sum(m for _, m in self.pairs)
 
-    def multiplicity(self, value: int) -> int:
-        for v, m in self.pairs:
-            if v == value:
-                return m
-        return 0
-
     def as_dict(self) -> dict[int, int]:
         return dict(self.pairs)
 

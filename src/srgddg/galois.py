@@ -7,6 +7,15 @@ lexicographically smallest monic irreducible of degree e (equivalently,
 smallest under this integer encoding), so vertex numberings derived from
 field arithmetic are reproducible across runs and platforms.
 
+A field is its two tables: ``fieldspec`` fills the q x q addition and
+multiplication tables once, by one path for prime and extension fields
+(digit sums, and polynomial products reduced modulo the modulus), and
+``add``, ``neg``, ``mul`` and ``inv`` read them.  Tables stay small
+because no builder can use a large field.  The least object built over
+GF(q) is PG(2, q), on q^2 + q + 1 points, which must fit under
+``GRAPH_SIZE_CAP``; so ``FIELD_SIZE_CAP`` is the largest q with
+q^2 + q + 1 <= GRAPH_SIZE_CAP, 70 for a cap of 5000.
+
 Both builders are one routine, ``_hyperplanes(forms, pts, f)``: for each
 form c, the bitset of the points x with c . x = 0.  It first files the
 points by coordinate, ``cells[j][a]`` holding those whose coordinate j
@@ -30,26 +39,25 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
+from math import isqrt
 
 from .designs import SymmetricDesign, _factor
 from .errors import SizeCapExceeded
-from .graphcore import GRAPH_SIZE_CAP, Graph, check_order
+from .graphcore import GRAPH_SIZE_CAP, Graph, _trusted_graph, check_order
 
-FIELD_SIZE_CAP = 1 << 16
+# the largest q with q^2 + q + 1 <= GRAPH_SIZE_CAP; see the module docstring
+FIELD_SIZE_CAP = (isqrt(4 * GRAPH_SIZE_CAP - 3) - 1) // 2
 
 
-def _poly_of(n: int, p: int) -> list[int]:
-    out = []
-    while n:
-        n, r = divmod(n, p)
-        out.append(r)
-    return out
+def _digits(n: int, p: int, deg: int) -> list[int]:
+    """The deg lowest base-p digits of n, ascending."""
+    return [n // p**i % p for i in range(deg)]
 
 
 def _monic(low: int, p: int, deg: int) -> list[int]:
     """The monic polynomial of degree deg whose lower coefficients are
     the base-p digits of low < p^deg."""
-    return (_poly_of(low, p) + [0] * deg)[:deg] + [1]
+    return _digits(low, p, deg) + [1]
 
 
 def _poly_mod(num: list[int], den: list[int], p: int) -> list[int]:
@@ -84,13 +92,13 @@ def _irreducible(candidate: list[int], p: int) -> bool:
 
 @dataclass(frozen=True)
 class FieldSpec:
-    """GF(p^e) with element arithmetic on int-encoded polynomials."""
+    """GF(p^e), held as its addition and multiplication tables."""
 
     p: int
     e: int
     modulus: tuple[int, ...]  # coefficients ascending, monic of degree e
-    _exp: tuple[int, ...] = field(repr=False, default=())
-    _log: tuple[int, ...] = field(repr=False, default=())
+    _add: tuple[tuple[int, ...], ...] = field(repr=False, compare=False)
+    _mul: tuple[tuple[int, ...], ...] = field(repr=False, compare=False)
 
     @property
     def q(self) -> int:
@@ -100,53 +108,21 @@ class FieldSpec:
         return range(self.q)
 
     def add(self, a: int, b: int) -> int:
-        if self.e == 1:
-            return (a + b) % self.p
-        p = self.p
-        out = 0
-        mult = 1
-        while a or b:
-            a, ra = divmod(a, p)
-            b, rb = divmod(b, p)
-            out += (ra + rb) % p * mult
-            mult *= p
-        return out
+        return self._add[a][b]
 
     def neg(self, a: int) -> int:
-        if self.e == 1:
-            return -a % self.p
-        p = self.p
-        out = 0
-        mult = 1
-        while a:
-            a, ra = divmod(a, p)
-            out += -ra % p * mult
-            mult *= p
-        return out
+        return self._mul[self.p - 1][a]  # (-1) * a
 
     def mul(self, a: int, b: int) -> int:
-        if self.e == 1:
-            return a * b % self.p
-        if a == 0 or b == 0:
-            return 0
-        return self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]
+        return self._mul[a][b]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("0 has no inverse")
-        if self.e == 1:
-            return pow(a, self.p - 2, self.p)
-        return self._exp[(-self._log[a]) % (self.q - 1)]
+        return self._mul[a].index(1)
 
     def __repr__(self):
         return f"GF({self.p}^{self.e})" if self.e > 1 else f"GF({self.p})"
-
-
-def _mul_poly_direct(a: int, b: int, p: int, modulus: tuple[int, ...]) -> int:
-    pa = _poly_of(a, p)
-    pb = _poly_of(b, p)
-    prod = _poly_mod(_poly_mul(pa, pb, p), list(modulus), p)
-    return sum(c * p**i for i, c in enumerate(prod))
 
 
 def fieldspec(p: int, e: int = 1) -> FieldSpec:
@@ -161,21 +137,17 @@ def fieldspec(p: int, e: int = 1) -> FieldSpec:
     if _factor(p) != {p: 1}:
         raise ValueError(f"{p} is not prime")
     q = p**e
-    if e == 1:
-        return FieldSpec(p, 1, (0, 1))
     monics = (_monic(low, p, e) for low in range(q))
-    modulus = tuple(next(m for m in monics if _irreducible(m, p)))
-    # discrete-log tables over the least multiplicative generator
-    for gen in range(2, q):
-        exp = [1]
-        while (x := _mul_poly_direct(exp[-1], gen, p, modulus)) != 1:
-            exp.append(x)
-        if len(exp) == q - 1:
-            log = [0] * q
-            for i, x in enumerate(exp):
-                log[x] = i
-            return FieldSpec(p, e, modulus, tuple(exp), tuple(log))
-    raise AssertionError("no multiplicative generator found")
+    modulus = next(m for m in monics if _irreducible(m, p))
+    polys = [_digits(a, p, e) for a in range(q)]
+    weights = [p**i for i in range(e)]
+
+    def value(poly: list[int]) -> int:
+        return sum(c * w for c, w in zip(poly, weights))
+
+    add = tuple(tuple(value([(x + y) % p for x, y in zip(a, b)]) for b in polys) for a in polys)
+    mul = tuple(tuple(value(_poly_mod(_poly_mul(a, b, p), modulus, p)) for b in polys) for a in polys)
+    return FieldSpec(p, e, tuple(modulus), add, mul)
 
 
 def field_by_order(q: int) -> FieldSpec:
@@ -198,9 +170,7 @@ def projective_points(dim: int, f: FieldSpec) -> list[tuple[int, ...]]:
 def _hyperplanes(forms, pts, f: FieldSpec) -> list[int]:
     """For each form c of ``forms``, the bitset of the indices i with
     c . pts[i] = 0 over f; see the module docstring."""
-    els = range(f.q)
-    add = [[f.add(t, b) for b in els] for t in els]
-    mul = [[f.mul(c, a) for a in els] for c in els]
+    add, mul = f._add, f._mul
     cells = [[0] * f.q for _ in pts[0]]
     for i, x in enumerate(pts):
         for cell, a in zip(cells, x):
@@ -239,7 +209,9 @@ def symplectic_complement(d: int, f: FieldSpec) -> Graph:
     assert len(pts) == v
     forms = [tuple(c for i in range(0, 2 * d, 2) for c in (f.neg(x[i + 1]), x[i])) for x in pts]
     full = (1 << v) - 1
-    return Graph(v, [full ^ h for h in _hyperplanes(forms, pts, f)], f"Sp({2*d},{q}) complement")
+    # B is alternating, so x lies on its own hyperplane and gets no loop,
+    # and B(x, y) = -B(y, x), so the rows are symmetric
+    return _trusted_graph(v, [full ^ h for h in _hyperplanes(forms, pts, f)], f"Sp({2*d},{q}) complement")
 
 
 def pg_hyperplane_design(d: int, f: FieldSpec) -> SymmetricDesign:

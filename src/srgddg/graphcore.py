@@ -11,8 +11,11 @@ plain int bitsets as well; see :func:`bits`, :func:`mask_of`,
 
 ``Graph(...)`` checks its rows: range and loops row by row, and symmetry
 by one comparison of the rows with their transpose, taken as bit strings.
-graph6 is decoded through ``binascii``; the decoder builds its rows
-symmetric, so they skip that check.
+Rows that are valid by construction skip those checks through
+``_trusted_graph``: those of the graph6 decoder, ``induced_subgraph``,
+``complete``, ``edgeless``, ``triangular``, ``grid``, ``composition``,
+``complement_of`` and ``Graph.with_label``.  ``from_edges``, and with it
+``cycle`` and ``path``, keeps them.
 
 All generators document a deterministic vertex numbering so results are
 reproducible across runs, and refuse an order above ``GRAPH_SIZE_CAP``
@@ -209,7 +212,7 @@ class Graph:
         return (self.rows[x] & self.rows[y]).bit_count()
 
     def with_label(self, label: str | None) -> "Graph":
-        return Graph(self.order, self.rows, label)
+        return _trusted_graph(self.order, self.rows, label)
 
 
 def from_edges(order: int, edges: Iterable[tuple[int, int]], label: str | None = None) -> Graph:
@@ -250,20 +253,19 @@ def complete(n: int) -> Graph:
         raise ValueError("complete(n) needs n >= 1")
     check_order(n)
     full = (1 << n) - 1
-    return Graph(n, [full ^ (1 << v) for v in range(n)], f"K{n}")
+    return _trusted_graph(n, [full ^ (1 << v) for v in range(n)], f"K{n}")
 
 
 def edgeless(n: int) -> Graph:
     if n < 1:
         raise ValueError("edgeless(n) needs n >= 1")
     check_order(n)
-    return Graph(n, [0] * n, f"empty{n}")
+    return _trusted_graph(n, [0] * n, f"empty{n}")
 
 
 def complement_of(g: Graph) -> Graph:
     full = (1 << g.order) - 1
-    rows = [full ^ row ^ (1 << v) for v, row in enumerate(g.rows)]
-    return Graph(g.order, rows, None)
+    return _trusted_graph(g.order, [full ^ row ^ (1 << v) for v, row in enumerate(g.rows)])
 
 
 def triangular(m: int) -> Graph:
@@ -280,7 +282,7 @@ def triangular(m: int) -> Graph:
     for i, (a, b) in enumerate(combinations(range(m), 2)):
         through[a] |= 1 << i
         through[b] |= 1 << i
-    return Graph(n, [through[a] ^ through[b] for a, b in combinations(range(m), 2)], f"T({m})")
+    return _trusted_graph(n, [through[a] ^ through[b] for a, b in combinations(range(m), 2)], f"T({m})")
 
 
 def petersen() -> Graph:
@@ -303,7 +305,7 @@ def grid(a: int, b: int) -> Graph:
             for ii in range(a):
                 if ii != i:
                     rows[v] |= 1 << (ii * b + j)
-    return Graph(a * b, rows, f"grid({a},{b})")
+    return _trusted_graph(a * b, rows, f"grid({a},{b})")
 
 
 def cycle(n: int) -> Graph:
@@ -338,16 +340,16 @@ def composition(g1: Graph, g2: Graph) -> Graph:
             outer |= block_full << (y1 * n2)
         for x2 in range(n2):
             rows.append(outer | (g2.rows[x2] << (x1 * n2)))
-    return Graph(n1 * n2, rows)
+    return _trusted_graph(n1 * n2, rows)
 
 
-def _trusted_graph(order: int, rows: list[int]) -> Graph:
+def _trusted_graph(order: int, rows: Iterable[int], label: str | None = None) -> Graph:
     """A Graph from rows known to be valid (in range, loop-free and
     symmetric), skipping the checks of ``Graph.__init__``."""
     g = object.__new__(Graph)
     object.__setattr__(g, "order", order)
     object.__setattr__(g, "rows", tuple(rows))
-    object.__setattr__(g, "label", None)
+    object.__setattr__(g, "label", label)
     return g
 
 

@@ -1,9 +1,10 @@
 """Generic integer polynomial and matrix arithmetic, kept beside the
 tests as independent oracles for ``srgddg.exact``: the package itself
-certifies spectra from bit rows and never needs them.  Also the
-pairwise builders of ``srgddg.galois``, which evaluate the form of every
-pair of points one field operation at a time, and the pairwise builder
-of ``srgddg.graphcore.triangular``."""
+certifies spectra from bit rows and never needs them.  Also field
+arithmetic on the digits of the elements, the oracle of the tables of
+``srgddg.galois.FieldSpec``; the pairwise builders of ``srgddg.galois``,
+which evaluate the form of every pair of points one field operation at a
+time; and the pairwise builder of ``srgddg.graphcore.triangular``."""
 
 from __future__ import annotations
 
@@ -63,6 +64,28 @@ def identity_matrix(n: int) -> list[list[int]]:
 def mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
     """Exact matrix product of nested lists of ints."""
     return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def field_add(a, b, f):
+    """a + b in f, base-p digit by digit."""
+    p = f.p
+    return sum((a // p**i + b // p**i) % p * p**i for i in range(f.e))
+
+
+def field_mul(a, b, f):
+    """a * b in f: the product of the polynomials whose coefficients are
+    the base-p digits of a and b, reduced modulo f.modulus one leading
+    term at a time."""
+    p, e = f.p, f.e
+    prod = [0] * (2 * e - 1)
+    for i in range(e):
+        for j in range(e):
+            prod[i + j] += (a // p**i % p) * (b // p**j % p)
+    for top in range(2 * e - 2, e - 1, -1):
+        lead = prod[top]
+        for i, c in enumerate(f.modulus):
+            prod[top - e + i] -= lead * c
+    return sum(c % p * p**i for i, c in enumerate(prod[:e]))
 
 
 def projective_points(dim, f):

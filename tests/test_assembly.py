@@ -147,6 +147,23 @@ def test_decompose_matches_generic_pipeline(name, count):
     assert asm.decompose(graph) == want
 
 
+def test_hoffman_cocliques_are_seen_minus_s_times(sp42, sp43, sp62):
+    # Hoffman's equality case: every vertex outside a coclique attaining
+    # the ratio bound has -s neighbours in it, so _split never checks the
+    # sizes of the N_C sets; here on cocliques that split and that do not
+    graphs = [sp42, sp43, sp62, oracle_graph("sp44"), galois.symplectic_complement(2, galois.fieldspec(5, 1))]
+    graphs += [oracle_graph(f"sp62_{twist}") for twist in ("transposition", "3cycle", "4cycle")]
+    counts = []
+    for g in graphs:
+        p = rec.srg_params(g)
+        cocliques = cq.hoffman_cocliques(g, p)
+        counts.append(len(cocliques))
+        for C in cocliques:
+            rest = ((1 << g.order) - 1) ^ C
+            assert {(g.rows[x] & C).bit_count() for x in gc.bits(rest)} == {-p.s}
+    assert counts == [15, 40, 135, 85, 156, 103, 87, 79]
+
+
 @pytest.fixture(scope="module")
 def dec15(sp42):
     return asm.decompose(sp42)

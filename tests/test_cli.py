@@ -47,6 +47,14 @@ class TestGen:
         assert code == 1
         assert "exceeds cap" in rep["results"]["error"]
 
+    def test_gen_field_just_above_cap(self, capsys):
+        # 71, the least prime above the cap, is refused before GF(71) is built
+        start = time.perf_counter()
+        code, rep = run_json(capsys, ["gen", "sp-complement", "--q", "71"])
+        assert time.perf_counter() - start < 0.1
+        assert code == 1
+        assert rep["results"]["error"] == "field size 71 exceeds cap 70"
+
     @pytest.mark.parametrize("argv,want", [
         (["triangular", "--m", "6"], gc.triangular(6)),
         (["grid", "--rows", "2", "--cols", "3"], gc.grid(2, 3)),

@@ -79,6 +79,40 @@ class TestFieldArithmetic:
         with pytest.raises(ValueError, match="prime power"):
             gf.field_by_order(12)
 
+    def test_cap_is_the_largest_projective_plane(self):
+        # PG(2, q), on q^2 + q + 1 points, is the least object built over GF(q)
+        cap = gc.GRAPH_SIZE_CAP
+        assert gf.FIELD_SIZE_CAP == max(q for q in range(1, cap) if q * q + q + 1 <= cap)
+
+    def test_fields_just_above_the_cap_refused(self):
+        for build, size in ((lambda: gf.fieldspec(2, 7), r"2\^7"), (lambda: gf.field_by_order(71), "71")):
+            start = time.perf_counter()
+            with pytest.raises(SizeCapExceeded, match=rf"field size {size} exceeds cap 70$"):
+                build()
+            assert time.perf_counter() - start < 0.1
+
+
+def is_prime_power(q):
+    p = next(d for d in range(2, q + 1) if q % d == 0)
+    while q % p == 0:
+        q //= p
+    return q == 1
+
+
+# the 28 fields under the cap of 70
+PRIME_POWERS = [q for q in range(2, 71) if is_prime_power(q)]
+
+
+@pytest.mark.parametrize("q", PRIME_POWERS)
+def test_tables_against_digit_oracle(q):
+    # every entry of the tables against sums and products of digit polynomials
+    F = gf.field_by_order(q)
+    els = range(q)
+    assert [[F.add(a, b) for b in els] for a in els] == [[oracles.field_add(a, b, F) for b in els] for a in els]
+    assert [[F.mul(a, b) for b in els] for a in els] == [[oracles.field_mul(a, b, F) for b in els] for a in els]
+    assert all(oracles.field_add(a, F.neg(a), F) == 0 for a in els)
+    assert all(oracles.field_mul(a, F.inv(a), F) == 1 for a in els[1:])
+
 
 class TestSymplecticComplement:
     def test_sp42_is_srg_15_8_4_4(self, sp42):

@@ -7,7 +7,7 @@ import pytest
 from srgddg import galois, graphcore as gc
 from srgddg.errors import Graph6Error, SizeCapExceeded
 
-from oracles import triangular_rows
+from oracles import symplectic_rows, triangular_rows
 
 
 def random_graph(n, p, rng):
@@ -116,9 +116,10 @@ class TestGraphInvariants:
         assert pickle.loads(pickle.dumps(g)) == g
 
     def test_generators_produce_valid_graphs(self):
-        # construction re-validates symmetry and irreflexivity
+        # rows built without the checks of Graph pass them
         for g in [gc.petersen(), gc.triangular(5), gc.grid(3, 4), gc.complete(6),
-                  gc.edgeless(4), gc.cycle(7), gc.path(4)]:
+                  gc.edgeless(4), gc.cycle(7), gc.path(4), gc.composition(gc.cycle(5), gc.path(3)),
+                  galois.symplectic_complement(2, galois.field_by_order(4))]:
             assert gc.Graph(g.order, g.rows) == g
 
 
@@ -193,6 +194,34 @@ class TestGenerators:
         t = gc.triangular(100)
         assert time.perf_counter() - start < 2
         assert t.order == 4950 and set(t.degrees()) == {196}
+
+    def test_valid_rows_skip_the_checks(self, monkeypatch):
+        # rows symmetric, loop-free and in range by construction are not
+        # checked again; each builder still gives its oracle's rows
+        def by_pairs(n, adjacent):
+            return [sum(1 << y for y in range(n) if y != x and adjacent(x, y)) for x in range(n)]
+
+        g1, g2, pet = gc.cycle(5), gc.path(3), gc.petersen()
+        F = galois.field_by_order(3)
+        cases = [
+            (lambda: gc.complete(6), by_pairs(6, lambda x, y: True)),
+            (lambda: gc.edgeless(4), [0] * 4),
+            (lambda: gc.triangular(7), triangular_rows(7)),
+            (lambda: gc.grid(3, 4), by_pairs(12, lambda x, y: x // 4 == y // 4 or x % 4 == y % 4)),
+            (lambda: gc.composition(g1, g2), by_pairs(
+                15, lambda x, y: g1.has_edge(x // 3, y // 3) or (x // 3 == y // 3 and g2.has_edge(x % 3, y % 3)))),
+            (lambda: gc.complement_of(pet), by_pairs(10, lambda x, y: not pet.has_edge(x, y))),
+            (lambda: pet.with_label("relabelled"), list(pet.rows)),
+            (lambda: galois.symplectic_complement(2, F), symplectic_rows(2, F)),
+        ]
+
+        def refuse(self, *args):
+            raise AssertionError("valid rows checked again")
+
+        monkeypatch.setattr(gc.Graph, "__init__", refuse)
+        for build, want in cases:
+            assert list(build().rows) == want
+        assert pet.with_label("relabelled").label == "relabelled"
 
     def test_triangular_needs_m3(self):
         with pytest.raises(ValueError):
