@@ -9,10 +9,11 @@ Vertices are taken in increasing order, so the sets come out in
 lexicographic order of their sorted members, and the order, the node
 count and the sets found before a budget hit are reproducible.
 
-Pruning combines the residual-size bound (not enough candidates left)
-with a greedy clique-cover bound on the candidate set.  The search keeps
-its open nodes on an explicit stack, not in Python frames, so its depth
-is not limited by Python's recursion limit.
+One pruning rule holds at every node: as many candidates left as
+vertices still to take.  A greedy clique cover bounds the size once, at
+the root, where it refuses a size above the cover number (grid(10, 10)
+has no 11-coclique) without a walk; at every node it cost more than it
+pruned.  Open nodes sit on a list, so no recursion limit binds the depth.
 """
 
 from __future__ import annotations
@@ -38,20 +39,19 @@ class CocliqueQuery:
             raise ValueError(f"unknown mode {self.mode!r}")
 
 
-def _cover_bound(cand: VertexSet, rows: tuple[int, ...]) -> int:
-    """Greedy clique cover of the candidate set; #cliques bounds any
-    independent subset's size."""
+def _cover_bound(cand: VertexSet, rows: tuple[int, ...], need: int) -> int:
+    """Greedy clique cover of the candidate set, stopped at need classes;
+    an independent subset takes at most one vertex of each class."""
     classes: list[int] = []
-    covered = 0  # union of the classes; v can join none if it misses it
     for v in bits(cand):
-        rv = rows[v]
-        for i, cl in enumerate(classes if rv & covered else ()):
-            if cl & ~rv == 0:  # v adjacent to the whole clique
+        if len(classes) == need:
+            break
+        for i, cl in enumerate(classes):
+            if cl & ~rows[v] == 0:  # v adjacent to the whole clique
                 classes[i] = cl | (1 << v)
                 break
         else:
             classes.append(1 << v)
-        covered |= 1 << v
     return len(classes)
 
 
@@ -61,23 +61,22 @@ def cocliques_of_size(
     """All (or the first) independent sets of exactly the given size,
     in lexicographic order of the sorted member lists.
 
-    A node of the search is a chosen set, its candidates (the vertices
-    after its last member that miss it) and the number still needed.
-    Each node visited counts against the budget; past it, BudgetExceeded
-    carries the node count and the sets found so far.
+    A node is a chosen set, its candidates (the vertices after its last
+    member that miss it) and the number still needed; it is kept while
+    it has that many candidates.  Each node visited counts against the
+    budget; past it, BudgetExceeded carries the count and the sets found.
     """
-    if query is None:
-        query = CocliqueQuery()
+    query = query or CocliqueQuery()
     if size < 1:
         raise ValueError("size must be >= 1")
-    rows = g.rows
-    first = query.mode == "first"
-    budget = query.node_budget
+    rows, first, budget = g.rows, query.mode == "first", query.node_budget
     found: list[VertexSet] = []
     nodes = 0
     # one [chosen, untried candidates, need] per open node, root first
     stack: list[list[int]] = []
     chosen, cand, need = 0, (1 << g.order) - 1, size
+    if _cover_bound(cand, rows, size) < size:  # the cover bound, at the root only
+        cand = 0
     while True:
         nodes += 1
         if nodes > budget:
@@ -86,19 +85,17 @@ def cocliques_of_size(
             found.append(chosen)
             if first:
                 return found
-        elif cand.bit_count() >= need and (need <= 2 or _cover_bound(cand, rows) >= need):
+        elif cand.bit_count() >= need:
             stack.append([chosen, cand, need])
         # the next node: the least untried candidate of the deepest open
         # node that still has enough candidates to finish
         while stack:
-            top = stack[-1]
-            chosen, rest, need = top
+            chosen, rest, need = top = stack[-1]
             if rest.bit_count() < need:
                 stack.pop()
                 continue
             low = rest & -rest
-            rest ^= low
-            top[1] = rest
+            top[1] = rest = rest ^ low
             chosen, cand, need = chosen | low, rest & ~rows[low.bit_length() - 1], need - 1
             break
         else:
@@ -108,9 +105,6 @@ def cocliques_of_size(
 def hoffman_cocliques(
     g: Graph, p: SrgParams, query: CocliqueQuery | None = None
 ) -> list[VertexSet]:
-    """Cocliques attaining the bound c = v*s/(s-k), lexicographically
-    ordered; exhaustive in mode "all".
-
-    Raises NoHoffmanBound when c is not an integer.
-    """
+    """The cocliques of size c = v*s/(s-k), the Hoffman bound, as
+    :func:`cocliques_of_size` gives them; NoHoffmanBound if c is not integral."""
     return cocliques_of_size(g, p.hoffman_size(), query)

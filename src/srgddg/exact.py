@@ -71,12 +71,13 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import compress
 from math import isqrt
 from operator import mul
 
 from .errors import SizeCapExceeded
 from .graphcore import Graph, adjacency_matrix, bits
-from .recognize import _DdgRows, _pair_rows
+from .recognize import _KEY1, _DdgRows, _pair_keys, _pair_rows
 from .theory import ddg_spectrum
 
 IntMatrix = list  # n x n nested lists of ints
@@ -251,7 +252,7 @@ def _moments(g: Graph) -> tuple[list[int], dict[int, int], dict[int, int] | None
     ddg = k is not None and _DdgRows(n, k)
     cube = quart = 0
     for x, upper in enumerate(_pair_rows(rows)):
-        cube += sum(map(upper.__getitem__, bits(rows[x] >> x + 1)))
+        cube += sum(compress(upper, _pair_keys(rows[x], x, len(upper)).translate(_KEY1)))
         quart += sum(map(mul, upper, upper))
         if ddg and not ddg.fits(x, upper):
             ddg = None

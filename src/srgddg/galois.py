@@ -7,10 +7,10 @@ lexicographically smallest monic irreducible of degree e (equivalently,
 smallest under this integer encoding), so vertex numberings derived from
 field arithmetic are reproducible across runs and platforms.
 
-A field is its two tables: ``fieldspec`` fills the q x q addition and
-multiplication tables once, by one path for prime and extension fields
-(digit sums, and polynomial products reduced modulo the modulus), and
-``add``, ``neg``, ``mul`` and ``inv`` read them.  Tables stay small
+A field is its two tables, filled on first use (``fieldspec`` finds
+only the modulus) by one path for prime and extension fields: digit
+sums, and polynomial products reduced modulo the modulus.  ``add``,
+``neg``, ``mul`` and ``inv`` read them.  Tables stay small
 because no builder can use a large field.  The least object built over
 GF(q) is PG(2, q), on q^2 + q + 1 points, which must fit under
 ``GRAPH_SIZE_CAP``; so ``FIELD_SIZE_CAP`` is the largest q with
@@ -37,7 +37,8 @@ so the row of x is the complement of the hyperplane of the form Jx.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from math import isqrt
 
@@ -97,8 +98,6 @@ class FieldSpec:
     p: int
     e: int
     modulus: tuple[int, ...]  # coefficients ascending, monic of degree e
-    _add: tuple[tuple[int, ...], ...] = field(repr=False, compare=False)
-    _mul: tuple[tuple[int, ...], ...] = field(repr=False, compare=False)
 
     @property
     def q(self) -> int:
@@ -107,19 +106,31 @@ class FieldSpec:
     def elements(self) -> range:
         return range(self.q)
 
+    @cached_property
+    def _tables(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """(addition, multiplication); a graph refused by its cap fills none."""
+        p, polys = self.p, [_digits(a, self.p, self.e) for a in self.elements()]
+
+        def value(poly: list[int]) -> int:
+            return sum(c % p * p**i for i, c in enumerate(poly))
+
+        add = tuple(tuple(value([x + y for x, y in zip(a, b)]) for b in polys) for a in polys)
+        mul = tuple(tuple(value(_poly_mod(_poly_mul(a, b, p), self.modulus, p)) for b in polys) for a in polys)
+        return add, mul
+
     def add(self, a: int, b: int) -> int:
-        return self._add[a][b]
+        return self._tables[0][a][b]
 
     def neg(self, a: int) -> int:
-        return self._mul[self.p - 1][a]  # (-1) * a
+        return self._tables[1][self.p - 1][a]  # (-1) * a
 
     def mul(self, a: int, b: int) -> int:
-        return self._mul[a][b]
+        return self._tables[1][a][b]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("0 has no inverse")
-        return self._mul[a].index(1)
+        return self._tables[1][a].index(1)
 
     def __repr__(self):
         return f"GF({self.p}^{self.e})" if self.e > 1 else f"GF({self.p})"
@@ -136,18 +147,8 @@ def fieldspec(p: int, e: int = 1) -> FieldSpec:
         raise SizeCapExceeded(f"field size {p}^{e} exceeds cap {FIELD_SIZE_CAP}")
     if _factor(p) != {p: 1}:
         raise ValueError(f"{p} is not prime")
-    q = p**e
-    monics = (_monic(low, p, e) for low in range(q))
-    modulus = next(m for m in monics if _irreducible(m, p))
-    polys = [_digits(a, p, e) for a in range(q)]
-    weights = [p**i for i in range(e)]
-
-    def value(poly: list[int]) -> int:
-        return sum(c * w for c, w in zip(poly, weights))
-
-    add = tuple(tuple(value([(x + y) % p for x, y in zip(a, b)]) for b in polys) for a in polys)
-    mul = tuple(tuple(value(_poly_mod(_poly_mul(a, b, p), modulus, p)) for b in polys) for a in polys)
-    return FieldSpec(p, e, tuple(modulus), add, mul)
+    monics = (_monic(low, p, e) for low in range(p**e))
+    return FieldSpec(p, e, tuple(next(m for m in monics if _irreducible(m, p))))
 
 
 def field_by_order(q: int) -> FieldSpec:
@@ -170,7 +171,7 @@ def projective_points(dim: int, f: FieldSpec) -> list[tuple[int, ...]]:
 def _hyperplanes(forms, pts, f: FieldSpec) -> list[int]:
     """For each form c of ``forms``, the bitset of the indices i with
     c . pts[i] = 0 over f; see the module docstring."""
-    add, mul = f._add, f._mul
+    add, mul = f._tables
     cells = [[0] * f.q for _ in pts[0]]
     for i, x in enumerate(pts):
         for cell, a in zip(cells, x):

@@ -53,6 +53,11 @@ def _pair_rows(rows: Sequence[int]) -> Iterator[list[int]]:
         yield [(rx & ry).bit_count() for ry in rows[x + 1 :]]
 
 
+def _pair_keys(related: int, x: int, length: int) -> bytes:
+    """Pair row x's keys: byte y - x - 1 is b"1" if y is in related, else b"0"."""
+    return bin(related >> x + 1)[:1:-1].encode().ljust(length, b"0")
+
+
 def _pair_counts(
     rows: Sequence[int], related: Sequence[int], limit: int = 1
 ) -> tuple[tuple[set[int], set[int]], tuple[int, int] | None]:
@@ -65,8 +70,7 @@ def _pair_counts(
     for x, counts in enumerate(_pair_rows(rows)):
         if (found[0] & found[1]).issuperset(counts):
             continue  # each count fits under either key, as when lambda = mu
-        # byte y - x - 1 is "1" when y is in related[x]
-        keys = bin(related[x] >> x + 1)[:1:-1].encode().ljust(len(counts), b"0")
+        keys = _pair_keys(related[x], x, len(counts))
         fits = found[0].issuperset(compress(counts, keys.translate(_KEY0)))
         if fits and found[1].issuperset(compress(counts, keys.translate(_KEY1))):
             continue

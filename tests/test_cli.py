@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from srgddg import assembly as asm, cli, coclique as cq, designs, graphcore as gc, iso, recognize
+from srgddg import assembly as asm, cli, coclique as cq, designs, galois, graphcore as gc, iso, recognize
 from srgddg.errors import BudgetExceeded, SrgddgError
 
 
@@ -54,6 +54,17 @@ class TestGen:
         assert time.perf_counter() - start < 0.1
         assert code == 1
         assert rep["results"]["error"] == "field size 71 exceeds cap 70"
+
+    def test_gen_graph_over_cap_builds_no_field_table(self, capsys, monkeypatch):
+        # GF(64) is under the field cap, but Sp(4, 64) is over the graph
+        # cap: refused before a table entry of the field is computed
+        def no_tables(*args):
+            raise AssertionError("field table built")
+
+        monkeypatch.setattr(galois, "_poly_mul", no_tables)
+        code, rep = run_json(capsys, ["gen", "sp-complement", "--q", "64"])
+        assert code == 1
+        assert rep["results"]["error"] == "graph on 266305 vertices exceeds cap 5000"
 
     @pytest.mark.parametrize("argv,want", [
         (["triangular", "--m", "6"], gc.triangular(6)),

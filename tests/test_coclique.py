@@ -58,8 +58,8 @@ def recursive_cocliques_of_size(
             return mode == "first"
         if cand.bit_count() < need:
             return False
-        if need > 2 and cq._cover_bound(cand, rows) < need:
-            return False
+        if chosen == 0 and cq._cover_bound(cand, rows, need) < need:
+            return False  # the clique-cover bound, at the root only
         rest = cand
         while rest:
             low = rest & -rest
@@ -186,7 +186,22 @@ class TestCoverBound:
         for g in graphs:
             full = (1 << g.order) - 1
             for cand in (full, full & rng.getrandbits(g.order), full & rng.getrandbits(g.order)):
-                assert cq._cover_bound(cand, g.rows) == naive_cover_bound(cand, g.rows)
+                naive = naive_cover_bound(cand, g.rows)
+                for need in (0, 1, 2, 3, 5, naive, naive + 1, g.order + 1):
+                    assert cq._cover_bound(cand, g.rows, need) == min(naive, need)
+
+    def test_taken_once_per_search(self, sp62, monkeypatch):
+        calls = []
+        real = cq._cover_bound
+        monkeypatch.setattr(cq, "_cover_bound", lambda *args: calls.append(args) or real(*args))
+        found = cq.hoffman_cocliques(sp62, rec.srg_params(sp62))
+        assert len(found) == 135 and len(calls) == 1
+
+    def test_root_refuses_size_above_cover(self):
+        # grid(10, 10) is covered by its 10 rows: no coclique of 11, and
+        # the root alone says so, in one node
+        g = gc.grid(10, 10)
+        assert cq.cocliques_of_size(g, 11, cq.CocliqueQuery(node_budget=1)) == []
 
 
 class TestQueryValidation:
