@@ -95,7 +95,7 @@ from dataclasses import dataclass
 
 from . import theory
 from .coclique import CocliqueQuery, hoffman_cocliques
-from .designs import SymmetricDesign, required_design_params, verify_design
+from .designs import SymmetricDesign, verify_design
 from .errors import BudgetExceeded, SrgddgError
 from .graphcore import Graph, VertexSet, _trusted_graph, bit_picker, bits, induced_subgraph, set_of
 from .recognize import CanonicalPartition, DdgParams, _check_ddg_partition, srg_params
@@ -166,11 +166,9 @@ class Decomposition:
         return self.ddg_params.m
 
 
-def _family_of(dp: DdgParams) -> tuple[int, int]:
-    """Recover (n, s) when the DDG parameters fit the family pattern."""
+def _family_of(dp: DdgParams) -> theory.FamilyParams:
+    """The family of dp; n >= 2 as a proper DDG has a same-class pair."""
     n = dp.n
-    if n < 2:
-        raise ParameterMismatch("class size must be >= 2")
     s, rem = divmod(dp.K, n - 1)
     if rem:
         raise ParameterMismatch(f"K = {dp.K} is not a multiple of n - 1 = {n - 1}")
@@ -183,7 +181,7 @@ def _family_of(dp: DdgParams) -> tuple[int, int]:
             f"divisible design parameters {dp.tuple6} do not match the "
             f"family pattern {fam.ddg.tuple6} for (n = {n}, s = {s})"
         )
-    return n, s
+    return fam
 
 
 def _glue(ddg_rows, classes, blocks, phi) -> list[int]:
@@ -218,14 +216,13 @@ def attach_coclique(
     dp = _check_ddg_partition(ddg, partition)
     if not dp:
         raise ParameterMismatch(dp.reason)
-    n, s = _family_of(dp)
+    fam = _family_of(dp)
     m = dp.m
     ok = verify_design(design)
     if not ok:
         raise DesignMismatch(f"design axioms fail: {ok.axiom} {ok.detail}")
-    want = required_design_params(n, s)
-    if design.params != want:
-        raise DesignMismatch(f"design parameters {design.params}, need {want}")
+    if design.params != fam.design_params:
+        raise DesignMismatch(f"design parameters {design.params}, need {fam.design_params}")
     phi = tuple(phi)
     if sorted(phi) != list(range(m)):
         raise PhiNotBijective(f"phi = {phi} is not a bijection on 0..{m - 1}")

@@ -201,10 +201,13 @@ def _classification(g):
             "r": sp.r, "s": sp.s, "f": sp.f, "g": sp.g,
             "coclique_bound": str(sp.c), "primitive": sp.primitive,
         }
+        # a connected SRG, neither complete nor edgeless, has adjacent and
+        # non-adjacent pairs: its two counts are lambda and mu
+        dz = recognize.DezaParams(sp.v, sp.k, max(sp.lam, sp.mu), min(sp.lam, sp.mu))
     else:
         out["srg"] = None
         out["srg_reason"] = sp.reason
-    dz = recognize.deza_params(g)
+        dz = recognize.deza_params(g)
     out["deza"] = {"v": dz.v, "k": dz.k, "b": dz.b, "a": dz.a} if dz else None
     wits = recognize._ddg_from_deza(g, dz)
     if wits:

@@ -446,36 +446,36 @@ def integral_spectrum(g: Graph) -> Spectrum | NonIntegral:
 
 
 def rank(m: IntMatrix) -> int:
-    """Exact rank by Bareiss fraction-free Gaussian elimination."""
+    """Exact rank by Bareiss fraction-free Gaussian elimination.  A row
+    that is 0 in the pivot column is left alone, as its update would only
+    scale it by pv/prev.  Those factors telescope to prev/level[r],
+    level[r] the pivot value after row r's last update: a row divides by
+    level[r] where Bareiss divides by prev, and a pivot row is scaled once."""
     a = [list(row) for row in m]
-    if not a:
-        return 0
-    nrows, ncols = len(a), len(a[0])
+    nrows, ncols = len(a), len(a[0]) if a else 0
+    level = [1] * nrows
     prev = 1
-    rk = 0
     row = 0
     for col in range(ncols):
         piv = next((r for r in range(row, nrows) if a[r][col]), None)
         if piv is None:
             continue
-        if piv != row:
-            a[row], a[piv] = a[piv], a[row]
-        pv = a[row][col]
-        tail = a[row][col + 1:]
+        a[row], a[piv] = a[piv], a[row]
+        level[row], level[piv] = level[piv], level[row]
+        if level[row] != prev:
+            a[row][col:] = [x * prev // level[row] for x in a[row][col:]]
+        pv, tail = a[row][col], a[row][col + 1:]
         for r in range(row + 1, nrows):
             ar = a[r]
             arc = ar[col]
-            if arc == 0 and pv == prev:
-                # row already reduced; scaling by pv/prev == 1 is a no-op
+            if arc == 0:
                 continue
-            ar[col + 1:] = [(x * pv - arc * y) // prev for x, y in zip(ar[col + 1:], tail)]
+            lv, level[r] = level[r], pv
+            ar[col + 1:] = [(x * pv - arc * y) // lv for x, y in zip(ar[col + 1:], tail)]
             ar[col] = 0
         prev = pv
-        rk += 1
         row += 1
-        if row == nrows:
-            break
-    return rk
+    return row
 
 
 def add_scaled_identity(m: IntMatrix, scale: int) -> IntMatrix:

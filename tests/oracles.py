@@ -4,12 +4,16 @@ certifies spectra from bit rows and never needs them.  Also field
 arithmetic on the digits of the elements, the oracle of the tables of
 ``srgddg.galois.FieldSpec``; the pairwise builders of ``srgddg.galois``,
 which evaluate the form of every pair of points one field operation at a
-time; and the pairwise builder of ``srgddg.graphcore.triangular``."""
+time; the pairwise builder of ``srgddg.graphcore.triangular``; and all
+five symmetric design axioms checked by brute force, the oracle of
+``srgddg.designs.verify_design``."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+
+from srgddg.designs import Violation
 
 
 @dataclass(frozen=True)
@@ -148,3 +152,26 @@ def triangular_rows(m):
             if p != q and (p[0] in q or p[1] in q):
                 rows[i] |= 1 << j
     return rows
+
+
+def design_axioms(d):
+    """Brute-force check of every symmetric 2-design axiom."""
+    v, k, lam = d.params
+    for i, b in enumerate(d.blocks):
+        if b.bit_count() != k:
+            return Violation("block size", (i, b.bit_count(), k))
+    for p in range(v):
+        rep = sum(1 for b in d.blocks if b >> p & 1)
+        if rep != k:
+            return Violation("point replication", (p, rep, k))
+    for p, q in combinations(range(v), 2):
+        cov = sum(1 for b in d.blocks if b >> p & 1 and b >> q & 1)
+        if cov != lam:
+            return Violation("pair coverage", (p, q, cov, lam))
+    for i, j in combinations(range(len(d.blocks)), 2):
+        meet = (d.blocks[i] & d.blocks[j]).bit_count()
+        if meet != lam:
+            return Violation("block intersection", (i, j, meet, lam))
+    if lam * (v - 1) != k * (k - 1):
+        return Violation("counting identity", (v, k, lam))
+    return True

@@ -3,6 +3,7 @@ import random
 from itertools import permutations
 
 import pytest
+from oracles import design_axioms
 
 from srgddg import assembly as asm
 from srgddg import coclique as cq
@@ -400,8 +401,10 @@ def test_witness_replays_to_the_graph(name, count):
         order = gc.set_of(full ^ d.coclique) + gc.set_of(d.coclique)
         want = renamed(graph, {x: i for i, x in enumerate(order)})
         assert asm.attach_coclique(d.ddg, d.ddg_partition, d.design, d.phi) == want
-        # verify_design, kept as the oracle, confirms what Ryser's theorem proves
+        # design_axioms in tests/oracles.py, all five axioms by brute force,
+        # confirms what Ryser's theorem proves
         assert ds.verify_design(d.design) is True
+        assert design_axioms(d.design) is True
         assert d.design.params == ds.required_design_params(d.n, d.s)
         swapped = (d.phi[1], d.phi[0]) + d.phi[2:]
         twisted = asm.attach_coclique(d.ddg, d.ddg_partition, d.design, swapped)

@@ -297,12 +297,39 @@ class TestDecomposeConstruct:
 
 class TestVerifyOnce:
     def test_recognize_counts_deza_once(self, tmp_path, capsys, monkeypatch, sp42, t6, petersen):
-        f = tmp_path / "three.g6"
-        f.write_bytes(b"".join(gc.encode_graph6(g) + b"\n" for g in (sp42, t6, petersen)))
+        # the three SRGs take their Deza counts from srg_params, so only
+        # the DDG T(6)[K2-bar], which is no SRG, counts its pairs again
+        graphs = (sp42, t6, petersen, gc.composition(t6, gc.edgeless(2)))
+        f = tmp_path / "four.g6"
+        f.write_bytes(b"".join(gc.encode_graph6(g) + b"\n" for g in graphs))
         calls = counting(monkeypatch, recognize, "deza_params")
         code, rep = run_json(capsys, ["recognize", str(f)])
-        assert code == 0 and len(calls) == 3
-        assert [row["deza"] is not None for row in rep["results"]["graphs"]] == [True] * 3
+        assert code == 0 and len(calls) == 1
+        assert [row["deza"] is not None for row in rep["results"]["graphs"]] == [True] * 4
+
+    def test_recognize_reads_deza_off_srg_params(self, tmp_path, capsys, monkeypatch, sp62, t6):
+        f = tmp_path / "two.g6"
+        f.write_bytes(b"".join(gc.encode_graph6(g) + b"\n" for g in (sp62, t6)))
+        want = run_json(capsys, ["recognize", str(f)])[1]["results"]
+
+        def no_pass(g):
+            raise AssertionError("deza_params ran on a strongly regular graph")
+
+        monkeypatch.setattr(recognize, "deza_params", no_pass)
+        code, rep = run_json(capsys, ["recognize", str(f)])
+        assert code == 0 and rep["results"] == want
+        assert [row["deza"] for row in want["graphs"]] == [
+            {"v": 63, "k": 32, "b": 16, "a": 16},
+            {"v": 15, "k": 8, "b": 4, "a": 4},
+        ]
+
+    def test_deza_field_equals_deza_params(self, petersen, t6, grid66, sp42, sp43, sp62):
+        corpus = [petersen, t6, grid66, sp42, sp43, sp62, gc.cycle(5), gc.cycle(6),
+                  gc.complete(5), gc.grid(3, 3), gc.path(4), gc.composition(t6, gc.edgeless(2))]
+        for g in corpus:
+            dz = recognize.deza_params(g)
+            want = {"v": dz.v, "k": dz.k, "b": dz.b, "a": dz.a} if dz else None
+            assert cli._classification(g)["deza"] == want, g
 
     def test_construct_json_checks_srg_once(self, tmp_path, capsys, monkeypatch, sp42):
         dec = asm.decompose(sp42, cq.CocliqueQuery(mode="first"))[0]

@@ -2,8 +2,11 @@ import random
 from itertools import combinations
 
 import pytest
+from oracles import design_axioms
 
 from srgddg import designs as ds
+from srgddg import galois as gf
+from srgddg import graphcore as gc
 from srgddg.errors import SizeCapExceeded
 
 FANO_BLOCKS = [[0, 1, 2], [0, 3, 4], [0, 5, 6], [1, 3, 5], [1, 4, 6], [2, 3, 6], [2, 4, 5]]
@@ -13,24 +16,128 @@ def fano():
     return ds.design_from_blocks(FANO_BLOCKS)
 
 
+def verified(d):
+    """verify_design(d), asserted equal to the brute-force oracle."""
+    got = ds.verify_design(d)
+    assert got == design_axioms(d), d
+    return got
+
+
+def circulant(v, base, k, lam):
+    """The v translates of a base set mod v, with nominal k and lam."""
+    blocks = tuple(gc.mask_of((x + t) % v for x in base) for t in range(v))
+    return ds.SymmetricDesign(v, blocks, k, lam)
+
+
+def known_designs():
+    """Fano and its complement, all (v-1)-subsets of v points, the
+    quadratic-residue difference sets mod 7, 11, 19 and 23, the (13, 4, 1)
+    difference set, and PG(2, 3), PG(2, 5), PG(3, 2) and PG(4, 2)."""
+    out = [fano(), ds.complement_design(fano())]
+    out += [ds.all_ksubsets_design(v) for v in range(3, 9)]
+    for v in (7, 11, 19, 23):
+        qr = sorted({x * x % v for x in range(1, v)})
+        out.append(circulant(v, qr, (v - 1) // 2, (v - 3) // 4))
+    out.append(circulant(13, [0, 1, 3, 9], 4, 1))
+    for d, q in ((3, 3), (3, 5), (4, 2), (5, 2)):
+        out.append(gf.pg_hyperplane_design(d, gf.field_by_order(q)))
+    return out
+
+
+def perturbations(rng, d):
+    """13 structures from a relabelled copy of d: itself, one incidence
+    flipped, a point moved within a block, four switches of incidences
+    that keep every block size and replication, wrong nominal k or lam;
+    then three random circulants, lam read off the pair (0, 1) in two of
+    them so that a later pair decides, and two random square structures."""
+    v, k, lam = d.params
+    perm = rng.sample(range(v), v)
+    blocks = [gc.mask_of(perm[p] for p in gc.bits(b)) for b in d.blocks]
+    rng.shuffle(blocks)
+    yield ds.SymmetricDesign(v, tuple(blocks), k, lam)
+    i = rng.randrange(v)
+    flipped = list(blocks)
+    flipped[i] ^= 1 << rng.randrange(v)
+    yield ds.SymmetricDesign(v, tuple(flipped), k, lam)
+    moved = list(blocks)
+    inside, outside = list(gc.bits(moved[i])), list(gc.bits(((1 << v) - 1) ^ moved[i]))
+    if inside and outside:
+        moved[i] ^= 1 << rng.choice(inside) | 1 << rng.choice(outside)
+    yield ds.SymmetricDesign(v, tuple(moved), k, lam)
+    for _ in range(4):
+        switched = list(blocks)
+        for _ in range(rng.randint(1, 3)):
+            i, j = rng.sample(range(v), 2)
+            only_i = list(gc.bits(switched[i] & ~switched[j]))
+            only_j = list(gc.bits(switched[j] & ~switched[i]))
+            if only_i and only_j:
+                swap = 1 << rng.choice(only_i) | 1 << rng.choice(only_j)
+                switched[i] ^= swap
+                switched[j] ^= swap
+        yield ds.SymmetricDesign(v, tuple(switched), k, lam)
+    dk, dl = rng.choice([(1, 0), (-1, 0), (0, 1), (0, -1)])
+    yield ds.SymmetricDesign(v, tuple(blocks), k + dk, lam + dl)
+    w = rng.randint(1, 16)
+    kk = rng.randint(0, w)
+    base = rng.sample(range(w), kk)
+    yield circulant(w, base, kk, rng.randint(0, kk))
+    first = sum(1 for b in circulant(w, base, kk, 0).blocks if b & 3 == 3)
+    yield circulant(w, base, kk, first)
+    yield circulant(w, base, kk, first + rng.choice([0, 1]))
+    rows = [rng.getrandbits(w) for _ in range(w)]
+    yield ds.SymmetricDesign(w, tuple(rows), rows[0].bit_count(), rng.randint(0, 3))
+    yield ds.SymmetricDesign(w, tuple(rows), kk, rng.randint(0, 3))
+
+
 class TestVerify:
     def test_all_2subsets_of_3(self):
         d = ds.design_from_blocks([list(b) for b in combinations(range(3), 2)])
         assert d.params == (3, 2, 1)
-        assert ds.verify_design(d) is True
+        assert verified(d) is True
 
     def test_all_3subsets_of_4(self):
         d = ds.design_from_blocks([list(b) for b in combinations(range(4), 3)])
         assert d.params == (4, 3, 2)
-        assert ds.verify_design(d) is True
+        assert verified(d) is True
 
     def test_flipped_incidence_violates(self):
         blocks = [list(b) for b in FANO_BLOCKS]
         blocks[0] = [0, 1, 3]  # flip one incidence
         d = ds.design_from_blocks(blocks)
-        v = ds.verify_design(d)
-        assert not v
-        assert v.axiom in ("pair coverage", "point replication", "block intersection")
+        # block sizes still hold; point 2 lost a block and point 3 gained one
+        assert verified(d) == ds.Violation("point replication", (2, 2, 3))
+
+    def test_known_designs(self):
+        for d in known_designs():
+            assert verified(d) is True, d.params
+
+    def test_first_pair_misses_lambda(self):
+        # every block size and replication is 3, and the pair (0, 1) lies
+        # on no block
+        d = circulant(7, [0, 2, 5], 3, 1)
+        assert verified(d) == ds.Violation("pair coverage", (0, 1, 0, 1))
+
+    def test_later_pair_misses_lambda(self):
+        # every difference mod 8 but 4 occurs once in {0, 1, 3}: the pair
+        # (0, 1) lies on lambda blocks, and (0, 4) is the first that does not
+        d = circulant(8, [0, 1, 3], 3, 1)
+        assert verified(d) == ds.Violation("pair coverage", (0, 4, 0, 1))
+
+    def test_degenerate_structures(self):
+        for v in range(1, 5):
+            full = (1 << v) - 1
+            for k, lam, block in ((0, 0, 0), (v, v, full), (0, 1, 0), (v, v - 1, full)):
+                verified(ds.SymmetricDesign(v, (block,) * v, k, lam))
+
+    def test_against_oracle_on_perturbations(self):
+        rng = random.Random(24)
+        designs = known_designs()
+        axioms = set()
+        for _ in range(1600):
+            for case in perturbations(rng, rng.choice(designs)):
+                got = verified(case)
+                axioms.add(got.axiom if not got else "design")
+        assert axioms == {"design", "block size", "point replication", "pair coverage"}
 
     def test_wrong_block_count_rejected(self):
         with pytest.raises(ValueError, match="blocks"):
@@ -41,7 +148,7 @@ class TestComplement:
     def test_fano_complement(self):
         c = ds.complement_design(fano())
         assert c.params == (7, 4, 2)
-        assert ds.verify_design(c) is True
+        assert verified(c) is True
 
     def test_degenerate_rejected(self):
         d = ds.all_ksubsets_design(4)  # 2-(4,3,2); complement lambda = 0
@@ -58,7 +165,7 @@ class TestBuilders:
     def test_all_ksubsets(self, v):
         d = ds.all_ksubsets_design(v)
         assert d.params == (v, v - 1, v - 2)
-        assert ds.verify_design(d) is True
+        assert verified(d) is True
 
 
 class TestRequiredParams:

@@ -551,3 +551,30 @@ class TestRank:
             if rng.random() < 0.5 and n > 1:
                 m[n - 1] = [2 * x for x in m[0]]
             assert ex.rank(m) == fraction_rank(m)
+        # sparse, banded and non-square matrices, whose pivots need row
+        # swaps and leave rows 0 in pivot columns over several steps
+        for trial in range(600):
+            r, c = rng.randint(1, 9), rng.randint(1, 9)
+            if trial % 3 == 0:
+                m = [[rng.choice([0, 0, 0, rng.randint(-4, 4)]) for _ in range(c)] for _ in range(r)]
+            elif trial % 3 == 1:
+                m = [[rng.randint(-3, 3) if abs(i - j) <= 1 else 0 for j in range(c)] for i in range(r)]
+            else:
+                m = [[rng.choice([0, 1, 2, -1]) * (j >= i // 2) for j in range(c)] for i in range(r)]
+            assert ex.rank(m) == fraction_rank(m), m
+        # row 2 skips the second pivot, 1, after the first, 2, and is then
+        # the pivot row: it is scaled by prev/level = 1/2, exact as a
+        # whole though 2 does not divide 1, and row 3 is eliminated by it
+        assert ex.rank([[2, 1, 0, 0], [1, 1, 0, 0], [2, 1, 1, 0], [0, 0, 1, 1]]) == 4
+
+    def test_row_zero_in_every_pivot_column_is_left_alone(self):
+        class Untouchable(int):
+            def __mul__(self, other):
+                raise AssertionError("a row with no entry in any pivot column was rescaled")
+
+            __rmul__ = __mul__
+
+        zero = Untouchable(0)
+        # pivots 1, 2, 3: each step's pv/prev is not 1
+        m = [[1, 0, 0], [0, 2, 0], [zero, zero, zero], [0, 0, 3]]
+        assert ex.rank(m) == 3
