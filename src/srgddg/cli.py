@@ -25,12 +25,13 @@ import argparse
 import collections
 import functools
 import hashlib
+import io
 import json
 import os
 import sys
 import time
 
-from . import assembly, coclique, galois, graphcore, iso, recognize, theory
+from . import assembly, coclique, designs, galois, graphcore, iso, recognize, theory
 from .errors import BudgetExceeded, NoHoffmanBound, SrgddgError
 
 SCHEMA = "srgddg-report/1"
@@ -38,20 +39,6 @@ SCHEMA = "srgddg-report/1"
 
 class _Usage(Exception):
     pass
-
-
-def _split_stream(fh, size: int = 1 << 20):
-    """The lines of a binary stream, with their line ends, split as
-    ``bytes.splitlines`` splits the whole of it, read a chunk at a time.
-    The last line of a chunk may be unfinished, or a CR whose LF is in
-    the next chunk, so it is carried over."""
-    carry = b""
-    for chunk in iter(functools.partial(fh.read1, size), b""):
-        lines = (carry + chunk).splitlines(keepends=True)
-        carry = lines.pop()
-        yield from lines
-    if carry:
-        yield carry
 
 
 class GraphFile:
@@ -75,9 +62,13 @@ class GraphFile:
         self.sha256, self.sha256_lines = hashlib.sha256(), hashlib.sha256()
 
     def __iter__(self):
-        fh = sys.stdin.buffer if self.path == "-" else open(self.path, "rb")
+        # latin-1 decodes each byte to one character; newline="" splits the
+        # lines as bytes.splitlines does and keeps their ends
+        binary = sys.stdin.buffer if self.path == "-" else open(self.path, "rb")
+        fh = io.TextIOWrapper(binary, encoding="latin-1", newline="")
         try:
-            for lineno, raw in enumerate(_split_stream(fh), start=1):
+            for lineno, text in enumerate(fh, start=1):
+                raw = text.encode("latin-1")
                 self.sha256.update(raw)
                 line = raw.strip()
                 if line.startswith(b">>graph6<<"):
@@ -95,7 +86,9 @@ class GraphFile:
                 self.lineno = lineno
                 yield g
         finally:
-            if self.path != "-":
+            if self.path == "-":
+                fh.detach()  # stdin stays open
+            else:
                 fh.close()
 
 
@@ -201,15 +194,11 @@ def _classification(g):
             "r": sp.r, "s": sp.s, "f": sp.f, "g": sp.g,
             "coclique_bound": str(sp.c), "primitive": sp.primitive,
         }
-        # a connected SRG, neither complete nor edgeless, has adjacent and
-        # non-adjacent pairs: its two counts are lambda and mu
-        dz = recognize.DezaParams(sp.v, sp.k, max(sp.lam, sp.mu), min(sp.lam, sp.mu))
     else:
         out["srg"] = None
         out["srg_reason"] = sp.reason
-        dz = recognize.deza_params(g)
+    dz, wits = recognize._deza_and_ddg(g, sp)
     out["deza"] = {"v": dz.v, "k": dz.k, "b": dz.b, "a": dz.a} if dz else None
-    wits = recognize._ddg_from_deza(g, dz)
     if wits:
         out["ddg"] = [
             {
@@ -348,11 +337,8 @@ def _cmd_construct(args, t0):
         raise ValueError(f"{args.design}: \"v\" must be a positive integer")
     # a symmetric design has as many points as blocks
     _check_below(args.design, blocks, len(blocks) if v is None else v, "point")
-    from .designs import design_from_blocks
-
-    design = design_from_blocks(blocks, v)
-    phi = tuple(int(x) for x in args.phi.split(","))
-    built = assembly.attach_coclique(ddg, part, design, phi)
+    design = designs.design_from_blocks(blocks, v)
+    built = assembly.attach_coclique(ddg, part, design, args.phi)
     if args.json:
         # attach_coclique has proven these parameters on the built graph
         fam = theory.family_from(part.n, -design.k_blk)
@@ -368,6 +354,14 @@ def _cmd_construct(args, t0):
     else:
         sys.stdout.buffer.write(graphcore.encode_graph6(built) + b"\n")
     return 0
+
+
+def _phi(text: str) -> tuple[int, ...]:
+    """An argparse type: comma-separated integers, one block index per class."""
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
 
 
 def _s_value(text: str) -> int:
@@ -568,7 +562,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ddg", required=True, help="graph6 file with the divisible design graph")
     p.add_argument("--partition", required=True, help='JSON {"classes": [[...], ...]}')
     p.add_argument("--design", required=True, help='JSON {"v": int, "blocks": [[...], ...]}')
-    p.add_argument("--phi", required=True, help="comma-separated block index per class")
+    p.add_argument("--phi", type=_phi, required=True, help="comma-separated block index per class")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_construct)
 

@@ -68,16 +68,14 @@ def design_from_blocks(blocks: list[list[int]], v_pts: int | None = None) -> Sym
     if not blocks:
         raise ValueError("no blocks given")
     if v_pts is None:
+        if not any(blocks):
+            raise ValueError("no block holds a point")
         v_pts = max(max(b) for b in blocks if b) + 1
     if len(blocks) != v_pts:  # before any mask as wide as v_pts is built
         raise ValueError(f"symmetric design needs {v_pts} blocks, got {len(blocks)}")
     masks = tuple(mask_of(b) for b in blocks)
-    k_blk = masks[0].bit_count()
-    if len(masks) > 1:
-        lam = (masks[0] & masks[1]).bit_count()
-    else:
-        lam = 0
-    return SymmetricDesign(v_pts, masks, k_blk, lam)
+    lam = (masks[0] & masks[1]).bit_count() if len(masks) > 1 else 0
+    return SymmetricDesign(v_pts, masks, masks[0].bit_count(), lam)
 
 
 @dataclass(frozen=True)
@@ -221,6 +219,12 @@ def _factor(n: int) -> dict[int, int]:
             d = _rho(x)
             todo += (d, x // d)
     return dict(sorted(out.items()))
+
+
+def _prime_power(q: int) -> tuple[int, int] | None:
+    """(p, e) with q = p^e for a prime p and e >= 1, or None."""
+    fac = _factor(q) if q > 1 else {}
+    return next(iter(fac.items())) if len(fac) == 1 else None
 
 
 # -- Bruck-Ryser-Chowla (advisory only) ---------------------------------

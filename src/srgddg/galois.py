@@ -42,7 +42,7 @@ from functools import cached_property
 from itertools import product
 from math import isqrt
 
-from .designs import SymmetricDesign, _factor
+from .designs import SymmetricDesign, _factor, _prime_power
 from .errors import SizeCapExceeded
 from .graphcore import GRAPH_SIZE_CAP, Graph, _trusted_graph, check_order
 
@@ -156,10 +156,10 @@ def field_by_order(q: int) -> FieldSpec:
     factored."""
     if q > FIELD_SIZE_CAP:
         raise SizeCapExceeded(f"field size {q} exceeds cap {FIELD_SIZE_CAP}")
-    fac = _factor(q) if q > 1 else {}
-    if len(fac) != 1:
+    base = _prime_power(q)
+    if base is None:
         raise ValueError(f"{q} is not a prime power")
-    return fieldspec(*next(iter(fac.items())))
+    return fieldspec(*base)
 
 
 def projective_points(dim: int, f: FieldSpec) -> list[tuple[int, ...]]:

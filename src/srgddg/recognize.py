@@ -369,36 +369,43 @@ class _DdgRows:
 
 
 def ddg_recognize(g: Graph) -> list[tuple[DdgParams, CanonicalPartition]] | NotDdg:
-    """Recover the proper divisible-design structure of a graph.
+    """Recover the proper divisible-design structure of a graph, found and
+    proven by one pass of :class:`_DdgRows` over its pairs.  A success is
+    a list of exactly one witness: at each vertex x the c_b - 1 vertices
+    sharing b neighbours with x and the c_a - 1 sharing a are the other
+    v - 1, so c_b + c_a = v + 1, but a proper class size divides v and
+    lies in 2..v/2 (m > 1 and n > 1), so two of them sum to at most v."""
+    return _deza_and_ddg(g)[1]
 
-    Needs the graph to be Deza with counts b > a (so regular); one pass
-    of :class:`_DdgRows` over the pair rows then finds and proves them.
-    A success is a list of exactly one witness: the same-class count l1
-    is b or a, and at each vertex x the c_b - 1 vertices sharing b
-    neighbours with x and the c_a - 1 sharing a are the other v - 1, so
-    c_b + c_a = v + 1.  A proper class size divides v and lies in 2..v/2
-    (m > 1 and n > 1), so two of them sum to at most v.
+
+def _deza_and_ddg(
+    g: Graph, srg: SrgParams | NotSrg | None = None
+) -> tuple[DezaParams | NotDeza, list[tuple[DdgParams, CanonicalPartition]] | NotDdg]:
+    """``deza_params`` and ``ddg_recognize`` of a graph, in one pass over
+    its pairs if it is an SRG or a DDG.  The two Deza counts are the first
+    of: lambda and mu of ``srg``, its ``srg_params`` if they succeeded; l1
+    and l2 of the DDG witness, as the rows are tested only on a regular
+    graph, and passing rows hold only l1 and l2, row 0 both, so the graph
+    is neither complete nor edgeless; else those of ``deza_params``, which
+    then names why the graph is no DDG.
     """
-    return _ddg_from_deza(g, deza_params(g))
-
-
-def _ddg_from_deza(
-    g: Graph, dz: DezaParams | NotDeza
-) -> list[tuple[DdgParams, CanonicalPartition]] | NotDdg:
-    """:func:`ddg_recognize` given the graph's ``deza_params``."""
+    k = g.regular_degree()
+    counts = {srg.lam, srg.mu} if srg else set()
+    wits = NotDdg("same-count relation is not an equivalence with equal classes")
+    if k is not None:
+        test = _DdgRows(g.order, k)
+        if all(test.fits(x, upper) for x, upper in enumerate(_pair_rows(g.rows))):
+            counts, wits = {test.l1, test.l2}, [(test.params(), test.partition())]
+    dz = DezaParams(g.order, k, max(counts), min(counts)) if counts else deza_params(g)
     if not dz:
-        return NotDdg(f"not a Deza graph: {dz.reason}")
-    if dz.b == dz.a:
-        return NotDdg(
+        wits = NotDdg(f"not a Deza graph: {dz.reason}")
+    elif dz.b == dz.a:
+        wits = NotDdg(
             "all pairs share the same count: graph is strongly regular "
             "with lambda = mu, an improper divisible design",
             srg_note=True,
         )
-    test = _DdgRows(g.order, dz.k)
-    for x, upper in enumerate(_pair_rows(g.rows)):
-        if not test.fits(x, upper):
-            return NotDdg("same-count relation is not an equivalence with equal classes")
-    return [(test.params(), test.partition())]
+    return dz, wits
 
 
 # -- equitable quotient --------------------------------------------------

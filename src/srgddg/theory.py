@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import isqrt
 
-from .designs import _factor, bruck_ryser_chowla, required_design_params
+from .designs import _factor, _prime_power, bruck_ryser_chowla, required_design_params
 from .errors import NoHoffmanBound
 from .recognize import DdgParams, SrgParams, srg_params_from_tuple
 
@@ -132,17 +132,10 @@ class InconsistentFamily(AssertionError):
     """
 
 
-def _prime_power_base(x: int) -> tuple[int, int] | None:
-    """(p, a) with x = p^a, or None."""
-    fac = _factor(x) if x > 1 else {}
-    return next(iter(fac.items())) if len(fac) == 1 else None
-
-
 def resolve_prime_power(fp: FamilyParams) -> PrimePowerResolution | NotPrimePower:
     """When -s is a prime power, the family forces s = -q^(d-1) and
     n = q^d with q = n/(-s)."""
-    base = _prime_power_base(-fp.s)
-    if base is None:
+    if _prime_power(-fp.s) is None:
         return NotPrimePower(f"-s = {-fp.s} is not a prime power")
     q, rem = divmod(fp.n, -fp.s)
     if rem or q < 2:

@@ -297,15 +297,20 @@ class TestDecomposeConstruct:
 
 class TestVerifyOnce:
     def test_recognize_counts_deza_once(self, tmp_path, capsys, monkeypatch, sp42, t6, petersen):
-        # the three SRGs take their Deza counts from srg_params, so only
-        # the DDG T(6)[K2-bar], which is no SRG, counts its pairs again
-        graphs = (sp42, t6, petersen, gc.composition(t6, gc.edgeless(2)))
-        f = tmp_path / "four.g6"
+        # the three SRGs take their Deza counts from srg_params and the DDG
+        # T(6)[K2-bar] from its witness; only C7, a Deza graph that is
+        # neither, runs deza_params, to name why it is no DDG
+        graphs = (sp42, t6, petersen, gc.composition(t6, gc.edgeless(2)), gc.cycle(7))
+        f = tmp_path / "five.g6"
         f.write_bytes(b"".join(gc.encode_graph6(g) + b"\n" for g in graphs))
         calls = counting(monkeypatch, recognize, "deza_params")
         code, rep = run_json(capsys, ["recognize", str(f)])
-        assert code == 0 and len(calls) == 1
-        assert [row["deza"] is not None for row in rep["results"]["graphs"]] == [True] * 4
+        assert code == 0 and calls == [(graphs[-1],)]
+        rows = rep["results"]["graphs"]
+        assert [row["deza"] is not None for row in rows] == [True] * 5
+        assert [row["ddg"] is not None for row in rows] == [False] * 3 + [True, False]
+        assert rows[-1]["deza"] == {"v": 7, "k": 2, "b": 1, "a": 0}
+        assert rows[-1]["ddg_reason"] == "same-count relation is not an equivalence with equal classes"
 
     def test_recognize_reads_deza_off_srg_params(self, tmp_path, capsys, monkeypatch, sp62, t6):
         f = tmp_path / "two.g6"
@@ -450,6 +455,35 @@ class TestConstructJson:
         assert proc.returncode == 1 and b"Traceback" not in proc.stderr
         rep = json.loads(proc.stdout)
         assert rep["results"] == {"error": "classes do not partition the vertex set"}
+
+    def test_empty_blocks_without_v_name_the_fault(self, capsys, files):
+        code, rep = self.run_construct(capsys, files, {"classes": [[0, 1]]}, {"blocks": [[], []]})
+        assert code == 1 and rep["results"] == {"error": "no block holds a point"}
+
+    @pytest.mark.parametrize("phi", ["0,x,2", "", "0,,1", "1.0,2,0"])
+    def test_phi_not_integers_is_usage_error(self, capsys, phi):
+        # refused while the arguments are parsed, before any file is read
+        code = cli.run(["construct", "--ddg", "d.g6", "--partition", "p.json",
+                        "--design", "d.json", "--phi", phi])
+        out, err = capsys.readouterr()
+        assert code == 2 and not out
+        assert f"expected comma-separated integers, got {phi!r}" in err
+
+    @pytest.mark.parametrize("phi", ["-1,0,1", "0,1,2,2", "0,0,1"])
+    def test_phi_of_integers_not_bijective_gives_error_report(self, capsys, files, sp42, phi):
+        dec = asm.decompose(sp42, cq.CocliqueQuery(mode="first"))[0]
+        classes = [gc.set_of(cl) for cl in dec.ddg_partition.classes]
+        design = {"blocks": [dec.design.block_points(i) for i in range(len(dec.design.blocks))]}
+        tmp_path, ddg = files
+        (tmp_path / "part.json").write_text(json.dumps({"classes": classes}))
+        (tmp_path / "design.json").write_text(json.dumps(design))
+        code, rep = run_json(capsys, [
+            "construct", "--ddg", ddg, f"--phi={phi}",
+            "--partition", str(tmp_path / "part.json"),
+            "--design", str(tmp_path / "design.json"),
+        ])
+        want = f"phi = {tuple(int(x) for x in phi.split(','))} is not a bijection on 0..2"
+        assert code == 1 and rep["results"] == {"error": want}
 
     @pytest.mark.parametrize("partition", [HUGE_VERTEX, DEEP_CLASSES], ids=["huge-vertex", "deep"])
     def test_out_of_range_or_deep_partition_gives_error_report(self, files, partition):
@@ -788,14 +822,45 @@ class TestGraphFileHandling:
         assert code == 0 and rep["results"]["graphs"] == 2
         assert rep["results"]["per_graph"][0]["decompositions"] == 15
 
-    def test_stream_splits_like_splitlines(self):
-        import io
+    def test_stream_splits_like_splitlines(self, monkeypatch, petersen, sp42, t6):
+        # stdin that hands out `size` bytes per read, so a line end, a CRLF
+        # among them, can fall across any read boundary
+        class Trickle(io.RawIOBase):
+            def __init__(self, data, size):
+                self.data, self.size, self.pos = data, size, 0
 
-        data = b"ab\r\ncd\r\ref\n\n\rgh\r\r\nij"
+            def readable(self):
+                return True
+
+            def readinto(self, buf):
+                chunk = self.data[self.pos : self.pos + min(self.size, len(buf))]
+                buf[: len(chunk)] = chunk
+                self.pos += len(chunk)
+                return len(chunk)
+
+        p, s, t = (gc.encode_graph6(g) for g in (petersen, sp42, t6))
+        data = b">>graph6<<" + p + b"\r\n" + s + b"\r\r\n\n" + t + b" \r" + p + b"\n\r\n\r" + s
+        # the oracle: bytes.splitlines of the whole stream
+        want = [(n, line.strip().removeprefix(b">>graph6<<"))
+                for n, line in enumerate(data.splitlines(), start=1)]
+        want = [(n, line) for n, line in want if line]
+        assert [line for _, line in want] == [p, s, t, p, s]
         for size in range(1, len(data) + 2):
-            got = list(cli._split_stream(io.BytesIO(data), size))
-            assert b"".join(got) == data
-            assert [line.rstrip(b"\r\n") for line in got] == data.splitlines()
+            monkeypatch.setattr(sys, "stdin", type("Stdin", (), {"buffer": Trickle(data, size)}))
+            graphs = cli.GraphFile("-")
+            got = [(graphs.lineno, g) for g in graphs]
+            assert got == [(n, gc.decode_graph6(line)) for n, line in want], size
+            assert graphs.sha256.hexdigest() == hashlib.sha256(data).hexdigest()
+            lines = b"".join(line + b"\n" for _, line in want)
+            assert graphs.sha256_lines.hexdigest() == hashlib.sha256(lines).hexdigest()
+
+    @pytest.mark.parametrize("byte", [b"\x1c", b"\x1f", b"\x85", b"\xa0"])
+    def test_strips_ascii_whitespace_only(self, tmp_path, petersen, byte):
+        # str.strip would take these bytes for whitespace and skip the line
+        f = tmp_path / "odd.g6"
+        f.write_bytes(gc.encode_graph6(petersen) + b"\n" + byte + b"\n")
+        with pytest.raises(SrgddgError, match="^line 2: "):
+            list(cli.GraphFile(str(f)))
 
     def test_decodes_one_line_at_a_time(self, tmp_path, petersen):
         # the graph before a bad line comes out before that line is decoded

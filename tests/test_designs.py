@@ -240,6 +240,15 @@ class TestFactor:
         p, q = 1000003, 1000000007
         assert ds._factor(-p * q) == {p: 1, q: 1}
 
+    def test_prime_power_split(self):
+        # the one split of q into (p, e), shared by field_by_order and
+        # resolve_prime_power
+        for q in range(-5, 300):
+            fac = trial_division(q) if q > 1 else {}
+            want = next(iter(fac.items())) if len(fac) == 1 else None
+            assert ds._prime_power(q) == want, q
+        assert ds._prime_power(43**5) == (43, 5)
+
     def test_cap_refused_before_any_work(self, monkeypatch):
         def no_work(n):
             raise AssertionError("primality tested above the cap")

@@ -8,6 +8,7 @@ from test_assembly import ORACLE_CASES, oracle_graph
 
 from srgddg import assembly as asm
 from srgddg import exact as ex
+from srgddg import galois as gf
 from srgddg import graphcore as gc
 from srgddg import recognize as rec
 from srgddg.coclique import CocliqueQuery
@@ -232,8 +233,8 @@ class TestDdgRecognize:
 
     def test_each_pair_is_anded_once(self, t6, sp43):
         # rows that count the ANDs taken between two of them: the power
-        # sums AND each pair x < y once, and ddg_recognize on a DDG once in
-        # deza_params and once in the row test
+        # sums and ddg_recognize on a DDG, whose row test proves its Deza
+        # counts, AND each pair x < y once
         class CountingRow(int):
             ands = 0
 
@@ -252,7 +253,7 @@ class TestDdgRecognize:
             if g in ddgs:
                 CountingRow.ands = 0
                 assert rec.ddg_recognize(counting)
-                assert CountingRow.ands == 2 * pairs, g
+                assert CountingRow.ands == pairs, g
 
     def test_quotient_succeeds_on_every_recognized_ddg(self, t6):
         # the canonical partition of a divisible design graph is equitable
@@ -602,6 +603,14 @@ class TestPairCountsAgainstLoops:
             assert assert_partition_check_matches_loop(dec.ddg, part) == dec.ddg_params
             for _ in range(2):
                 assert not assert_partition_check_matches_loop(dec.ddg, swapped(part, rnd))
+
+    def test_sp82_first_ddg(self):
+        # the v = 240 DDG left by the first Hoffman coclique of Sp(8,2)^c
+        g = gf.symplectic_complement(4, gf.field_by_order(2))
+        ddg = asm.decompose(g, CocliqueQuery(mode="first"))[0].ddg
+        (dp, part), = loop_ddg_recognize(ddg)
+        assert dp.tuple6 == (240, 120, 56, 60, 15, 16)
+        assert rec.ddg_recognize(ddg) == [(dp, part)]
 
     def test_ddg_partitions_with_a_swap(self):
         rnd = random.Random(7)

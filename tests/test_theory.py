@@ -3,6 +3,7 @@ import hashlib
 
 import pytest
 
+from srgddg import designs as ds
 from srgddg import exact as ex
 from srgddg import graphcore as gc
 from srgddg import recognize as rec
@@ -77,7 +78,7 @@ class TestPrimePower:
         # the parameter calculus guarantees n = q^d whenever -s is a
         # prime power; sweep a grid to confirm no Inconsistent escapes
         for ent in th.enumerate_feasible(-16, -2, 300):
-            if th._prime_power_base(-ent.s):
+            if ds._prime_power(-ent.s):
                 assert isinstance(ent.prime_power, th.PrimePowerResolution)
                 q, d = ent.prime_power.q, ent.prime_power.d
                 assert q**d == ent.n and q ** (d - 1) == -ent.s and d >= 2
