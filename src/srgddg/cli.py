@@ -562,7 +562,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ddg", required=True, help="graph6 file with the divisible design graph")
     p.add_argument("--partition", required=True, help='JSON {"classes": [[...], ...]}')
     p.add_argument("--design", required=True, help='JSON {"v": int, "blocks": [[...], ...]}')
-    p.add_argument("--phi", type=_phi, required=True, help="comma-separated block index per class")
+    p.add_argument("--phi", type=_phi, required=True,
+                   help="comma-separated block index per class; write --phi=-1,0,1 for a list that starts with '-'")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_construct)
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, isqrt
 
-from .errors import SizeCapExceeded
+from .errors import FalsyVerdict, SizeCapExceeded
 from .graphcore import bits, mask_of
 from .recognize import _pair_counts
 
@@ -79,14 +79,11 @@ def design_from_blocks(blocks: list[list[int]], v_pts: int | None = None) -> Sym
 
 
 @dataclass(frozen=True)
-class Violation:
+class Violation(FalsyVerdict):
     """A failed design axiom, naming the offending pair."""
 
     axiom: str
     detail: tuple
-
-    def __bool__(self):
-        return False
 
 
 def verify_design(d: SymmetricDesign) -> bool | Violation:

@@ -1,6 +1,15 @@
-"""Exception types shared across modules."""
+"""Exception types shared across modules, and the base of the falsy
+verdicts: the values that say why an answer is no."""
 
 from __future__ import annotations
+
+
+class FalsyVerdict:
+    """A "no" answer that carries its reason and is false in a boolean
+    context, so ``if not verdict`` reads as the answer."""
+
+    def __bool__(self):
+        return False
 
 
 class SrgddgError(Exception):

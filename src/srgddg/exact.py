@@ -75,7 +75,7 @@ from itertools import compress
 from math import isqrt
 from operator import mul
 
-from .errors import SizeCapExceeded
+from .errors import FalsyVerdict, SizeCapExceeded
 from .graphcore import Graph, adjacency_matrix, bits
 from .recognize import _KEY1, _DdgRows, _pair_keys, _pair_rows
 from .theory import ddg_spectrum
@@ -126,7 +126,7 @@ class Spectrum:
 
 
 @dataclass(frozen=True)
-class NonIntegral:
+class NonIntegral(FalsyVerdict):
     """The spectrum is not all integers.
 
     ``found`` holds every integer eigenvalue with its multiplicity,
@@ -136,9 +136,6 @@ class NonIntegral:
 
     found: tuple[tuple[int, int], ...]
     residual_degree: int
-
-    def __bool__(self):
-        return False
 
 
 def char_poly(m: IntMatrix) -> tuple[int, ...]:

@@ -9,13 +9,16 @@ Vertex sets (cocliques, partition classes, induced-subgraph selectors) are
 plain int bitsets as well; see :func:`bits`, :func:`mask_of`,
 :func:`set_of`.
 
-``Graph(...)`` checks its rows: range and loops row by row, and symmetry
-by one comparison of the rows with their transpose, taken as bit strings.
-Rows that are valid by construction skip those checks through
-``_trusted_graph``: those of the graph6 decoder, ``induced_subgraph``,
-``complete``, ``edgeless``, ``triangular``, ``grid``, ``composition``,
-``complement_of`` and ``Graph.with_label``.  ``from_edges``, and with it
-``cycle`` and ``path``, keeps them.
+``Graph`` is a frozen dataclass of ``order``, ``rows`` and ``label``,
+checked once, where it is built: ``Graph(...)`` checks range and loops
+row by row, and symmetry by one comparison of the rows with their
+transpose, taken as bit strings.  ``_trusted_graph`` is the only way
+round those checks, for rows that are valid by construction: those of
+the graph6 decoder, ``induced_subgraph``, ``complete``, ``edgeless``,
+``triangular``, ``grid``, ``composition``, ``complement_of`` and
+``Graph.with_label``.  ``from_edges``, and with it ``cycle`` and
+``path``, keeps them.  Unpickling restores the fields of a graph without
+checking them again.
 
 All generators document a deterministic vertex numbering so results are
 reproducible across runs, and refuse an order above ``GRAPH_SIZE_CAP``
@@ -31,6 +34,7 @@ before they build a row:
 from __future__ import annotations
 
 import binascii
+from dataclasses import dataclass, field
 from itertools import combinations, zip_longest
 from operator import itemgetter
 from typing import Iterable, Iterator
@@ -74,28 +78,21 @@ def _transpose(lines: list[str]) -> Iterator[str]:
     return map("".join, zip_longest(*lines, fillvalue="0"))
 
 
-def _first_one_way_pair(rows: tuple[int, ...], lines: list[str]) -> tuple[int, int]:
-    """The first pair (x, y), by x and then y, with y in rows[x] but x
-    not in rows[y]; ``lines`` are the rows as bit strings, character y
-    for bit y."""
-    for x, column in enumerate(_transpose(lines)):
-        one_way = rows[x] & ~int(column[::-1], 2)
-        if one_way:
-            return x, (one_way & -one_way).bit_length() - 1
-    raise AssertionError("rows are symmetric")
-
-
+@dataclass(frozen=True, slots=True)
 class Graph:
-    """Immutable simple graph.
+    """Immutable simple graph, its rows checked once, where it is built.
 
     Equality and hashing compare order and adjacency only; the optional
-    ``label`` is a display tag and never affects semantics.
+    ``label`` is a display tag and never affects semantics.  Unpickling
+    restores the fields without checking them again.
     """
 
-    __slots__ = ("order", "rows", "label")
+    order: int
+    rows: tuple[int, ...]
+    label: str | None = field(default=None, compare=False)
 
-    def __init__(self, order: int, rows: Iterable[int], label: str | None = None):
-        rows = tuple(rows)
+    def __post_init__(self):
+        order, rows = self.order, tuple(self.rows)
         if order < 1:
             raise ValueError(f"graph order must be >= 1, got {order}")
         if len(rows) != order:
@@ -110,26 +107,9 @@ class Graph:
         fmt = f"0{order}b"
         lines = [format(row, fmt)[::-1] for row in rows]
         if not all(map(str.__eq__, _transpose(lines), lines)):
-            x, y = _first_one_way_pair(rows, lines)
+            x, y = next((x, y) for x, row in enumerate(rows) for y in bits(row) if not rows[y] >> x & 1)
             raise ValueError(f"adjacency not symmetric at pair ({x}, {y})")
-        object.__setattr__(self, "order", order)
         object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "label", label)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Graph is immutable")
-
-    def __reduce__(self):
-        # immutability blocks pickle's setattr path; rebuild through init
-        return (Graph, (self.order, self.rows, self.label))
-
-    def __eq__(self, other):
-        if not isinstance(other, Graph):
-            return NotImplemented
-        return self.order == other.order and self.rows == other.rows
-
-    def __hash__(self):
-        return hash((self.order, self.rows))
 
     def __repr__(self):
         tag = f" {self.label!r}" if self.label else ""
@@ -295,16 +275,10 @@ def grid(a: int, b: int) -> Graph:
     if a < 1 or b < 1:
         raise ValueError("grid(a, b) needs a, b >= 1")
     check_order(a * b)
-    rows = [0] * (a * b)
-    for i in range(a):
-        for j in range(b):
-            v = i * b + j
-            for jj in range(b):
-                if jj != j:
-                    rows[v] |= 1 << (i * b + jj)
-            for ii in range(a):
-                if ii != i:
-                    rows[v] |= 1 << (ii * b + j)
+    # (i, j) sees board row i and column j, which meet only at (i, j)
+    line = (1 << b) - 1
+    column = mask_of(range(0, a * b, b))
+    rows = [(line << i * b) ^ (column << j) for i in range(a) for j in range(b)]
     return _trusted_graph(a * b, rows, f"grid({a},{b})")
 
 
@@ -345,7 +319,7 @@ def composition(g1: Graph, g2: Graph) -> Graph:
 
 def _trusted_graph(order: int, rows: Iterable[int], label: str | None = None) -> Graph:
     """A Graph from rows known to be valid (in range, loop-free and
-    symmetric), skipping the checks of ``Graph.__init__``."""
+    symmetric), skipping the checks of ``Graph``."""
     g = object.__new__(Graph)
     object.__setattr__(g, "order", order)
     object.__setattr__(g, "rows", tuple(rows))
@@ -389,7 +363,7 @@ def induced_subgraph(g: Graph, keep: VertexSet) -> Graph:
 # bit.  The decoder cuts the bits into the columns of the upper triangle
 # and gets the rest of each row from a transpose of those columns, taken
 # a block of columns at a time, so its rows are symmetric by construction
-# and skip the checks of ``Graph.__init__``.
+# and skip the checks of ``Graph``.
 
 _G6_MAX = 68719476735  # 2^36 - 1
 

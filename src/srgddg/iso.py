@@ -164,15 +164,10 @@ def _refine(rows: tuple[int, ...], cells: list[int], queue: list[int]) -> list[i
 
 
 def _target_cell(cells: list[int]) -> int:
-    """Index of the first smallest non-singleton cell."""
-    best = -1
-    best_size = None
-    for i, cell in enumerate(cells):
-        sz = cell.bit_count()
-        if sz > 1 and (best_size is None or sz < best_size):
-            best = i
-            best_size = sz
-    return best
+    """Index of the first smallest non-singleton cell, or -1 if every
+    cell is a singleton."""
+    sizes = ((cell.bit_count(), i) for i, cell in enumerate(cells) if cell & cell - 1)
+    return min(sizes, default=(0, -1))[1]
 
 
 class _NodeOrbits:

@@ -20,7 +20,7 @@ from itertools import compress
 from math import isqrt
 from typing import Iterator, Sequence
 
-from .errors import NoHoffmanBound
+from .errors import FalsyVerdict, NoHoffmanBound
 from .graphcore import Graph, VertexSet, bits, mask_of
 
 __all__ = [
@@ -126,12 +126,9 @@ class SrgParams:
 
 
 @dataclass(frozen=True)
-class NotSrg:
+class NotSrg(FalsyVerdict):
     reason: str
     pair: tuple[int, int] | None = None
-
-    def __bool__(self):
-        return False
 
 
 def srg_params_from_tuple(v: int, k: int, lam: int, mu: int) -> SrgParams | NotSrg:
@@ -197,12 +194,9 @@ class DezaParams:
 
 
 @dataclass(frozen=True)
-class NotDeza:
+class NotDeza(FalsyVerdict):
     reason: str
     counts: tuple[int, ...] = ()
-
-    def __bool__(self):
-        return False
 
 
 def deza_params(g: Graph) -> DezaParams | NotDeza:
@@ -283,12 +277,9 @@ class CanonicalPartition:
 
 
 @dataclass(frozen=True)
-class NotDdg:
+class NotDdg(FalsyVerdict):
     reason: str
     srg_note: bool = False
-
-    def __bool__(self):
-        return False
 
 
 def _check_ddg_partition(g: Graph, partition: CanonicalPartition) -> DdgParams | NotDdg:
@@ -424,12 +415,9 @@ class QuotientMatrix:
 
 
 @dataclass(frozen=True)
-class NotEquitable:
+class NotEquitable(FalsyVerdict):
     vertex: int
     class_index: int
-
-    def __bool__(self):
-        return False
 
 
 def quotient_matrix(g: Graph, p: CanonicalPartition) -> QuotientMatrix | NotEquitable:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from math import isqrt
 
 from .designs import _factor, _prime_power, bruck_ryser_chowla, required_design_params
-from .errors import NoHoffmanBound
+from .errors import FalsyVerdict, NoHoffmanBound
 from .recognize import DdgParams, SrgParams, srg_params_from_tuple
 
 __all__ = [
@@ -68,11 +68,8 @@ class FamilyParams:
 
 
 @dataclass(frozen=True)
-class Infeasible:
+class Infeasible(FalsyVerdict):
     reason: str
-
-    def __bool__(self):
-        return False
 
 
 def family_from(n: int, s: int) -> FamilyParams | Infeasible:
@@ -117,11 +114,8 @@ class PrimePowerResolution:
 
 
 @dataclass(frozen=True)
-class NotPrimePower:
+class NotPrimePower(FalsyVerdict):
     reason: str
-
-    def __bool__(self):
-        return False
 
 
 class InconsistentFamily(AssertionError):

@@ -485,6 +485,15 @@ class TestConstructJson:
         want = f"phi = {tuple(int(x) for x in phi.split(','))} is not a bijection on 0..2"
         assert code == 1 and rep["results"] == {"error": want}
 
+    def test_phi_starting_with_minus_as_a_separate_word_is_usage_error(self, capsys):
+        # argparse takes "-1,0,1" for an option; joined by "=" it reaches
+        # the bijection check (test_phi_of_integers_not_bijective_gives_error_report)
+        code = cli.run(["construct", "--ddg", "d.g6", "--partition", "p.json",
+                        "--design", "d.json", "--phi", "-1,0,1"])
+        out, err = capsys.readouterr()
+        assert code == 2 and not out
+        assert "argument --phi: expected one argument" in err
+
     @pytest.mark.parametrize("partition", [HUGE_VERTEX, DEEP_CLASSES], ids=["huge-vertex", "deep"])
     def test_out_of_range_or_deep_partition_gives_error_report(self, files, partition):
         tmp_path, ddg = files

@@ -1,3 +1,4 @@
+import pickle
 import random
 import time
 from itertools import combinations
@@ -110,10 +111,22 @@ class TestGraphInvariants:
             g.order = 5
 
     def test_pickle_roundtrip(self):
-        import pickle
-
         g = gc.petersen()
         assert pickle.loads(pickle.dumps(g)) == g
+
+    def test_unpickling_does_not_check_again(self, monkeypatch):
+        # the fields are restored as they were pickled, not rebuilt
+        # through Graph(...)
+        g = gc.petersen()
+        data = pickle.dumps(g)
+
+        def refuse(*args):
+            raise AssertionError("unpickled graph checked again")
+
+        monkeypatch.setattr(gc.Graph, "__init__", refuse)
+        monkeypatch.setattr(gc, "_transpose", refuse)
+        back = pickle.loads(data)
+        assert back == g and back.label == "Petersen" and type(back.rows) is tuple
 
     def test_generators_produce_valid_graphs(self):
         # rows built without the checks of Graph pass them
@@ -208,6 +221,9 @@ class TestGenerators:
             (lambda: gc.edgeless(4), [0] * 4),
             (lambda: gc.triangular(7), triangular_rows(7)),
             (lambda: gc.grid(3, 4), by_pairs(12, lambda x, y: x // 4 == y // 4 or x % 4 == y % 4)),
+            (lambda: gc.grid(1, 5), by_pairs(5, lambda x, y: True)),
+            (lambda: gc.grid(5, 1), by_pairs(5, lambda x, y: True)),
+            (lambda: gc.grid(7, 3), by_pairs(21, lambda x, y: x // 3 == y // 3 or x % 3 == y % 3)),
             (lambda: gc.composition(g1, g2), by_pairs(
                 15, lambda x, y: g1.has_edge(x // 3, y // 3) or (x // 3 == y // 3 and g2.has_edge(x % 3, y % 3)))),
             (lambda: gc.complement_of(pet), by_pairs(10, lambda x, y: not pet.has_edge(x, y))),
