@@ -132,7 +132,10 @@ class NotSrg(FalsyVerdict):
 
 
 def srg_params_from_tuple(v: int, k: int, lam: int, mu: int) -> SrgParams | NotSrg:
-    """Derive spectral data from a bare (v, k, lambda, mu) tuple."""
+    """Derive spectral data from a bare (v, k, lambda, mu) tuple; the
+    complete graph, k = v - 1, is refused whatever mu."""
+    if k == v - 1:
+        return NotSrg("complete")
     if k * (k - lam - 1) != mu * (v - k - 1):
         return NotSrg("counting identity k(k-l-1) = mu(v-k-1) fails")
     disc = (lam - mu) ** 2 + 4 * (k - mu)

@@ -274,7 +274,8 @@ def _finish_candidate(
 ) -> ShapeMatch:
     """Common filter chain, cheapest first: integrality, divisibility,
     the trace inequality, handshake parity, design integrality.  A
-    candidate that passes them all gets ``verdict``."""
+    candidate that passes them all gets ``verdict``.  f1 + f2 = m(n-1)
+    is an identity: f1, f2, g1, g2 sum to V - 1 and g1 + g2 = m - 1."""
     alpha2, beta2, f1, f2, g1, g2 = shape
     V = p.v - c
     K = p.k + p.s
@@ -295,8 +296,6 @@ def _finish_candidate(
     inferred["n"] = n
     if n < 2:
         return rej("n < 2: improper (singleton classes)")
-    if f1 + f2 != m * (n - 1):
-        return rej(f"f1 + f2 = {f1 + f2} != m(n-1) = {m * (n - 1)}")
     lam1 = K - alpha2
     if lam1 < 0:
         return rej(f"lambda1 = K - {alpha2} negative")
@@ -338,23 +337,19 @@ def _composition_shape(p: SrgParams, c: int, case: str, shape: tuple[int, ...]) 
     """Coincidence A: alpha = 0 (K = lambda1) and +-beta = r, s.  The
     induced graph would be a Deza graph with b = K, i.e. a composition of
     a strongly regular graph with an empty graph; its multiplicity
-    arithmetic needs 2(m-1) >= mn, impossible for proper parameters, so
-    this shape always dies.  ``shape`` is (g1, g2, f1 + f2)."""
+    arithmetic needs 2(m-1) >= mn.  ``shape`` is (g1, g2, f1 + f2), so
+    m = V - c + 1, and s <= -2 (s = -1 forces the complete graph) with
+    -s <= k <= v - 2 gives 2 <= c <= v/2: where m divides V, n >= 2 and
+    2(m-1) < mn, so this shape always dies."""
     g1, g2, f_sum = shape
     V = p.v - c
     m = g1 + g2 + 1
     inferred = {"K": p.k + p.s, "V": V, "m": m, "f1+f2": f_sum, "g1": g1, "g2": g2}
     n, rem = divmod(V, m)
     if rem:
-        reason = f"m = {m} does not divide V = {V}"
-    else:
-        inferred["n"] = n
-        if f_sum != m * (n - 1):
-            reason = f"f1 + f2 = {f_sum} != m(n-1) = {m * (n - 1)}"
-        elif 2 * (m - 1) < m * n:
-            reason = "composition shape needs 2(m-1) >= mn, impossible for m >= 2, n >= 2"
-        else:
-            return ShapeMatch(case, OPEN, "survives arithmetic filters", inferred)
+        return ShapeMatch(case, REJECTED, f"m = {m} does not divide V = {V}", inferred)
+    inferred["n"] = n
+    reason = "composition shape needs 2(m-1) >= mn, impossible for m >= 2, n >= 2"
     return ShapeMatch(case, REJECTED, reason, inferred)
 
 

@@ -4,14 +4,16 @@ certifies spectra from bit rows and never needs them.  Also field
 arithmetic on the digits of the elements, the oracle of the tables of
 ``srgddg.galois.FieldSpec``; the pairwise builders of ``srgddg.galois``,
 which evaluate the form of every pair of points one field operation at a
-time; the pairwise builder of ``srgddg.graphcore.triangular``; and all
+time; the pairwise builder of ``srgddg.graphcore.triangular``; all
 five symmetric design axioms checked by brute force, the oracle of
-``srgddg.designs.verify_design``."""
+``srgddg.designs.verify_design``; and the strongly regular parameter
+sets listed by their eigenvalues, the sweep of ``srgddg.theory``."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import isqrt
 
 from srgddg.designs import Violation
 
@@ -175,3 +177,29 @@ def design_axioms(d):
     if lam * (v - 1) != k * (k - 1):
         return Violation("counting identity", (v, k, lam))
     return True
+
+
+def srg_parameter_sets(v_max):
+    """Every (v, k, lambda, mu) with v <= v_max, lambda >= 0 and mu >= 1
+    whose eigenvalues r >= 1 and s <= -2 are integers, sorted.
+
+    With t = -s: k = mu + rt, lambda = mu + r - t and mu v = (k - r)(k + t)
+    = (mu + A)(mu + B) for A = r(t - 1), B = t(r + 1).  So v = mu + A + B
+    + AB/mu, convex in mu with least value at least A + B + 2 isqrt(AB),
+    which grows with t; past sqrt(AB), v grows with mu.  Integral
+    multiplicities are not asked for: that is the library's test.
+    """
+    out = []
+    for r in range(1, v_max):
+        for t in range(2, v_max):
+            A, B = r * (t - 1), t * (r + 1)
+            if A + B + 2 * isqrt(A * B) > v_max:
+                break
+            for mu in range(max(1, t - r), v_max + 1):
+                k = mu + r * t
+                v, rem = divmod((k - r) * (k + t), mu)
+                if v > v_max and mu * mu >= A * B:
+                    break
+                if not rem and v <= v_max:
+                    out.append((v, k, mu + r - t, mu))
+    return sorted(out)

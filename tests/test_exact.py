@@ -390,15 +390,22 @@ class TestIntegralSpectrum:
     def test_ddg_needs_no_screen_and_no_rank(self, sp43, sp62, monkeypatch):
         # a DDG's spectrum follows from its identity A^2 = (K - l1) I +
         # (l1 - l2) B + l2 J, read from the rows of A^2 that give the power
-        # sums; the Heawood graph's +-sqrt(2) stay uncounted
+        # sums; the Heawood graph's +-sqrt(2) stay uncounted.  The grid
+        # K4 x Kb is a DDG(4b, b+2, b-2, 2; 4, b) with alpha = 2 and
+        # beta = b - 2, two nonzero squares that s_1 and s_3 split
         sp82 = galois.symplectic_complement(4, galois.fieldspec(2, 1))
         ddgs = [first_ddg(g) for g in (sp43, sp62, sp82)]
+        ddgs += [gc.grid(4, b) for b in (3, 5, 6, 7)]
         for name in ("adjacency_matrix", "char_poly_mod", "rank"):
             monkeypatch.setattr(ex, name, refuse)
         assert [ex.integral_spectrum(g).pairs for g in ddgs] == [
             ((24, 1), (3, 12), (0, 3), (-3, 20)),
             ((28, 1), (4, 21), (0, 6), (-4, 28)),
             ((120, 1), (8, 105), (0, 14), (-8, 120)),
+            ((5, 1), (2, 2), (1, 3), (-2, 6)),
+            ((7, 1), (3, 3), (2, 4), (-2, 12)),
+            ((8, 1), (4, 3), (2, 5), (-2, 15)),
+            ((9, 1), (5, 3), (2, 6), (-2, 18)),
         ]
         assert ex.integral_spectrum(heawood()) == ex.NonIntegral(
             found=((3, 1), (-3, 1)), residual_degree=12)
@@ -490,6 +497,7 @@ class TestIntegralSpectrum:
         sp45 = galois.symplectic_complement(2, galois.fieldspec(5, 1))
         graphs = corpus + random_graphs() + bipartite_graphs()
         graphs += [sp44, sp45, first_ddg(sp44), heawood()]
+        graphs += [gc.grid(4, b) for b in (3, 5, 6, 7)]
         # the lexicographic product Sp(4,2)c[2 K1]: a DDG whose classes
         # have identical neighbourhoods, so l1 = K
         graphs.append(gc.composition(sp42, gc.edgeless(2)))

@@ -59,8 +59,15 @@ class TestSrgParams:
         assert res.pair is not None
 
     def test_complete_and_edgeless_rejected(self):
-        assert not rec.srg_params(gc.complete(5))
-        assert not rec.srg_params(gc.edgeless(5))
+        assert rec.srg_params(gc.complete(5)) == rec.NotSrg("complete")
+        assert rec.srg_params(gc.edgeless(5)) == rec.NotSrg("edgeless")
+
+    def test_complete_parameter_tuples_rejected(self):
+        # K_v meets the counting identity with lambda = v - 2 for every
+        # mu, and with 0 < mu < k it would pass as primitive
+        for v in range(2, 40):
+            for mu in range(v):
+                assert rec.srg_params_from_tuple(v, v - 1, v - 2, mu) == rec.NotSrg("complete")
 
     def test_disconnected_rejected(self):
         g = gc.from_edges(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])

@@ -5,10 +5,13 @@ import pytest
 
 from srgddg import designs as ds
 from srgddg import exact as ex
+from srgddg import galois
 from srgddg import graphcore as gc
 from srgddg import recognize as rec
 from srgddg import theory as th
 from srgddg.errors import NoHoffmanBound
+
+from oracles import srg_parameter_sets
 
 
 def params(v, k, lam, mu):
@@ -76,12 +79,20 @@ class TestPrimePower:
 
     def test_every_feasible_prime_power_family_resolves(self):
         # the parameter calculus guarantees n = q^d whenever -s is a
-        # prime power; sweep a grid to confirm no Inconsistent escapes
+        # prime power; sweep a grid to confirm no Inconsistent escapes.
+        # Each family with v <= 1100 has the parameters of the Sp(2d, q)
+        # complement built from its (d, q); CI checks those up to v = 5000
+        built = 0
         for ent in th.enumerate_feasible(-16, -2, 300):
             if ds._prime_power(-ent.s):
                 assert isinstance(ent.prime_power, th.PrimePowerResolution)
                 q, d = ent.prime_power.q, ent.prime_power.d
                 assert q**d == ent.n and q ** (d - 1) == -ent.s and d >= 2
+                if ent.family.srg.v <= 1100:
+                    g = galois.symplectic_complement(d, galois.field_by_order(q))
+                    assert rec.srg_params(g).tuple4 == ent.family.srg.tuple4
+                    built += 1
+        assert built == 11
 
 
 class TestPuncturedSpectrum:
@@ -110,6 +121,14 @@ class TestPuncturedSpectrum:
     def test_non_integral_bound_raises(self):
         p = params(10, 6, 3, 4)  # complement of Petersen, c = 5/2
         with pytest.raises(NoHoffmanBound):
+            th.punctured_spectrum(p)
+
+    def test_bound_above_a_multiplicity_raises(self):
+        # the Clebsch graph (16,5,0,2): c = 6 exceeds g = 5, so s would
+        # keep multiplicity g - c = -1 on the punctured graph
+        p = params(16, 5, 0, 2)
+        assert (p.hoffman_size(), p.g) == (6, 5)
+        with pytest.raises(NoHoffmanBound, match=r"^punctured multiplicities negative for c = 6$"):
             th.punctured_spectrum(p)
 
     def test_matches_actual_induced_spectrum(self, t6):
@@ -248,25 +267,54 @@ class TestMatchSpectrumShapes:
 
 
 def feasible_srg_tuples(v_max):
-    """All integral-spectrum SRG parameter tuples with v <= v_max,
-    enumerated from scratch (independent of the library's formulas)."""
-    out = []
-    for v in range(5, v_max + 1):
-        for k in range(2, v - 1):
-            for lam in range(0, k):
-                num = k * (k - lam - 1)
-                if num % (v - k - 1):
-                    continue
-                mu = num // (v - k - 1)
-                if mu < 1 or mu > k:
-                    continue
-                p = rec.srg_params_from_tuple(v, k, lam, mu)
-                if p and p.primitive:
-                    out.append(p)
-    return out
+    """The primitive SRG parameter sets with v <= v_max: the oracle's
+    eigenvalue enumeration, kept where the library finds integral
+    multiplicities."""
+    sets = (rec.srg_params_from_tuple(*t) for t in srg_parameter_sets(v_max))
+    return [p for p in sets if p and p.primitive]
 
 
 class TestShapeMatchingSweep:
+    def test_parameter_sets_match_the_counting_loop(self):
+        # every (v, k, lambda) with mu from k(k-lambda-1) = mu(v-k-1)
+        # gives the same 207 primitive sets at v <= 120
+        loop = set()
+        for v in range(5, 121):
+            for k in range(2, v - 1):
+                for lam in range(k):
+                    mu, rem = divmod(k * (k - lam - 1), v - k - 1)
+                    if not rem and 0 < mu < k and rec.srg_params_from_tuple(v, k, lam, mu):
+                        loop.add((v, k, lam, mu))
+        sets = [p.tuple4 for p in feasible_srg_tuples(120)]
+        assert len(sets) == len(loop) == 207
+        assert set(sets) == loop
+
+    def test_no_open_verdict_and_families_accepted_up_to_v_1100(self):
+        # the eigenvalue enumeration up to v = 1100: no shape is left open,
+        # and the sets with an accepted shape are exactly the (n, s)
+        # families that pass handshake parity.  v >= 4s^2 + s for a
+        # family, so s >= -16 lists all of them
+        tuples = srg_parameter_sets(1100)
+        sets = feasible_srg_tuples(1100)
+        no_bound, accepted = 0, set()
+        for p in sets:
+            try:
+                matches = th.match_spectrum_shapes(p)
+            except NoHoffmanBound:
+                no_bound += 1
+                continue
+            for m in matches:
+                assert m.verdict != th.OPEN, (p.tuple4, m)
+                if m.accepted:
+                    accepted.add(p.tuple4)
+        assert (len(tuples), len(sets), no_bound) == (25_493, 3_680, 1_479)
+        families = {
+            e.family.srg.tuple4 for e in th.enumerate_feasible(-16, -2)
+            if e.handshake_ok and e.family.srg.v <= 1100
+        }
+        assert len(families) == 19
+        assert accepted == families
+
     def test_accepted_matches_always_reproduce_a_family(self):
         # over every feasible parameter tuple with v <= 120 and integral
         # coclique bound: an accepted shape must be the beta-degenerate
@@ -302,7 +350,8 @@ class TestShapeMatchingSweep:
         # every primitive parameter set with k < 130, v from
         # k(k-lambda-1) = mu(v-k-1): each match, in order, with its case,
         # verdict, reason and inferred items in key order, and the error
-        # of each set without an integral coclique bound
+        # of each set without an integral coclique bound.  The complete
+        # graph (k = v - 1) is no parameter set, so 1,082 sets remain
         digest = hashlib.sha256()
         verdicts = collections.Counter()
         for k in range(1, 130):
@@ -323,11 +372,10 @@ class TestShapeMatchingSweep:
                         verdicts[m.verdict] += 1
                         item = (m.case, m.verdict, m.reason, list(m.inferred.items()))
                         digest.update(repr(item).encode())
-        assert verdicts == {
-            th.REJECTED: 89_935, th.SUBSUMED: 660, th.OPEN: 128, th.ACCEPTED: 7,
-        }
+        assert verdicts == {th.REJECTED: 8_015, th.SUBSUMED: 148, th.ACCEPTED: 7}
+        assert th.OPEN not in verdicts
         assert digest.hexdigest() == (
-            "38e7fe9b6c8e78999df60848a6b4c292d653b0edca8cf9459afa9ea2c98cc05c"
+            "f209c95674de830dd0e8f41129e4830943be04bbf5fb2d938d014335b1bc4d99"
         )
 
 
