@@ -92,6 +92,7 @@ a_j = lambda/(-s) = n + s for every j.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import theory
 from .coclique import CocliqueQuery, hoffman_cocliques
@@ -200,6 +201,30 @@ def _glue(ddg_rows, classes, blocks, phi) -> list[int]:
     return rows
 
 
+@lru_cache(maxsize=1)
+def _premises(ddg: Graph, partition: CanonicalPartition, design: SymmetricDesign) -> int:
+    """The class count m, once the checks of :func:`attach_coclique` that
+    do not read phi pass: the DDG's partition, the family pattern of its
+    parameters, the design axioms and the family's design parameters.
+
+    The verdict is a pure function of the three frozen values (a Graph
+    compares by order and rows, not label), so it is kept for the last
+    piece: gluing every phi onto one piece checks the piece once.  A hit
+    is confirmed by equality, not by hash alone, and a failed check
+    raises, which lru_cache never stores, so a bad piece is refused on
+    every call."""
+    dp = _check_ddg_partition(ddg, partition)
+    if not dp:
+        raise ParameterMismatch(dp.reason)
+    fam = _family_of(dp)
+    ok = verify_design(design)
+    if not ok:
+        raise DesignMismatch(f"design axioms fail: {ok.axiom} {ok.detail}")
+    if design.params != fam.design_params:
+        raise DesignMismatch(f"design parameters {design.params}, need {fam.design_params}")
+    return dp.m
+
+
 def attach_coclique(
     ddg: Graph,
     partition: CanonicalPartition,
@@ -212,17 +237,11 @@ def attach_coclique(
     design points as vertices V..V+m-1.  Once the inputs pass their
     checks, the output is strongly regular with the family parameters by
     the proof in the module docstring; it is proven, not recognized.
+    The checks that do not read phi run once per consecutive (ddg,
+    partition, design), in :func:`_premises`; phi is checked on every
+    call.
     """
-    dp = _check_ddg_partition(ddg, partition)
-    if not dp:
-        raise ParameterMismatch(dp.reason)
-    fam = _family_of(dp)
-    m = dp.m
-    ok = verify_design(design)
-    if not ok:
-        raise DesignMismatch(f"design axioms fail: {ok.axiom} {ok.detail}")
-    if design.params != fam.design_params:
-        raise DesignMismatch(f"design parameters {design.params}, need {fam.design_params}")
+    m = _premises(ddg, partition, design)
     phi = tuple(phi)
     if sorted(phi) != list(range(m)):
         raise PhiNotBijective(f"phi = {phi} is not a bijection on 0..{m - 1}")

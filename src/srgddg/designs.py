@@ -3,10 +3,10 @@ map used when attaching a coclique to a divisible design graph.
 
 Designs are stored as explicit incidence bitsets (a block is an int
 bitset over the points); :func:`verify_design` counts pairs of points
-with ``recognize._pair_counts``.  The Bruck-Ryser-Chowla test is
-available behind :func:`bruck_ryser_chowla` but never used to reject
-anything automatically; feasibility filtering elsewhere relies only on
-integrality and the lambda*(v-1) = k*(k-1) identity.
+with ``recognize._pair_counts``.  The Bruck-Ryser-Chowla test,
+:func:`bruck_ryser_chowla`, is the last filter of
+``theory.match_spectrum_shapes``; ``theory.enumerate_feasible`` only
+annotates its families with it.
 """
 
 from __future__ import annotations
@@ -33,7 +33,9 @@ __all__ = [
 class SymmetricDesign:
     """Point/block incidence structure with #blocks == #points.
 
-    ``blocks[i]`` is the bitset of points on block i.  ``k_blk`` and
+    ``blocks[i]`` is the bitset of points on block i; the blocks are
+    stored as a tuple whatever sequence they are given as, so that a
+    design hashes and compares by value.  ``k_blk`` and
     ``lam`` are the nominal parameters; :func:`verify_design` checks that
     the incidences actually realize a symmetric 2-(v, k, lam) design.
     """
@@ -44,16 +46,18 @@ class SymmetricDesign:
     lam: int
 
     def __post_init__(self):
+        blocks = tuple(self.blocks)
         if self.v_pts < 1:
             raise ValueError("design needs at least one point")
-        if len(self.blocks) != self.v_pts:
+        if len(blocks) != self.v_pts:
             raise ValueError(
-                f"symmetric design needs {self.v_pts} blocks, got {len(self.blocks)}"
+                f"symmetric design needs {self.v_pts} blocks, got {len(blocks)}"
             )
         full = (1 << self.v_pts) - 1
-        for i, b in enumerate(self.blocks):
+        for i, b in enumerate(blocks):
             if b & ~full:
                 raise ValueError(f"block {i} mentions a point outside 0..{self.v_pts - 1}")
+        object.__setattr__(self, "blocks", blocks)
 
     @property
     def params(self) -> tuple[int, int, int]:
@@ -224,7 +228,7 @@ def _prime_power(q: int) -> tuple[int, int] | None:
     return next(iter(fac.items())) if len(fac) == 1 else None
 
 
-# -- Bruck-Ryser-Chowla (advisory only) ---------------------------------
+# -- Bruck-Ryser-Chowla -------------------------------------------------
 
 
 def _legendre(a: int, p: int) -> int:
@@ -273,7 +277,7 @@ def _isotropic(a: int, b: int) -> bool:
 def bruck_ryser_chowla(v: int, k: int, lam: int) -> bool:
     """Bruck-Ryser-Chowla feasibility for a symmetric 2-(v, k, lam) design.
 
-    Returns True when the parameters survive the test; advisory only.
+    Returns True when the parameters survive the test.
     """
     if lam * (v - 1) != k * (k - 1):
         return False

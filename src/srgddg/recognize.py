@@ -245,10 +245,14 @@ class DdgParams:
 
 @dataclass(frozen=True)
 class CanonicalPartition:
-    """Disjoint classes of equal size covering all vertices, stored as
-    bitsets ordered by smallest member."""
+    """Disjoint classes of equal size covering all vertices, stored as a
+    tuple of bitsets ordered by smallest member, so that a partition
+    built from a list hashes and compares like one built from a tuple."""
 
     classes: tuple[VertexSet, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "classes", tuple(self.classes))
 
     @property
     def m(self) -> int:

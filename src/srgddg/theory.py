@@ -273,7 +273,8 @@ def _finish_candidate(
     p: SrgParams, c: int, case: str, shape: tuple[int, ...], verdict: str
 ) -> ShapeMatch:
     """Common filter chain, cheapest first: integrality, divisibility,
-    the trace inequality, handshake parity, design integrality.  A
+    the trace inequality, handshake parity, design integrality and, last,
+    Bruck-Ryser-Chowla on that design, the one filter that factors.  A
     candidate that passes them all gets ``verdict``.  f1 + f2 = m(n-1)
     is an identity: f1, f2, g1, g2 sum to V - 1 and g1 + g2 = m - 1."""
     alpha2, beta2, f1, f2, g1, g2 = shape
@@ -326,6 +327,8 @@ def _finish_candidate(
     except ValueError as exc:
         return rej(f"coclique attachment design infeasible: {exc}")
     inferred["design"] = dsg
+    if not bruck_ryser_chowla(*dsg):
+        return rej(f"coclique attachment design {dsg} fails Bruck-Ryser-Chowla")
     reason = None if verdict == ACCEPTED else (
         "survives all arithmetic filters; exclusion of this shape "
         "requires classification results beyond this engine"

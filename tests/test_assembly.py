@@ -1,3 +1,4 @@
+import collections
 import functools
 import random
 from itertools import permutations
@@ -240,6 +241,119 @@ class TestConstructGamma:
         for d in witnesses:
             asm.attach_coclique(d.ddg, d.ddg_partition, d.design, d.phi[1:] + d.phi[:1])
         assert calls == []
+
+
+@pytest.fixture(scope="module")
+def piece43(sp43):
+    """The first witness of the Sp(4,3) complement: DDG(36,24,15,16;4,9)
+    and the design 2-(4,3,2), onto which all 24 phi glue."""
+    return asm.decompose(sp43, cq.CocliqueQuery(mode="first"))[0]
+
+
+@pytest.fixture
+def premise_calls(monkeypatch):
+    """Calls of the two premise checks that read the whole piece, each
+    counted under its name, with the premise cache emptied first."""
+    asm._premises.cache_clear()
+    calls = collections.Counter()
+    for name in ("_check_ddg_partition", "verify_design"):
+        def counted(*args, _real=getattr(asm, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(asm, name, counted)
+    yield calls
+    asm._premises.cache_clear()
+
+
+def family_srg(d):
+    return theory.family_from(d.n, d.s).srg.tuple4
+
+
+class TestPremisesOncePerPiece:
+    """attach_coclique proves the premises that do not read phi once per
+    consecutive (ddg, partition, design); srg_params, the oracle, checks
+    every graph glued here."""
+
+    def test_every_phi_checks_the_piece_once(self, piece43, premise_calls):
+        d = piece43
+        graphs = {asm.attach_coclique(d.ddg, d.ddg_partition, d.design, phi)
+                  for phi in permutations(range(4))}
+        assert premise_calls == {"_check_ddg_partition": 1, "verify_design": 1}
+        assert len(graphs) == 24
+        assert {rec.srg_params(g).tuple4 for g in graphs} == {family_srg(d)}
+
+    def test_a_failed_premise_is_refused_on_every_call(self, dec15, premise_calls):
+        g = gc.composition(gc.cycle(3), gc.edgeless(4))
+        part = rec.CanonicalPartition(
+            tuple(gc.mask_of(range(i * 4, (i + 1) * 4)) for i in range(3))
+        )
+        design = ds.design_from_blocks([[0, 1], [1, 2], [0, 2]])
+        for _ in range(2):
+            with pytest.raises(asm.ParameterMismatch):
+                asm.attach_coclique(g, part, design, (0, 1, 2))
+        d = dec15[0]
+        wrong = ds.all_ksubsets_design(4)  # 2-(4,3,2), m differs
+        for _ in range(2):
+            with pytest.raises(asm.DesignMismatch):
+                asm.attach_coclique(d.ddg, d.ddg_partition, wrong, (0, 1, 2, 3))
+        assert premise_calls == {"_check_ddg_partition": 4, "verify_design": 2}
+
+    def test_a_bad_phi_leaves_the_piece_gluing(self, piece43, premise_calls):
+        d = piece43
+        asm.attach_coclique(d.ddg, d.ddg_partition, d.design, (0, 1, 2, 3))
+        with pytest.raises(asm.PhiNotBijective):
+            asm.attach_coclique(d.ddg, d.ddg_partition, d.design, (0, 0, 2, 3))
+        after = asm.attach_coclique(d.ddg, d.ddg_partition, d.design, (1, 0, 2, 3))
+        assert premise_calls["_check_ddg_partition"] == 1
+        asm._premises.cache_clear()
+        assert asm.attach_coclique(d.ddg, d.ddg_partition, d.design, (1, 0, 2, 3)) == after
+        assert premise_calls["_check_ddg_partition"] == 2
+        assert rec.srg_params(after).tuple4 == family_srg(d)
+
+    def test_an_equal_ddg_with_another_label_is_a_hit(self, piece43, premise_calls):
+        d = piece43
+        twin = gc.Graph(d.ddg.order, list(d.ddg.rows), label="twin")
+        assert twin == d.ddg and twin is not d.ddg and twin.label != d.ddg.label
+        phi = (2, 3, 0, 1)
+        first = asm.attach_coclique(d.ddg, d.ddg_partition, d.design, phi)
+        second = asm.attach_coclique(twin, d.ddg_partition, d.design, phi)
+        assert premise_calls == {"_check_ddg_partition": 1, "verify_design": 1}
+        assert first == second
+        assert rec.srg_params(second).tuple4 == family_srg(d)
+
+    def test_unequal_pieces_are_checked_afresh(self, piece43, premise_calls):
+        d = piece43
+        phi = (1, 2, 3, 0)
+        asm.attach_coclique(d.ddg, d.ddg_partition, d.design, phi)
+        # the same blocks under another nominal lambda are another design,
+        # and it fails pair coverage on each call
+        lam3 = ds.SymmetricDesign(d.design.v_pts, d.design.blocks, d.design.k_blk, d.design.lam + 1)
+        for _ in range(2):
+            with pytest.raises(asm.DesignMismatch, match="pair coverage"):
+                asm.attach_coclique(d.ddg, d.ddg_partition, lam3, phi)
+        assert premise_calls["verify_design"] == 3
+        # the same classes in reverse order are another partition: class i
+        # becomes class m - 1 - i, which phi reversed undoes
+        backwards = rec.CanonicalPartition(d.ddg_partition.classes[::-1])
+        glued = asm.attach_coclique(d.ddg, backwards, d.design, phi)
+        assert premise_calls == {"_check_ddg_partition": 4, "verify_design": 4}
+        assert glued == asm.attach_coclique(d.ddg, d.ddg_partition, d.design, phi[::-1])
+        assert rec.srg_params(glued).tuple4 == family_srg(d)
+
+    def test_list_built_pieces_glue_like_tuple_built(self, piece43, premise_calls):
+        # blocks and classes are stored as tuples, so a piece built from
+        # lists hashes, compares equal to the tuple-built one and glues
+        d = piece43
+        design = ds.SymmetricDesign(d.design.v_pts, list(d.design.blocks), d.design.k_blk, d.design.lam)
+        part = rec.CanonicalPartition(list(d.ddg_partition.classes))
+        assert design == d.design and hash(design) == hash(d.design)
+        assert part == d.ddg_partition and hash(part) == hash(d.ddg_partition)
+        phi = (3, 1, 0, 2)
+        listed = asm.attach_coclique(d.ddg, part, design, phi)
+        assert listed == asm.attach_coclique(d.ddg, d.ddg_partition, d.design, phi)
+        assert premise_calls == {"_check_ddg_partition": 1, "verify_design": 1}
+        assert rec.srg_params(listed).tuple4 == family_srg(d)
 
 
 class TestDecompose:

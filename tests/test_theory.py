@@ -1,5 +1,6 @@
 import collections
 import hashlib
+import pathlib
 
 import pytest
 
@@ -252,6 +253,18 @@ class TestMatchSpectrumShapes:
             m = next(x for x in ms if x.case == "coincidence K=lambda1")
             assert m.verdict == th.REJECTED
 
+    def test_bruck_ryser_chowla_is_the_last_filter(self):
+        # (1012,675,450,450) is the family n = 45, s = -15; it passes every
+        # arithmetic filter, but its design (22,15,10) has v even and
+        # k - lambda = 5 not a square, so no such split exists
+        assert not ds.bruck_ryser_chowla(22, 15, 10)
+        ms = th.match_spectrum_shapes(params(1012, 675, 450, 450))
+        assert not any(m.accepted for m in ms)
+        m = next(x for x in ms if x.case == "coincidence K^2=lambda2*V")
+        assert m.verdict == th.REJECTED
+        assert "(22, 15, 10)" in m.reason and "Bruck-Ryser-Chowla" in m.reason
+        assert m.inferred["design"] == (22, 15, 10)
+
     def test_imprimitive_rejected(self):
         g = gc.complement_of(gc.from_edges(6, [(0, 1), (2, 3), (4, 5)]))
         p = rec.srg_params(g)
@@ -292,8 +305,9 @@ class TestShapeMatchingSweep:
     def test_no_open_verdict_and_families_accepted_up_to_v_1100(self):
         # the eigenvalue enumeration up to v = 1100: no shape is left open,
         # and the sets with an accepted shape are exactly the (n, s)
-        # families that pass handshake parity.  v >= 4s^2 + s for a
-        # family, so s >= -16 lists all of them
+        # families that pass handshake parity and whose design passes
+        # Bruck-Ryser-Chowla.  v >= 4s^2 + s for a family, so s >= -16
+        # lists all of them
         tuples = srg_parameter_sets(1100)
         sets = feasible_srg_tuples(1100)
         no_bound, accepted = 0, set()
@@ -309,10 +323,10 @@ class TestShapeMatchingSweep:
                     accepted.add(p.tuple4)
         assert (len(tuples), len(sets), no_bound) == (25_493, 3_680, 1_479)
         families = {
-            e.family.srg.tuple4 for e in th.enumerate_feasible(-16, -2)
-            if e.handshake_ok and e.family.srg.v <= 1100
+            e.family.srg.tuple4 for e in th.enumerate_feasible(-16, -2, with_brc=True)
+            if e.handshake_ok and e.brc_ok and e.family.srg.v <= 1100
         }
-        assert len(families) == 19
+        assert len(families) == 18
         assert accepted == families
 
     def test_accepted_matches_always_reproduce_a_family(self):
@@ -436,3 +450,42 @@ class TestEnumerateFeasible:
         for e in th.enumerate_feasible(-12, -2, 100):
             if e.n % 2 == 0:
                 assert e.handshake_ok
+
+
+FAMILY_TABLE_HEADER = (
+    "| (v, k, lambda, mu) | (n, s) | DDG (V, K, lambda1, lambda2, m, n) "
+    "| design (v, k, lambda) | prime power (d, q) | handshake | BRC |"
+)
+
+
+def family_table_rows():
+    """The rows of the README's family table, rebuilt: every (n, s) family
+    with v <= 1100 in order of v, with its Sp (d, q) or "no", and its
+    handshake and Bruck-Ryser-Chowla outcomes."""
+    def outcome(ok):
+        return "pass" if ok else "fails"
+
+    rows = []
+    entries = th.enumerate_feasible(-40, -2, with_brc=True)
+    for e in sorted(entries, key=lambda e: e.family.srg.v):
+        f, pp = e.family, e.prime_power
+        if f.srg.v > 1100:
+            continue
+        cells = (f.srg.tuple4, (f.n, f.s), f.ddg.tuple6, f.design_params,
+                 (pp.d, pp.q) if pp else "no", outcome(e.handshake_ok), outcome(e.brc_ok))
+        rows.append("| " + " | ".join(map(str, cells)) + " |")
+    return rows
+
+
+def test_readme_family_table_is_the_computation():
+    # the table of the 21 families with v <= 1100 in README.md, row for
+    # row; s >= -40 holds them all, as v >= 4s^2 + s
+    lines = (pathlib.Path(__file__).parent.parent / "README.md").read_text().splitlines()
+    at = lines.index(FAMILY_TABLE_HEADER) + 2  # past the separator row
+    table = []
+    while at < len(lines) and lines[at].startswith("|"):
+        table.append(lines[at])
+        at += 1
+    want = family_table_rows()
+    assert len(want) == 21
+    assert table == want
