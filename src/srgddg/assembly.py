@@ -31,8 +31,8 @@ design graphs", JCTA 118 (2011)):
   class vertices each for a point.
 
 The glued rows are symmetric, loop-free and in range by construction:
-the partition is validated, the design's blocks lie within its m points
-and phi is a bijection.
+the classes partition the DDG's vertices, the design's blocks lie within
+its m points and phi is a bijection.
 
 Backward (:func:`decompose`) rests on one identity.  Let the graph be
 strongly regular with lambda = mu and C a Hoffman coclique.  Every
@@ -95,11 +95,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import theory
-from .coclique import CocliqueQuery, hoffman_cocliques
+from .coclique import CocliqueQuery, _walk
 from .designs import SymmetricDesign, verify_design
 from .errors import BudgetExceeded, SrgddgError
 from .graphcore import Graph, VertexSet, _trusted_graph, bit_picker, bits, induced_subgraph, set_of
-from .recognize import CanonicalPartition, DdgParams, _check_ddg_partition, srg_params
+from .recognize import CanonicalPartition, DdgParams, ddg_recognize, srg_params
 
 __all__ = [
     "Decomposition",
@@ -204,8 +204,10 @@ def _glue(ddg_rows, classes, blocks, phi) -> list[int]:
 @lru_cache(maxsize=1)
 def _premises(ddg: Graph, partition: CanonicalPartition, design: SymmetricDesign) -> int:
     """The class count m, once the checks of :func:`attach_coclique` that
-    do not read phi pass: the DDG's partition, the family pattern of its
-    parameters, the design axioms and the family's design parameters.
+    do not read phi pass: the DDG proven by :func:`ddg_recognize`, its
+    classes equal to the given ones as sets (their order decides what
+    phi means), the family pattern of its parameters, the design axioms
+    and the family's design parameters.
 
     The verdict is a pure function of the three frozen values (a Graph
     compares by order and rows, not label), so it is kept for the last
@@ -213,9 +215,17 @@ def _premises(ddg: Graph, partition: CanonicalPartition, design: SymmetricDesign
     is confirmed by equality, not by hash alone, and a failed check
     raises, which lru_cache never stores, so a bad piece is refused on
     every call."""
-    dp = _check_ddg_partition(ddg, partition)
-    if not dp:
-        raise ParameterMismatch(dp.reason)
+    partition.validate(ddg.order)
+    wits = ddg_recognize(ddg)
+    if not wits:
+        raise ParameterMismatch(wits.reason)
+    (dp, found), = wits
+    known = set(found.classes)  # the one partition of a proper DDG (ddg_recognize)
+    for i, cl in enumerate(partition.classes):
+        if cl not in known:
+            raise ParameterMismatch(
+                f"class {i}, {set_of(cl)}, is not a class of the divisible design graph"
+            )
     fam = _family_of(dp)
     ok = verify_design(design)
     if not ok:
@@ -254,10 +264,11 @@ def decompose(
     """All ways to split graph into a Hoffman coclique plus a proper
     divisible design graph of the family pattern.
 
-    Walks every Hoffman coclique (all of them unless the query asks for
-    mode "first") and returns the witnesses in coclique order; an empty
-    list is a legitimate outcome.  The checks, in order, and what each
-    proves:
+    Walks the Hoffman cocliques and returns the witnesses in coclique
+    order; an empty list is a legitimate outcome.  Mode "first" stops at
+    the first witness, past the cocliques that do not split, so on a
+    graph with no witness it walks every coclique, as mode "all" does, or
+    stops at the node budget.  The checks, in order, and what each proves:
 
     1. ``srg_params`` on the input, once: the graph is strongly regular
        (and primitive, or AssemblyError).
@@ -291,17 +302,17 @@ def decompose(
     fam = None if rem else theory.family_from(n, p.s)
     if not fam or fam.srg.tuple4 != p.tuple4:
         return []
-    budget_exc = None
+    query = query or CocliqueQuery()
+    out: list[Decomposition] = []
     try:
-        cocliques = hoffman_cocliques(graph, p, query)
+        for C in _walk(graph, fam.m, query.node_budget):
+            dec = _split(graph, fam, C)
+            if dec is not None:
+                out.append(dec)
+                if query.mode == "first":
+                    break
     except BudgetExceeded as exc:
-        cocliques = exc.partial or []
-        budget_exc = exc
-    out = [dec for dec in (_split(graph, fam, C) for C in cocliques) if dec is not None]
-    if budget_exc is not None:
-        raise BudgetExceeded(
-            "decompose: coclique search budget exhausted", budget_exc.nodes, out
-        )
+        raise BudgetExceeded("decompose: coclique search budget exhausted", exc.nodes, out) from None
     return out
 
 

@@ -92,12 +92,6 @@ class GraphFile:
                 fh.close()
 
 
-def read_graph_file(path: str, keep_going: bool = False):
-    """All graphs of a graph6 file, as (graphs, diagnostics, sha256)."""
-    graphs = GraphFile(path, keep_going)
-    return list(graphs), graphs.diagnostics, graphs.sha256.hexdigest()
-
-
 def _report(command: str, inputs: dict, results: dict, diagnostics, t0: float) -> dict:
     return {
         "schema": SCHEMA,
@@ -324,7 +318,7 @@ def _check_below(path: str, lists: list[list[int]], bound: int, what: str) -> No
 
 
 def _cmd_construct(args, t0):
-    graphs, _, _ = read_graph_file(args.ddg)
+    graphs = list(GraphFile(args.ddg))
     if len(graphs) != 1:
         raise _Usage("construct needs exactly one graph in --ddg")
     ddg = graphs[0]
@@ -423,13 +417,15 @@ def _cmd_feasible(args, t0):
 
 
 def _cmd_iso(args, t0):
-    ga, _, da = read_graph_file(args.a)
-    gb, _, db = read_graph_file(args.b)
+    fa, fb = GraphFile(args.a), GraphFile(args.b)
+    ga, gb = list(fa), list(fb)
     if len(ga) != 1 or len(gb) != 1:
         raise _Usage("iso compares exactly one graph per file")
     ans = iso.are_isomorphic(ga[0], gb[0])
     _emit(_report(
-        "iso", {"a": args.a, "sha256_a": da, "b": args.b, "sha256_b": db},
+        "iso",
+        {"a": args.a, "sha256_a": fa.sha256.hexdigest(),
+         "b": args.b, "sha256_b": fb.sha256.hexdigest()},
         {"isomorphic": ans}, [], t0,
     ))
     return 0

@@ -1,10 +1,11 @@
 """Exact-size coclique (independent set) search by branch and bound on
 bitsets.
 
-One search, :func:`cocliques_of_size`, enumerates the independent sets
-of one given size; :func:`hoffman_cocliques` runs it at the
-Delsarte-Hoffman size c = v*s/(s-k), the only size the construction
-uses.  Mode "all" is exhaustive and mode "first" stops at the first set.
+One walk, :func:`_walk`, yields the independent sets of one given size
+as it finds them; ``assembly.decompose`` reads it to stop at the first
+coclique that splits.  :func:`cocliques_of_size` lists all of them or
+the first, and :func:`hoffman_cocliques` those of the Delsarte-Hoffman
+size c = v*s/(s-k), the only size the construction uses.
 Vertices are taken in increasing order, so the sets come out in
 lexicographic order of their sorted members, and the order, the node
 count and the sets found before a budget hit are reproducible.
@@ -19,6 +20,7 @@ pruned.  Open nodes sit on a list, so no recursion limit binds the depth.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .errors import BudgetExceeded
 from .graphcore import Graph, VertexSet, bits
@@ -55,22 +57,14 @@ def _cover_bound(cand: VertexSet, rows: tuple[int, ...], need: int) -> int:
     return len(classes)
 
 
-def cocliques_of_size(
-    g: Graph, size: int, query: CocliqueQuery | None = None
-) -> list[VertexSet]:
-    """All (or the first) independent sets of exactly the given size,
-    in lexicographic order of the sorted member lists.
-
-    A node is a chosen set, its candidates (the vertices after its last
-    member that miss it) and the number still needed; it is kept while
-    it has that many candidates.  Each node visited counts against the
-    budget; past it, BudgetExceeded carries the count and the sets found.
-    """
-    query = query or CocliqueQuery()
-    if size < 1:
-        raise ValueError("size must be >= 1")
-    rows, first, budget = g.rows, query.mode == "first", query.node_budget
-    found: list[VertexSet] = []
+def _walk(g: Graph, size: int, budget: int) -> Iterator[VertexSet]:
+    """The independent sets of exactly size >= 1 vertices, in
+    lexicographic order of the sorted member lists.  A node is a chosen
+    set, its candidates (the vertices after its last member that miss
+    it) and the number still needed; it is kept while it has that many
+    candidates.  Each node visited counts against the budget; past it,
+    BudgetExceeded carries the count."""
+    rows = g.rows
     nodes = 0
     # one [chosen, untried candidates, need] per open node, root first
     stack: list[list[int]] = []
@@ -80,11 +74,9 @@ def cocliques_of_size(
     while True:
         nodes += 1
         if nodes > budget:
-            raise BudgetExceeded("coclique search node budget exhausted", nodes, found)
+            raise BudgetExceeded("coclique search node budget exhausted", nodes)
         if need == 0:
-            found.append(chosen)
-            if first:
-                return found
+            yield chosen
         elif cand.bit_count() >= need:
             stack.append([chosen, cand, need])
         # the next node: the least untried candidate of the deepest open
@@ -99,7 +91,27 @@ def cocliques_of_size(
             chosen, cand, need = chosen | low, rest & ~rows[low.bit_length() - 1], need - 1
             break
         else:
-            return found
+            return
+
+
+def cocliques_of_size(
+    g: Graph, size: int, query: CocliqueQuery | None = None
+) -> list[VertexSet]:
+    """All (or the first) sets of :func:`_walk`; past the node budget,
+    BudgetExceeded carries the node count and the sets found before it."""
+    query = query or CocliqueQuery()
+    if size < 1:
+        raise ValueError("size must be >= 1")
+    found: list[VertexSet] = []
+    try:
+        for c in _walk(g, size, query.node_budget):
+            found.append(c)
+            if query.mode == "first":
+                break
+    except BudgetExceeded as exc:
+        exc.partial = found
+        raise
+    return found
 
 
 def hoffman_cocliques(

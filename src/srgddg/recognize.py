@@ -4,8 +4,7 @@ design, plus canonical-partition recovery and equitable quotient matrices.
 All common-neighbour counts are popcounts of row ANDs on bitset rows,
 made a row of the pairs x < y at a time by :func:`_pair_rows`.
 :func:`_pair_counts` keys them by a relation the caller passes:
-adjacency in :func:`srg_params` (lambda, mu), none in :func:`deza_params`,
-the class mask in :func:`_check_ddg_partition` (lambda1, lambda2).
+adjacency in :func:`srg_params` (lambda, mu), none in :func:`deza_params`.
 :class:`_DdgRows`, the one DDG recognizer, tests them on the DDG identity.
 Recognition functions return falsy result objects (NotSrg, NotDeza,
 NotDdg, ...) carrying a reason and a witness instead of raising, so
@@ -287,26 +286,6 @@ class CanonicalPartition:
 class NotDdg(FalsyVerdict):
     reason: str
     srg_note: bool = False
-
-
-def _check_ddg_partition(g: Graph, partition: CanonicalPartition) -> DdgParams | NotDdg:
-    """Divisible-design parameters with the given classes, or why not;
-    classes that do not partition the vertices raise ValueError."""
-    partition.validate(g.order)
-    K = g.regular_degree()
-    if K is None:
-        return NotDdg("graph is not regular")
-    owner = {x: cl for cl in partition.classes for x in bits(cl)}
-    class_mask = [owner[x] for x in range(g.order)]
-    (lam2, lam1), pair = _pair_counts(g.rows, class_mask)
-    if pair is not None:
-        x, y = pair
-        kind, want = ("same-class", lam1) if class_mask[x] >> y & 1 else ("cross-class", lam2)
-        cnt = g.common_neighbors(x, y)
-        return NotDdg(f"{kind} pair ({x}, {y}) has {cnt} common neighbours, expected {want.pop()}")
-    if not lam1 or not lam2 or lam1 == lam2:
-        return NotDdg("partition does not give a proper divisible design")
-    return DdgParams(g.order, K, lam1.pop(), lam2.pop(), partition.m, partition.n)
 
 
 class _DdgRows:

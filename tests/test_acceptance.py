@@ -231,8 +231,9 @@ def test_criterion_10_external_catalog_census():
     with _Clock(3600.0, "10 (catalog census: 27 decomposable, 87 DDGs)"):
         from srgddg import cli
 
-        graphs, diags, _ = cli.read_graph_file(path)
-        assert len(graphs) == 28 and not diags
+        reader = cli.GraphFile(path)
+        graphs = list(reader)
+        assert len(graphs) == 28 and not reader.diagnostics
         decomposable = 0
         certs = set()
         for g in graphs:

@@ -147,6 +147,8 @@ def test_decompose_matches_generic_pipeline(name, count):
     want = generic_decompose(graph)
     assert len(want) == count
     assert asm.decompose(graph) == want
+    # mode "first" walks past the cocliques that do not split
+    assert asm.decompose(graph, cq.CocliqueQuery(mode="first")) == want[:1]
 
 
 def test_hoffman_cocliques_are_seen_minus_s_times(sp42, sp43, sp62):
@@ -256,7 +258,7 @@ def premise_calls(monkeypatch):
     counted under its name, with the premise cache emptied first."""
     asm._premises.cache_clear()
     calls = collections.Counter()
-    for name in ("_check_ddg_partition", "verify_design"):
+    for name in ("ddg_recognize", "verify_design"):
         def counted(*args, _real=getattr(asm, name), _name=name):
             calls[_name] += 1
             return _real(*args)
@@ -279,7 +281,7 @@ class TestPremisesOncePerPiece:
         d = piece43
         graphs = {asm.attach_coclique(d.ddg, d.ddg_partition, d.design, phi)
                   for phi in permutations(range(4))}
-        assert premise_calls == {"_check_ddg_partition": 1, "verify_design": 1}
+        assert premise_calls == {"ddg_recognize": 1, "verify_design": 1}
         assert len(graphs) == 24
         assert {rec.srg_params(g).tuple4 for g in graphs} == {family_srg(d)}
 
@@ -297,7 +299,7 @@ class TestPremisesOncePerPiece:
         for _ in range(2):
             with pytest.raises(asm.DesignMismatch):
                 asm.attach_coclique(d.ddg, d.ddg_partition, wrong, (0, 1, 2, 3))
-        assert premise_calls == {"_check_ddg_partition": 4, "verify_design": 2}
+        assert premise_calls == {"ddg_recognize": 4, "verify_design": 2}
 
     def test_a_bad_phi_leaves_the_piece_gluing(self, piece43, premise_calls):
         d = piece43
@@ -305,10 +307,10 @@ class TestPremisesOncePerPiece:
         with pytest.raises(asm.PhiNotBijective):
             asm.attach_coclique(d.ddg, d.ddg_partition, d.design, (0, 0, 2, 3))
         after = asm.attach_coclique(d.ddg, d.ddg_partition, d.design, (1, 0, 2, 3))
-        assert premise_calls["_check_ddg_partition"] == 1
+        assert premise_calls["ddg_recognize"] == 1
         asm._premises.cache_clear()
         assert asm.attach_coclique(d.ddg, d.ddg_partition, d.design, (1, 0, 2, 3)) == after
-        assert premise_calls["_check_ddg_partition"] == 2
+        assert premise_calls["ddg_recognize"] == 2
         assert rec.srg_params(after).tuple4 == family_srg(d)
 
     def test_an_equal_ddg_with_another_label_is_a_hit(self, piece43, premise_calls):
@@ -318,7 +320,7 @@ class TestPremisesOncePerPiece:
         phi = (2, 3, 0, 1)
         first = asm.attach_coclique(d.ddg, d.ddg_partition, d.design, phi)
         second = asm.attach_coclique(twin, d.ddg_partition, d.design, phi)
-        assert premise_calls == {"_check_ddg_partition": 1, "verify_design": 1}
+        assert premise_calls == {"ddg_recognize": 1, "verify_design": 1}
         assert first == second
         assert rec.srg_params(second).tuple4 == family_srg(d)
 
@@ -337,7 +339,7 @@ class TestPremisesOncePerPiece:
         # becomes class m - 1 - i, which phi reversed undoes
         backwards = rec.CanonicalPartition(d.ddg_partition.classes[::-1])
         glued = asm.attach_coclique(d.ddg, backwards, d.design, phi)
-        assert premise_calls == {"_check_ddg_partition": 4, "verify_design": 4}
+        assert premise_calls == {"ddg_recognize": 4, "verify_design": 4}
         assert glued == asm.attach_coclique(d.ddg, d.ddg_partition, d.design, phi[::-1])
         assert rec.srg_params(glued).tuple4 == family_srg(d)
 
@@ -352,7 +354,7 @@ class TestPremisesOncePerPiece:
         phi = (3, 1, 0, 2)
         listed = asm.attach_coclique(d.ddg, part, design, phi)
         assert listed == asm.attach_coclique(d.ddg, d.ddg_partition, d.design, phi)
-        assert premise_calls == {"_check_ddg_partition": 1, "verify_design": 1}
+        assert premise_calls == {"ddg_recognize": 1, "verify_design": 1}
         assert rec.srg_params(listed).tuple4 == family_srg(d)
 
 

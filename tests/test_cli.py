@@ -883,8 +883,8 @@ class TestGraphFileHandling:
     def test_roundtrip_write_read(self, tmp_path, petersen, t6):
         f = tmp_path / "two.g6"
         f.write_bytes(b"".join(gc.encode_graph6(g) + b"\n" for g in (petersen, t6)))
-        graphs, diags, _ = cli.read_graph_file(str(f))
-        assert graphs == [petersen, t6] and not diags
+        graphs = cli.GraphFile(str(f))
+        assert list(graphs) == [petersen, t6] and not graphs.diagnostics
 
     def test_usage_error_exit_2(self):
         assert cli.run(["nonsense"]) == 2

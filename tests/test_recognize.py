@@ -7,6 +7,7 @@ import pytest
 from test_assembly import ORACLE_CASES, oracle_graph
 
 from srgddg import assembly as asm
+from srgddg import designs as ds
 from srgddg import exact as ex
 from srgddg import galois as gf
 from srgddg import graphcore as gc
@@ -312,7 +313,9 @@ class TestQuotientMatrix:
 
 
 # -- the five pair-counting loops that _pair_counts replaced, kept as the
-# oracles of srg_params, deza_params, ddg_recognize and _check_ddg_partition
+# oracles of srg_params, deza_params and ddg_recognize, and of the partition
+# check of attach_coclique, which compares the given classes with those
+# ddg_recognize finds
 
 
 def loop_srg_params(g):
@@ -479,16 +482,22 @@ def assert_recognition_matches_loops(g):
 
 
 def assert_partition_check_matches_loop(g, part):
-    """The same parameters, the same message, or the same ValueError."""
+    """The loop accepts part exactly when its classes, as a set, are
+    those ddg_recognize finds, and then with the same parameters; a
+    non-partition raises the same ValueError in attach_coclique, before
+    the design is read."""
     try:
         want = loop_check_ddg_partition(g, part)
     except asm.ParameterMismatch as exc:
         want = rec.NotDdg(str(exc))
     except ValueError as exc:
         with pytest.raises(ValueError, match=re.escape(str(exc))):
-            rec._check_ddg_partition(g, part)
+            asm.attach_coclique(g, part, ds.all_ksubsets_design(4), ())
         return None
-    assert rec._check_ddg_partition(g, part) == want
+    wits = rec.ddg_recognize(g)
+    assert bool(want) == bool(wits and set(part.classes) == set(wits[0][1].classes))
+    if want:
+        assert want == wits[0][0]
     return want
 
 
@@ -647,10 +656,10 @@ class TestPairCountsAgainstLoops:
             else:
                 assert got.reason.startswith(reason)
 
-    def test_attach_coclique_raises_the_check_message(self, sp42):
+    def test_attach_coclique_names_a_class_it_does_not_find(self, sp42):
         dec = asm.decompose(sp42)[0]
         part = swapped(dec.ddg_partition, random.Random(1))
-        with pytest.raises(asm.ParameterMismatch) as info:
-            loop_check_ddg_partition(dec.ddg, part)
-        with pytest.raises(asm.ParameterMismatch, match=re.escape(str(info.value))):
+        i = next(i for i, cl in enumerate(part.classes) if cl not in dec.ddg_partition.classes)
+        want = f"class {i}, {gc.set_of(part.classes[i])}, is not a class of the divisible design graph"
+        with pytest.raises(asm.ParameterMismatch, match=re.escape(want)):
             asm.attach_coclique(dec.ddg, part, dec.design, dec.phi)
