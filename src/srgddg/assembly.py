@@ -98,7 +98,7 @@ from . import theory
 from .coclique import CocliqueQuery, _walk
 from .designs import SymmetricDesign, verify_design
 from .errors import BudgetExceeded, SrgddgError
-from .graphcore import Graph, VertexSet, _trusted_graph, bit_picker, bits, induced_subgraph, set_of
+from .graphcore import Graph, VertexSet, _squeeze, _trusted_graph, bits, induced_subgraph, set_of
 from .recognize import CanonicalPartition, DdgParams, ddg_recognize, srg_params
 
 __all__ = [
@@ -319,10 +319,14 @@ def decompose(
 def _split(graph: Graph, fam: theory.FamilyParams, C: VertexSet) -> Decomposition | None:
     """The witness for one Hoffman coclique C of a family graph, or
     None; check 3 of :func:`decompose`.  The rest has fam.m * fam.n
-    vertices, so groups of fam.n vertices are fam.m groups."""
+    vertices, so groups of fam.n vertices are fam.m groups.
+
+    The classes and the DDG's rows are renumbered onto the vertices
+    outside C, and the blocks onto C, by one masked shift per run of
+    kept vertices (``graphcore._squeeze``): at most c + 1 runs outside
+    a coclique of c vertices, and at most c in it."""
     rows = graph.rows
-    order = graph.order
-    rest = ((1 << order) - 1) ^ C
+    rest = ((1 << graph.order) - 1) ^ C
     # classes keyed by coclique neighbourhood; ascending x puts them in
     # order of smallest member
     groups: dict[int, int] = {}
@@ -332,13 +336,12 @@ def _split(graph: Graph, fam: theory.FamilyParams, C: VertexSet) -> Decompositio
     classes = tuple(groups.values())
     if any(cl.bit_count() != fam.n for cl in classes):
         return None
-    blocks = tuple(map(bit_picker(set_of(C), order), groups))
     m, k_blk, lam_d = fam.design_params
     return Decomposition(
         coclique=C,
         partition=CanonicalPartition(classes),
-        ddg_partition=CanonicalPartition(tuple(map(bit_picker(set_of(rest), order), classes))),
+        ddg_partition=CanonicalPartition(tuple(map(_squeeze(rest), classes))),
         ddg_params=fam.ddg,
         ddg=induced_subgraph(graph, rest),
-        design=SymmetricDesign(m, blocks, k_blk, lam_d),
+        design=SymmetricDesign(m, tuple(map(_squeeze(C), groups)), k_blk, lam_d),
     )

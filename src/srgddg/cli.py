@@ -3,7 +3,10 @@ feasibility, isomorphism, and catalog census.
 
 Every analysis command emits a JSON report with a stable schema
 (version field ``schema``); identical inputs give byte-identical
-reports except for the trailing ``timing_ms`` field.  Graph-producing
+reports except for the trailing ``timing_ms`` field.  A report has the
+bytes of ``json.dump(report, indent=2)`` and a newline, but is streamed
+in pieces by :func:`_pieces`, which encodes strings and joins lists of
+ints in C, where json's indented encoder is pure Python.  Graph-producing
 commands (gen, construct, canon) write raw graph6 lines to stdout so
 they can be piped into the analysis commands; pass ``-`` as a file name
 to read graph6 from stdin.
@@ -30,6 +33,8 @@ import json
 import os
 import sys
 import time
+from json.encoder import encode_basestring_ascii
+from typing import Iterator
 
 from . import assembly, coclique, designs, galois, graphcore, iso, recognize, theory
 from .errors import BudgetExceeded, NoHoffmanBound, SrgddgError
@@ -103,8 +108,59 @@ def _report(command: str, inputs: dict, results: dict, diagnostics, t0: float) -
     }
 
 
+def _flat(o, pad: str) -> str | None:
+    """The indent-2 JSON text of ``o`` at indentation ``pad`` when it has
+    no nested container to walk: a scalar, an empty list or dict, or a
+    list of plain ints (not bools), which becomes one string.  None for
+    any other container."""
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if type(o) is int:
+        return int.__repr__(o)
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        if all(type(x) is int for x in o):
+            inner = pad + "  "
+            return f"[\n{inner}" + f",\n{inner}".join(map(int.__repr__, o)) + f"\n{pad}]"
+        return None
+    if isinstance(o, dict):
+        return None if o else "{}"
+    return json.dumps(o)  # json's text of a float, bool or None, or its TypeError
+
+
+def _pieces(o, pad: str = "") -> Iterator[str]:
+    """The text of ``json.dumps(o, indent=2)`` in pieces, one for each
+    member of a container, so a report is written as its text is made
+    and the whole text is never held.  A dict key that is not a str
+    raises TypeError, from ``encode_basestring_ascii``."""
+    text = _flat(o, pad)
+    if text is not None:
+        yield text
+        return
+    inner = pad + "  "
+    if isinstance(o, dict):
+        opening, closing = "{", "}"
+        members = ((encode_basestring_ascii(key) + ": ", value) for key, value in o.items())
+    else:
+        opening, closing = "[", "]"
+        members = (("", value) for value in o)
+    sep = f"{opening}\n{inner}"
+    for head, value in members:
+        text = _flat(value, inner)
+        if text is None:
+            yield sep + head
+            yield from _pieces(value, inner)
+        else:
+            yield sep + head + text
+        sep = f",\n{inner}"
+    yield f"\n{pad}{closing}"
+
+
 def _emit(report: dict) -> None:
-    json.dump(report, sys.stdout, indent=2)
+    """Write the report with the bytes of ``json.dump(report, indent=2)``
+    and a newline, streamed piece by piece."""
+    sys.stdout.writelines(_pieces(report))
     sys.stdout.write("\n")
 
 

@@ -36,8 +36,7 @@ from __future__ import annotations
 import binascii
 from dataclasses import dataclass, field
 from itertools import combinations, zip_longest
-from operator import itemgetter
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .errors import Graph6Error, SizeCapExceeded
 
@@ -327,28 +326,51 @@ def _trusted_graph(order: int, rows: Iterable[int], label: str | None = None) ->
     return g
 
 
-def bit_picker(positions: list[int], width: int):
-    """The map taking a ``width``-bit mask to the mask whose bit j is bit
-    ``positions[j]`` of it: a renumbering by one pass over the mask's
-    bit string, without a loop over its bits in Python."""
-    pick = itemgetter(*[width - 1 - b for b in reversed(positions)])
-    fmt = f"0{width}b"
-    return lambda mask: int("".join(pick(format(mask, fmt))), 2)
+def _squeeze(keep: VertexSet) -> Callable[[int], int]:
+    """The map taking a mask to the mask whose bit j is the bit of it at
+    the j-th smallest position of ``keep``: a renumbering onto the kept
+    bits, ascending.
+
+    The kept positions fall into runs of consecutive bits, and a run
+    moves down by the number of dropped bits below it, so the map is one
+    ``(mask & run) >> shift`` per run.  Its cost grows with the number of
+    runs, not with the width of the mask: the c + 1 runs left around a
+    coclique of c vertices are cheap, while a keep set that alternates
+    bit by bit pays one step per kept bit."""
+    steps = []
+    kept = 0
+    while keep:
+        low = (keep & -keep).bit_length() - 1
+        above = keep >> low
+        length = ((above + 1) & ~above).bit_length() - 1
+        run = ((1 << length) - 1) << low
+        steps.append((run, low - kept))
+        kept += length
+        keep ^= run
+
+    def squeeze(mask: int) -> int:
+        out = 0
+        for run, shift in steps:
+            out |= (mask & run) >> shift
+        return out
+
+    return squeeze
 
 
 def induced_subgraph(g: Graph, keep: VertexSet) -> Graph:
     """Subgraph induced on the vertices of ``keep``.
 
-    Vertices are renumbered by ascending original index.
+    Vertices are renumbered by ascending original index, each row by one
+    masked shift per run of consecutive kept vertices (:func:`_squeeze`).
     """
     if keep == 0:
         raise ValueError("induced_subgraph: empty vertex set")
     if keep & ~((1 << g.order) - 1):
         raise ValueError("induced_subgraph: vertex set exceeds graph order")
-    old = set_of(keep)
-    renumber = bit_picker(old, g.order)
+    squeeze = _squeeze(keep)
+    rows = g.rows
     # an induced subgraph of a valid graph is valid
-    return _trusted_graph(len(old), [renumber(g.rows[x]) for x in old])
+    return _trusted_graph(keep.bit_count(), [squeeze(rows[x]) for x in bits(keep)])
 
 
 # -- graph6 ------------------------------------------------------------

@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import random
 import subprocess
 import sys
 import time
@@ -20,6 +21,19 @@ def run_json(capsys, argv):
 def run_raw(capsys, argv):
     code = cli.run(argv)
     return code, capsys.readouterr().out
+
+
+@pytest.fixture
+def piece(tmp_path, sp42):
+    """A directory holding the construct inputs of the first Sp(4,2)
+    complement witness: ddg.g6, part.json and design.json."""
+    dec = asm.decompose(sp42, cq.CocliqueQuery(mode="first"))[0]
+    (tmp_path / "ddg.g6").write_bytes(gc.encode_graph6(dec.ddg) + b"\n")
+    classes = [gc.set_of(cl) for cl in dec.ddg_partition.classes]
+    (tmp_path / "part.json").write_text(json.dumps({"classes": classes}))
+    blocks = [dec.design.block_points(i) for i in range(len(dec.design.blocks))]
+    (tmp_path / "design.json").write_text(json.dumps({"v": 3, "blocks": blocks}))
+    return tmp_path
 
 
 def counting(monkeypatch, module, name, calls=None):
@@ -336,19 +350,13 @@ class TestVerifyOnce:
             want = {"v": dz.v, "k": dz.k, "b": dz.b, "a": dz.a} if dz else None
             assert cli._classification(g)["deza"] == want, g
 
-    def test_construct_json_checks_srg_once(self, tmp_path, capsys, monkeypatch, sp42):
-        dec = asm.decompose(sp42, cq.CocliqueQuery(mode="first"))[0]
-        (tmp_path / "ddg.g6").write_bytes(gc.encode_graph6(dec.ddg) + b"\n")
-        classes = [gc.set_of(cl) for cl in dec.ddg_partition.classes]
-        (tmp_path / "part.json").write_text(json.dumps({"classes": classes}))
-        blocks = [dec.design.block_points(i) for i in range(len(dec.design.blocks))]
-        (tmp_path / "design.json").write_text(json.dumps({"v": 3, "blocks": blocks}))
+    def test_construct_json_checks_srg_once(self, capsys, monkeypatch, piece):
         calls = counting(monkeypatch, asm, "srg_params")
         counting(monkeypatch, recognize, "srg_params", calls)
         code, rep = run_json(capsys, [
-            "construct", "--ddg", str(tmp_path / "ddg.g6"), "--phi", "1,2,0", "--json",
-            "--partition", str(tmp_path / "part.json"),
-            "--design", str(tmp_path / "design.json"),
+            "construct", "--ddg", str(piece / "ddg.g6"), "--phi", "1,2,0", "--json",
+            "--partition", str(piece / "part.json"),
+            "--design", str(piece / "design.json"),
         ])
         # the one check is attach_coclique's proof from its inputs;
         # nothing recognizes the built graph
@@ -777,6 +785,86 @@ class TestBudgetChecks:
         assert code == 0 and rep["results"]["graphs"][0]["count"] == 15
 
 
+def random_value(rng, depth=0):
+    """A seeded JSON-ready value: nested lists, tuples and dicts of ints,
+    bools, None, floats and strings with non-ASCII and control characters."""
+    kind = rng.randrange(9 if depth < 4 else 5)
+    if kind == 0:
+        return rng.choice([0, -1, 7, 2**70, -(2**64), True, False, None])
+    if kind == 1:
+        return rng.choice([-0.0, 0.0, 1e-7, 1e16, 0.1, -2.5e300, 1.5, float("inf"), float("nan")])
+    if kind == 2:
+        alphabet = 'aZ09 "\\/\x00\x1f\x7f\n\té €\U0001f600'
+        return "".join(rng.choice(alphabet) for _ in range(rng.randrange(6)))
+    if kind == 3:
+        return [rng.randrange(-5, 10**6) for _ in range(rng.randrange(5))]
+    if kind == 4:
+        return rng.choice([[], {}, [[]], [{}], {"": []}, [True, 0], [0, False, 1], (3, 4), (1,)])
+    items = [random_value(rng, depth + 1) for _ in range(rng.randrange(5))]
+    if kind == 5:
+        return tuple(items)
+    if kind == 6:
+        return [rng.randrange(9), *items, rng.random() < 0.5]
+    keys = ["a", "b\n", " ", "é", ""]
+    return {rng.choice(keys) + str(i): v for i, v in enumerate(items)}
+
+
+class TestWriter:
+    """``_emit`` writes the bytes of ``json.dumps(report, indent=2)`` and a
+    newline; json stays the oracle."""
+
+    def emitted(self, capsys, obj):
+        cli._emit(obj)
+        return capsys.readouterr().out
+
+    def test_seeded_values(self, capsys):
+        rng = random.Random(30)
+        for _ in range(400):
+            obj = random_value(rng)
+            assert self.emitted(capsys, obj) == json.dumps(obj, indent=2) + "\n"
+
+    @pytest.mark.parametrize("obj", [
+        {}, [], [[]], [{}], {"a": {}}, {"a": [[], {}]}, [True, 0], [0, True], [False],
+        (1, 2), ((), (5,)), -0.0, 1e-7, 1e16, [1e16, 2], "é\x00 ", None,
+        {"x": [1, [2, [3, []]]], "y": None}, [2**100, -(2**100)],
+    ])
+    def test_edge_values(self, capsys, obj):
+        assert self.emitted(capsys, obj) == json.dumps(obj, indent=2) + "\n"
+
+    @pytest.mark.parametrize("obj", [{"a": {1, 2}}, [0, {3}], {1: 2}, {"a": {(0, 1): 2}}])
+    def test_set_value_and_non_str_key_raise(self, capsys, obj):
+        with pytest.raises(TypeError):
+            cli._emit(obj)
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("argv", [
+        ["recognize", "{graphs}"],
+        ["spectrum", "{graphs}"],
+        ["coclique", "{graphs}"],
+        ["decompose", "{graphs}"],
+        ["decompose", "--first", "{graphs}"],
+        ["census", "{graphs}"],
+        ["feasible", "--s-range=-4..-2", "--brc"],
+        ["iso", "{dir}/a.g6", "{dir}/b.g6"],
+        ["gen", "sp-complement", "--json"],
+        ["construct", "--ddg", "{dir}/ddg.g6", "--partition", "{dir}/part.json",
+         "--design", "{dir}/design.json", "--phi", "1,2,0", "--json"],
+        ["decompose", "{dir}/missing.g6"],
+    ])
+    def test_reports(self, capsys, monkeypatch, piece, sp42, sp43, petersen, t6, argv):
+        graphs = piece / "graphs.g6"
+        graphs.write_bytes(b"".join(gc.encode_graph6(g) + b"\n" for g in (sp42, sp43, petersen, t6)))
+        (piece / "a.g6").write_bytes(gc.encode_graph6(sp42) + b"\n")
+        (piece / "b.g6").write_bytes(gc.encode_graph6(t6) + b"\n")
+        reports = []
+        real = cli._report
+        monkeypatch.setattr(cli, "_report", lambda *args: reports.append(real(*args)) or reports[-1])
+        code, out = run_raw(capsys, [a.format(dir=piece, graphs=graphs) for a in argv])
+        assert code == (1 if "missing" in argv[-1] else 0)
+        assert len(reports) == 1
+        assert out == json.dumps(reports[0], indent=2) + "\n"
+
+
 class TestClosedStdout:
     def test_reader_gone_exits_quietly(self, petersen):
         # the read end of stdout is closed before the report is written
@@ -786,6 +874,22 @@ class TestClosedStdout:
         )
         proc.stdout.close()
         _, err = proc.communicate((gc.encode_graph6(petersen) + b"\n") * 200)
+        assert err == b""
+        assert proc.returncode == 1
+
+    def test_reader_gone_in_the_middle_of_a_report(self, tmp_path, sp62):
+        # one Sp(6,2) complement gives a decompose report of about 430 KB,
+        # far more than a pipe buffer holds, so the reader goes away while
+        # the report is being written
+        f = tmp_path / "sp62.g6"
+        f.write_bytes((gc.encode_graph6(sp62) + b"\n") * 2)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "srgddg.cli", "decompose", str(f)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        _, err = proc.communicate()
         assert err == b""
         assert proc.returncode == 1
 

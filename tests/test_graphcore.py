@@ -340,12 +340,37 @@ class TestInducedSubgraph:
         assert sub.order == 12
         assert set(sub.degrees()) == {6}
 
+    @staticmethod
+    def keep_sets(n, rng):
+        """Seeded keep sets of width n: random ones, ones through bit 0
+        and bit n - 1, all, single vertices, alternating bits, and a few
+        long runs."""
+        full = (1 << n) - 1
+        alternating = full // 3  # 0b...0101
+        yield from (rng.getrandbits(n) or 1 for _ in range(5))
+        yield rng.getrandbits(n) | 1 | 1 << (n - 1)
+        yield full
+        yield from {1, 1 << (n - 1), 1 << rng.randrange(n)}
+        yield from {alternating or 1, (alternating << 1) & full or 1}
+        cuts = sorted(rng.sample(range(n + 1), min(n + 1, 4)))
+        yield sum(((1 << hi) - (1 << lo) for lo, hi in zip(cuts[::2], cuts[1::2])), 0) or full
+
+    def test_squeeze_against_bit_loop(self):
+        # widths 1 to 300 cross the 30-bit digits of CPython ints and
+        # 64-bit words
+        rng = random.Random(30)
+        for n in range(1, 301):
+            for keep in self.keep_sets(n, rng):
+                old = gc.set_of(keep)
+                squeeze = gc._squeeze(keep)
+                for mask in (0, keep, (1 << n) - 1, rng.getrandbits(n), rng.getrandbits(n)):
+                    assert squeeze(mask) == sum((mask >> y & 1) << j for j, y in enumerate(old))
+
     def test_against_bit_loop(self):
         rng = random.Random(11)
-        for n in (1, 2, 7, 63, 64, 65, 130):
+        for n in (1, 2, 7, 29, 30, 31, 63, 64, 65, 130):
             g = gc.from_edges(n, [e for e in combinations(range(n), 2) if rng.random() < 0.4])
-            for _ in range(5):
-                keep = rng.getrandbits(n) or 1
+            for keep in self.keep_sets(n, rng):
                 old = gc.set_of(keep)
                 rows = [
                     sum((g.rows[x] >> y & 1) << j for j, y in enumerate(old)) for x in old
