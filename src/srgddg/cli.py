@@ -505,14 +505,19 @@ def _census_one(g, budget: int):
     """Row and sorted DDG certificates of one graph.  A budget hit keeps
     the witnesses found before it and flags the row as incomplete; a
     domain error, as in :func:`_per_graph`, gives an error row and no
-    certificates.  The DDGs share one ``seen`` dict of leaf
-    certificates, so a DDG isomorphic to one labeled before costs one
-    leaf of its search tree."""
+    certificates.  Only the first witness of each orbit is labeled: an
+    automorphism σ of ``g`` maps ``g`` − C onto ``g`` − σC.  Below the size
+    cap, ``g``'s own search gives the automorphisms, at one leaf per
+    witness.  The labeled DDGs share one ``seen`` dict of leaves."""
     query = coclique.CocliqueQuery(node_budget=budget)
     seen: dict[bytes, bytes] = {}
     try:
         decs, flag = _budgeted(lambda: assembly.decompose(g, query))
-        certs = sorted({iso.canonical_form(d.ddg, seen).certificate.decode() for d in decs})
+        reps = decs
+        if len(decs) > 1 and g.order <= iso.SIZE_CAP:
+            roots = iso._set_orbits([d.coclique for d in decs], iso._automorphisms(g, len(decs)))
+            reps = [d for i, d in enumerate(decs) if roots[i] == i]
+        certs = sorted({iso.canonical_form(d.ddg, seen).certificate.decode() for d in reps})
     except SrgddgError as exc:
         return {"error": str(exc)}, []
     return {"decompositions": len(decs), **flag}, certs

@@ -51,6 +51,10 @@ the same certificate; pruning skipped only leaves whose certificates it
 had reached, so that certificate is in ``seen``.  A graph isomorphic to
 none labeled before reaches no certificate in ``seen`` and searches in
 full.
+
+:func:`_automorphisms` caps the leaves of this search.  However early it
+stops, its generators (a prefix of those of :func:`canonical_form`) come
+from pairs of leaves with equal certificates, so they are automorphisms.
 """
 
 from __future__ import annotations
@@ -222,9 +226,9 @@ class _Search:
     """Depth-first search of one graph's tree, keeping the first and the
     best leaf as (certificate, vertex order, path).  With ``seen``, it
     stops at a leaf whose certificate is there and collects the distinct
-    leaf certificates in ``reached``."""
+    leaf certificates in ``reached``.  ``max_leaves`` >= 0 caps its leaves."""
 
-    def __init__(self, g: Graph, seen: dict[bytes, bytes] | None = None):
+    def __init__(self, g: Graph, seen: dict[bytes, bytes] | None = None, max_leaves: int = -1):
         self.n = n = g.order
         self.rows = g.rows
         self.matrix = [format(row, f"0{n}b")[::-1] for row in g.rows]
@@ -236,6 +240,7 @@ class _Search:
         self.backjumps = 0
         self.seen = seen
         self.reached: set[bytes] = set()
+        self.max_leaves = max_leaves
 
     def leaf(self, cells: list[int]):
         self.leaves += 1
@@ -281,6 +286,8 @@ class _Search:
         searched: set[int] = set()  # orbit roots of the children searched
         branched: list[int] = []
         for v in bits(target):
+            if self.leaves == self.max_leaves:
+                raise _Backjump(-1)  # past the root
             if branched and autos:
                 if orbits is None:
                     orbits = _NodeOrbits(tuple(path), target, self.n)
@@ -323,6 +330,39 @@ def canonical_form(g: Graph, seen: dict[bytes, bytes] | None = None) -> Canonica
             seen.update(dict.fromkeys(search.reached, cert))
     autos = search.autos
     return CanonicalForm(cert, tuple(autos), search.leaves, len(autos), search.backjumps)
+
+
+def _automorphisms(g: Graph, max_leaves: int) -> tuple[tuple[int, ...], ...]:
+    """The generators found in the first ``max_leaves`` leaves of the search."""
+    search = _Search(g, max_leaves=max_leaves)
+    full = (1 << g.order) - 1
+    try:
+        search.node([full], [full], 0)
+    except _Backjump:
+        pass
+    return tuple(search.autos)
+
+
+def _set_orbits(masks: list[int], generators: tuple[tuple[int, ...], ...]) -> list[int]:
+    """For each vertex set in ``masks``, the index of the first set of its
+    orbit under ``generators``.  An image not in ``masks`` is skipped, so
+    a partial list may split an orbit, but two sets joined are related."""
+    index = {m: i for i, m in enumerate(masks)}
+    parent = list(range(len(masks)))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for a in generators:
+        image = [1 << w for w in a]
+        for i, m in enumerate(masks):
+            j = index.get(sum(map(image.__getitem__, bits(m))), i)
+            ri, rj = find(i), find(j)
+            parent[max(ri, rj)] = min(ri, rj)
+    return [find(i) for i in range(len(masks))]
 
 
 def are_isomorphic(g: Graph, h: Graph) -> bool:

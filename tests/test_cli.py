@@ -631,16 +631,35 @@ class TestCensus:
         assert res["decomposable"] == 1
         assert res["distinct_ddg_certificates"] == 1
 
-    def test_census_one_matches_per_witness_certificates(self, sp42, sp43, sp62):
+    def test_census_one_matches_per_witness_certificates(self, monkeypatch, sp42, sp43, sp62):
         # oracle: a fresh canonical form for every witness's DDG
         dec = asm.decompose(sp62, cq.CocliqueQuery(mode="first"))[0]
         twisted = [asm.attach_coclique(dec.ddg, dec.ddg_partition, dec.design, phi)
                    for phi in ((1, 2, 0, 3, 4, 5, 6), (1, 2, 3, 0, 4, 5, 6))]
-        for g, witnesses in zip([sp42, sp43, sp62, *twisted], (15, 40, 135, 9, 1)):
+        sp44 = galois.symplectic_complement(2, galois.fieldspec(2, 2))
+        sp45 = galois.symplectic_complement(2, galois.fieldspec(5, 1))
+        # (graph, witnesses, canonical_form calls expected or None, oracle certificates)
+        cases = [(g, witnesses, labeled, {iso.canonical_form(d.ddg).certificate.decode()
+                                          for d in asm.decompose(g)})
+                 for g, witnesses, labeled in zip([sp42, sp43, sp62, *twisted],
+                                                  (15, 40, 135, 9, 1), (1, 1, 1, None, 1))]
+        # on the larger graphs the oracle labels every witness with one
+        # shared dict; a fresh search per DDG takes about 37 s on Sp(4,5)
+        for g, witnesses in ((sp44, 85), (sp45, 156)):
+            seen = {}
+            cases.append((g, witnesses, 1, {iso.canonical_form(d.ddg, seen).certificate.decode()
+                                            for d in asm.decompose(g)}))
+        calls = counting(monkeypatch, iso, "canonical_form")
+        for g, witnesses, labeled, want in cases:
+            calls.clear()
             row, certs = cli._census_one(g, cq.DEFAULT_NODE_BUDGET)
-            want = {iso.canonical_form(d.ddg).certificate.decode() for d in asm.decompose(g)}
             assert row == {"decompositions": witnesses}
             assert certs == sorted(want)
+            # only DDGs are labeled; each Sp(2d,q) complement has one
+            # orbit of witnesses, so one DDG
+            assert all(args[0].order < g.order for args in calls)
+            if labeled is not None:
+                assert len(calls) == labeled
 
     def test_census_threads_same_counts(self, tmp_path, sp42, grid66):
         f = tmp_path / "cat.g6"
@@ -742,6 +761,26 @@ class TestCensus:
             {"error": "canonical_form: order 56 exceeds cap 20"},
         ]
         assert (res["graphs"], res["decomposable"], res["distinct_ddg_certificates"]) == (2, 1, 1)
+
+    def test_budget_hit_labels_orbits_of_the_witnesses_found(self, tmp_path, capsys, sp62):
+        # the per-witness path over the same partial witness list is the
+        # oracle; some automorphism found maps a witness outside that list
+        f = tmp_path / "cat.g6"
+        f.write_bytes(gc.encode_graph6(sp62) + b"\n")
+        _, rep = run_json(capsys, ["census", str(f), "--budget-nodes", "200"])
+        row = rep["results"]["per_graph"][0]
+        query = cq.CocliqueQuery(node_budget=200)
+        decs, flag = cli._budgeted(lambda: asm.decompose(sp62, query))
+        assert flag and 1 < len(decs) < 135
+        assert row == {"decompositions": len(decs), **flag}
+        seen = {}
+        want = sorted({iso.canonical_form(d.ddg, seen).certificate.decode() for d in decs})
+        assert cli._census_one(sp62, 200) == (row, want)
+        assert rep["results"]["distinct_ddg_certificates"] == len(want)
+        found = {d.coclique for d in decs}
+        images = {sum(1 << a[v] for v in gc.bits(m))
+                  for a in iso._automorphisms(sp62, len(decs)) for m in found}
+        assert images - found
 
     def test_partial_witnesses_kept(self, tmp_path, capsys, sp62):
         # the budget runs out after some Hoffman cocliques were found

@@ -277,6 +277,98 @@ class TestNodeOrbits:
         assert orb.find(0) == orb.find(1)
 
 
+def row_automorphism(g, image):
+    """Whether image is a permutation mapping the row of each x onto the
+    row of image[x]."""
+    return sorted(image) == list(range(g.order)) and all(
+        sum(1 << image[y] for y in gc.bits(row)) == g.rows[image[x]] for x, row in enumerate(g.rows)
+    )
+
+
+def generators_by_leaf(monkeypatch, g):
+    """The full canonical form of g, and for each c the number of
+    generators it had found after c leaves."""
+    counts = []
+    real = iso._Search.leaf
+
+    def leaf(self, cells):
+        try:
+            real(self, cells)
+        finally:
+            counts.append(len(self.autos))
+
+    with monkeypatch.context() as m:
+        m.setattr(iso._Search, "leaf", leaf)
+        cf = iso.canonical_form(g)
+    return cf, counts
+
+
+def closure(generators, n):
+    """Every product of the generators, as tuples of images."""
+    group = {tuple(range(n))}
+    frontier = list(group)
+    while frontier:
+        new = []
+        for e in frontier:
+            for a in generators:
+                h = tuple(a[x] for x in e)
+                if h not in group:
+                    group.add(h)
+                    new.append(h)
+        frontier = new
+    return group
+
+
+def brute_set_orbits(masks, group):
+    """For each set, the first index of its orbit under every element."""
+    index = {m: i for i, m in enumerate(masks)}
+    out = []
+    for m in masks:
+        images = {sum(1 << a[v] for v in gc.bits(m)) for a in group}
+        out.append(min(index[x] for x in images if x in index))
+    return out
+
+
+class TestCappedSearch:
+    def test_every_cap_gives_a_prefix_of_automorphisms(self, monkeypatch, sp42, sp43, sp62):
+        piece = first_ddg_piece(sp62)
+        twisted = [assembly.attach_coclique(*piece, phi)
+                   for phi in ((1, 2, 0, 3, 4, 5, 6), (1, 2, 3, 0, 4, 5, 6))]
+        for g in (sp42, sp43, *twisted):
+            cf, counts = generators_by_leaf(monkeypatch, g)
+            assert len(counts) == cf.leaves and counts[-1] == len(cf.generators) > 0
+            assert all(row_automorphism(g, image) for image in cf.generators)
+            for cap in range(1, cf.leaves + 1):
+                assert iso._automorphisms(g, cap) == cf.generators[: counts[cap - 1]], cap
+            assert iso._automorphisms(g, cf.leaves + 1) == cf.generators
+
+    def test_set_orbits_against_the_group_of_sp42(self, sp42):
+        gens = iso.canonical_form(sp42).generators
+        masks = [d.coclique for d in assembly.decompose(sp42)]
+        assert len(masks) == 15
+        whole = closure(gens, sp42.order)
+        assert len(whole) == 720
+        assert brute_set_orbits(masks, whole) == [0] * 15
+        # subgroups give finer orbits; the union-find must match each
+        subsets = [gens, *combinations(gens, 1), *combinations(gens, 2)]
+        sizes = set()
+        for sub in subsets:
+            want = brute_set_orbits(masks, closure(sub, sp42.order))
+            assert iso._set_orbits(masks, sub) == want
+            sizes.add(len(set(want)))
+        assert len(sizes) > 2
+        # a partial list: images outside it are skipped, so the orbits
+        # found may split but never join the orbits of the whole list
+        for sub in subsets:
+            want = brute_set_orbits(masks, closure(sub, sp42.order))
+            for part in (masks[:7], masks[::2], masks[5:]):
+                got = iso._set_orbits(part, sub)
+                where = [masks.index(m) for m in part]
+                for i, j in combinations(range(len(part)), 2):
+                    if got[i] == got[j]:
+                        assert want[where[i]] == want[where[j]]
+
+
 class TestAreIsomorphic:
     def test_relabeled_graph(self, t6):
         assert iso.are_isomorphic(t6, random_relabel(t6, random.Random(9)))
