@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from math import gcd, isqrt
 
 from .errors import FalsyVerdict, SizeCapExceeded
-from .graphcore import bits, mask_of
+from .graphcore import mask_of, set_of
 from .recognize import _pair_counts
 
 __all__ = [
@@ -64,7 +64,7 @@ class SymmetricDesign:
         return (self.v_pts, self.k_blk, self.lam)
 
     def block_points(self, i: int) -> list[int]:
-        return list(bits(self.blocks[i]))
+        return set_of(self.blocks[i])
 
 
 def design_from_blocks(blocks: list[list[int]], v_pts: int | None = None) -> SymmetricDesign:

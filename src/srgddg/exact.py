@@ -76,7 +76,7 @@ from math import isqrt
 from operator import mul
 
 from .errors import FalsyVerdict, SizeCapExceeded
-from .graphcore import Graph, adjacency_matrix, bits
+from .graphcore import Graph, adjacency_matrix, set_of
 from .recognize import _KEY1, _DdgRows, _pair_keys, _pair_rows
 from .theory import ddg_spectrum
 
@@ -408,7 +408,7 @@ def integral_spectrum(g: Graph) -> Spectrum | NonIntegral:
             # has eigenvalue u^2 for each pair +-u (X is not empty: an
             # edgeless graph is settled by route 1)
             proven.update({-t: k for t, k in proven.items()})
-            xs, rows = list(bits(side)), g.rows
+            xs, rows = set_of(side), g.rows
             m = [[(rows[x] & rows[y]).bit_count() for y in xs] for x in xs]
             shifts = {u: u * u for u in range(bound + 1)}
         p = SCREEN_PRIME

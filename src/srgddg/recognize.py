@@ -20,7 +20,7 @@ from math import isqrt
 from typing import Iterator, Sequence
 
 from .errors import FalsyVerdict, NoHoffmanBound
-from .graphcore import Graph, VertexSet, bits, mask_of
+from .graphcore import _BIT_SELECTORS, Graph, VertexSet, mask_of, set_of
 
 __all__ = [
     "SrgParams",
@@ -43,7 +43,7 @@ __all__ = [
 # -- pair counting -------------------------------------------------------
 
 # selectors of the pairs of key 0 and of key 1 from a row's b"0"/b"1" keys
-_KEY0, _KEY1 = bytes.maketrans(b"01", b"\1\0"), bytes.maketrans(b"01", b"\0\1")
+_KEY0, _KEY1 = bytes.maketrans(b"01", b"\1\0"), _BIT_SELECTORS
 
 
 def _pair_rows(rows: Sequence[int]) -> Iterator[list[int]]:
@@ -415,7 +415,7 @@ def quotient_matrix(g: Graph, p: CanonicalPartition) -> QuotientMatrix | NotEqui
     p.validate(g.order)
     R = []
     for i, cl_i in enumerate(p.classes):
-        members = list(bits(cl_i))
+        members = set_of(cl_i)
         row = []
         for j, cl_j in enumerate(p.classes):
             counts = [(g.rows[x] & cl_j).bit_count() for x in members]

@@ -4,10 +4,12 @@ certifies spectra from bit rows and never needs them.  Also field
 arithmetic on the digits of the elements, the oracle of the tables of
 ``srgddg.galois.FieldSpec``; the pairwise builders of ``srgddg.galois``,
 which evaluate the form of every pair of points one field operation at a
-time; the pairwise builder of ``srgddg.graphcore.triangular``; all
-five symmetric design axioms checked by brute force, the oracle of
-``srgddg.designs.verify_design``; and the strongly regular parameter
-sets listed by their eigenvalues, the sweep of ``srgddg.theory``."""
+time; the pairwise builder of ``srgddg.graphcore.triangular``; the
+per-column graph6 encoder that ``srgddg.graphcore.encode_graph6``
+replaced; all five symmetric design axioms checked by brute force, the
+oracle of ``srgddg.designs.verify_design``; and the strongly regular
+parameter sets listed by their eigenvalues, the sweep of
+``srgddg.theory``."""
 
 from __future__ import annotations
 
@@ -16,6 +18,7 @@ from itertools import combinations
 from math import isqrt
 
 from srgddg.designs import Violation
+from srgddg.graphcore import pack_graph6
 
 
 @dataclass(frozen=True)
@@ -154,6 +157,14 @@ def triangular_rows(m):
             if p != q and (p[0] in q or p[1] in q):
                 rows[i] |= 1 << j
     return rows
+
+
+def column_graph6(g):
+    """graph6 of g by one format and one reversal per upper-triangle
+    column, the encoder ``srgddg.graphcore.encode_graph6`` replaces."""
+    return pack_graph6(
+        g.order, (format(g.rows[j] & ((1 << j) - 1), f"0{j}b")[::-1] for j in range(1, g.order))
+    )
 
 
 def design_axioms(d):

@@ -1,19 +1,39 @@
 import pickle
 import random
 import time
-from itertools import combinations
+from itertools import combinations, compress
 
 import pytest
 
 from srgddg import galois, graphcore as gc
 from srgddg.errors import Graph6Error, SizeCapExceeded
 
-from oracles import symplectic_rows, triangular_rows
+from oracles import column_graph6, symplectic_rows, triangular_rows
 
 
 def random_graph(n, p, rng):
     edges = [(x, y) for x, y in combinations(range(n), 2) if rng.random() < p]
     return gc.from_edges(n, edges)
+
+
+def keep_sets(n, rng):
+    """Seeded keep sets of width n: random ones, ones through bit 0 and
+    bit n - 1, all, single vertices, alternating bits, and a few long
+    runs."""
+    full = (1 << n) - 1
+    alternating = full // 3  # 0b...0101
+    yield from (rng.getrandbits(n) or 1 for _ in range(5))
+    yield rng.getrandbits(n) | 1 | 1 << (n - 1)
+    yield full
+    yield from {1, 1 << (n - 1), 1 << rng.randrange(n)}
+    yield from {alternating or 1, (alternating << 1) & full or 1}
+    cuts = sorted(rng.sample(range(n + 1), min(n + 1, 4)))
+    yield sum(((1 << hi) - (1 << lo) for lo, hi in zip(cuts[::2], cuts[1::2])), 0) or full
+
+
+def bit_positions(mask, width):
+    """The set bits of a mask of the given width, one test per position."""
+    return [y for y in range(width) if mask >> y & 1]
 
 
 # -- oracles: the per-bit decoder and the per-edge symmetry check that the
@@ -309,6 +329,33 @@ class TestComposition:
                 assert comp.has_edge(x1 * 3 + x2, y1 * 3 + y2) == want
 
 
+class TestBits:
+    """bits and set_of against one test per position, on both sides of
+    the switch between the C scan and the per-bit loop."""
+
+    def test_keep_sets(self):
+        rng = random.Random(32)
+        for n in range(1, 301):
+            for mask in keep_sets(n, rng):
+                assert list(gc.bits(mask)) == gc.set_of(mask) == bit_positions(mask, n)
+
+    def test_width_5000(self):
+        rng = random.Random(5000)
+        w = 5000
+        top = 1 << (w - 1)
+
+        def with_top(k):
+            return top | sum(1 << y for y in rng.sample(range(w - 1), k - 1))
+
+        # 625 bits are one in eight of the width: the sparsest mask that
+        # is scanned in C; 624 are read by the loop
+        at_switch = [with_top(k) for k in (623, 624, 625, 626)]
+        masks = [top, 2 | 1 << (w - 2), ((1 << w) - 1) // 3, with_top(w // 2), 0, *at_switch]
+        for mask in masks:
+            assert list(gc.bits(mask)) == gc.set_of(mask) == bit_positions(mask, w)
+        assert [isinstance(gc.bits(m), compress) for m in at_switch] == [False, False, True, True]
+
+
 class TestInducedSubgraph:
     def test_identity(self):
         g = gc.petersen()
@@ -340,28 +387,13 @@ class TestInducedSubgraph:
         assert sub.order == 12
         assert set(sub.degrees()) == {6}
 
-    @staticmethod
-    def keep_sets(n, rng):
-        """Seeded keep sets of width n: random ones, ones through bit 0
-        and bit n - 1, all, single vertices, alternating bits, and a few
-        long runs."""
-        full = (1 << n) - 1
-        alternating = full // 3  # 0b...0101
-        yield from (rng.getrandbits(n) or 1 for _ in range(5))
-        yield rng.getrandbits(n) | 1 | 1 << (n - 1)
-        yield full
-        yield from {1, 1 << (n - 1), 1 << rng.randrange(n)}
-        yield from {alternating or 1, (alternating << 1) & full or 1}
-        cuts = sorted(rng.sample(range(n + 1), min(n + 1, 4)))
-        yield sum(((1 << hi) - (1 << lo) for lo, hi in zip(cuts[::2], cuts[1::2])), 0) or full
-
     def test_squeeze_against_bit_loop(self):
         # widths 1 to 300 cross the 30-bit digits of CPython ints and
         # 64-bit words
         rng = random.Random(30)
         for n in range(1, 301):
-            for keep in self.keep_sets(n, rng):
-                old = gc.set_of(keep)
+            for keep in keep_sets(n, rng):
+                old = bit_positions(keep, n)
                 squeeze = gc._squeeze(keep)
                 for mask in (0, keep, (1 << n) - 1, rng.getrandbits(n), rng.getrandbits(n)):
                     assert squeeze(mask) == sum((mask >> y & 1) << j for j, y in enumerate(old))
@@ -370,8 +402,8 @@ class TestInducedSubgraph:
         rng = random.Random(11)
         for n in (1, 2, 7, 29, 30, 31, 63, 64, 65, 130):
             g = gc.from_edges(n, [e for e in combinations(range(n), 2) if rng.random() < 0.4])
-            for keep in self.keep_sets(n, rng):
-                old = gc.set_of(keep)
+            for keep in keep_sets(n, rng):
+                old = bit_positions(keep, n)
                 rows = [
                     sum((g.rows[x] >> y & 1) << j for j, y in enumerate(old)) for x in old
                 ]
@@ -449,6 +481,42 @@ class TestGraph6:
         enc = gc.encode_graph6(g)
         assert enc.startswith(b"~")
         assert gc.decode_graph6(enc) == g
+
+
+class TestEncoderAgainstColumnLoop:
+    """encode_graph6 byte for byte against the per-column encoder of
+    ``oracles.column_graph6``: orders 1 to 300 cross the edges of its
+    blocks of columns, and 1023 and 5000 cross those of its blocks and
+    of pack_graph6's pieces many times."""
+
+    # each byte to the 6-bit graph6 digit of its low bits
+    DIGITS = bytes(63 + (b & 63) for b in range(256))
+
+    @classmethod
+    def random_graph6(cls, n, rng):
+        """A seeded random graph6 line of order n, its padding bits zero."""
+        nbits = n * (n - 1) // 2
+        body = bytearray(rng.randbytes((nbits + 5) // 6).translate(cls.DIGITS))
+        if nbits % 6:
+            body[-1] = 63 + ((body[-1] - 63) >> (6 - nbits % 6) << (6 - nbits % 6))
+        return gc._encode_order(n) + bytes(body)
+
+    def check(self, n, rng):
+        for g in (gc.complete(n), gc.edgeless(n)):
+            assert gc.encode_graph6(g) == column_graph6(g)
+        data = self.random_graph6(n, rng)
+        g = gc.decode_graph6(data)
+        assert gc.encode_graph6(g) == column_graph6(g) == data
+
+    def test_orders_1_to_300(self):
+        rng = random.Random(6)
+        for n in range(1, 301):
+            self.check(n, rng)
+
+    def test_orders_1023_and_5000(self):
+        rng = random.Random(1023)
+        for n in (1023, 5000):
+            self.check(n, rng)
 
 
 @pytest.fixture(scope="module")
