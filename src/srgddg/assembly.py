@@ -95,9 +95,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import theory
-from .coclique import CocliqueQuery, _walk
+from .coclique import CocliqueQuery, _collect
 from .designs import SymmetricDesign, verify_design
-from .errors import BudgetExceeded, SrgddgError
+from .errors import SrgddgError
 from .graphcore import Graph, VertexSet, _squeeze, _trusted_graph, bits, induced_subgraph, set_of
 from .recognize import CanonicalPartition, DdgParams, ddg_recognize, srg_params
 
@@ -264,11 +264,14 @@ def decompose(
     """All ways to split graph into a Hoffman coclique plus a proper
     divisible design graph of the family pattern.
 
-    Walks the Hoffman cocliques and returns the witnesses in coclique
+    ``coclique._collect`` walks the Hoffman cocliques and keeps the
+    witness of each that splits, so the witnesses come in coclique
     order; an empty list is a legitimate outcome.  Mode "first" stops at
     the first witness, past the cocliques that do not split, so on a
     graph with no witness it walks every coclique, as mode "all" does, or
-    stops at the node budget.  The checks, in order, and what each proves:
+    stops at the node budget, where BudgetExceeded carries the node count
+    and the witnesses found before it.  The checks, in order, and what
+    each proves:
 
     1. ``srg_params`` on the input, once: the graph is strongly regular
        (and primitive, or AssemblyError).
@@ -302,18 +305,7 @@ def decompose(
     fam = None if rem else theory.family_from(n, p.s)
     if not fam or fam.srg.tuple4 != p.tuple4:
         return []
-    query = query or CocliqueQuery()
-    out: list[Decomposition] = []
-    try:
-        for C in _walk(graph, fam.m, query.node_budget):
-            dec = _split(graph, fam, C)
-            if dec is not None:
-                out.append(dec)
-                if query.mode == "first":
-                    break
-    except BudgetExceeded as exc:
-        raise BudgetExceeded("decompose: coclique search budget exhausted", exc.nodes, out) from None
-    return out
+    return _collect(graph, fam.m, query or CocliqueQuery(), lambda C: _split(graph, fam, C))
 
 
 def _split(graph: Graph, fam: theory.FamilyParams, C: VertexSet) -> Decomposition | None:

@@ -218,17 +218,20 @@ GENERATORS = {
 }
 
 
-def _cmd_gen(args, t0):
-    name = args.name
-    g = GENERATORS[name](args)
+def _emit_graph(args, t0, inputs: dict, g, results) -> int:
+    """The graph6 line of ``g``, or under --json the report whose results
+    are ``results(graph6)``."""
+    line = graphcore.encode_graph6(g)
     if args.json:
-        _emit(_report(
-            "gen", {"name": name}, {"order": g.order, "graph6": graphcore.encode_graph6(g).decode()},
-            [], t0,
-        ))
+        _emit(_report(args.cmd, inputs, results(line.decode()), [], t0))
     else:
-        sys.stdout.buffer.write(graphcore.encode_graph6(g) + b"\n")
+        sys.stdout.buffer.write(line + b"\n")
     return 0
+
+
+def _cmd_gen(args, t0):
+    g = GENERATORS[args.name](args)
+    return _emit_graph(args, t0, {"name": args.name}, g, lambda g6: {"order": g.order, "graph6": g6})
 
 
 def _classification(g):
@@ -389,21 +392,11 @@ def _cmd_construct(args, t0):
     _check_below(args.design, blocks, len(blocks) if v is None else v, "point")
     design = designs.design_from_blocks(blocks, v)
     built = assembly.attach_coclique(ddg, part, design, args.phi)
-    if args.json:
+    return _emit_graph(
+        args, t0, {"ddg": args.ddg, "partition": args.partition, "design": args.design}, built,
         # attach_coclique has proven these parameters on the built graph
-        fam = theory.family_from(part.n, -design.k_blk)
-        _emit(_report(
-            "construct",
-            {"ddg": args.ddg, "partition": args.partition, "design": args.design},
-            {
-                "graph6": graphcore.encode_graph6(built).decode(),
-                "srg": list(fam.srg.tuple4),
-            },
-            [], t0,
-        ))
-    else:
-        sys.stdout.buffer.write(graphcore.encode_graph6(built) + b"\n")
-    return 0
+        lambda g6: {"graph6": g6, "srg": list(theory.family_from(part.n, -design.k_blk).srg.tuple4)},
+    )
 
 
 def _phi(text: str) -> tuple[int, ...]:
@@ -508,7 +501,10 @@ def _census_one(g, budget: int):
     certificates.  Only the first witness of each orbit is labeled: an
     automorphism σ of ``g`` maps ``g`` − C onto ``g`` − σC.  Below the size
     cap, ``g``'s own search gives the automorphisms, at one leaf per
-    witness.  The labeled DDGs share one ``seen`` dict of leaves."""
+    witness.  Above it, the guard only spares that search: every family
+    graph with 512 < v <= 5000 has DDGs of at least 552 vertices, so a
+    witness gives the error row of its DDG's size cap.  The labeled DDGs
+    share one ``seen`` dict of leaves."""
     query = coclique.CocliqueQuery(node_budget=budget)
     seen: dict[bytes, bytes] = {}
     try:

@@ -2,10 +2,11 @@
 bitsets.
 
 One walk, :func:`_walk`, yields the independent sets of one given size
-as it finds them; ``assembly.decompose`` reads it to stop at the first
-coclique that splits.  :func:`cocliques_of_size` lists all of them or
-the first, and :func:`hoffman_cocliques` those of the Delsarte-Hoffman
-size c = v*s/(s-k), the only size the construction uses.
+as it finds them, and one collector, :func:`_collect`, keeps what a
+function makes of each: :func:`cocliques_of_size` the sets, all or the
+first, and ``assembly.decompose`` the witnesses, up to the first in mode
+"first".  :func:`hoffman_cocliques` takes the Delsarte-Hoffman size
+c = v*s/(s-k), the only size the construction uses.
 Vertices are taken in increasing order, so the sets come out in
 lexicographic order of their sorted members, and the order, the node
 count and the sets found before a budget hit are reproducible.
@@ -94,24 +95,33 @@ def _walk(g: Graph, size: int, budget: int) -> Iterator[VertexSet]:
             return
 
 
+def _collect(g: Graph, size: int, query: CocliqueQuery, keep=None) -> list:
+    """``keep(C)`` for each set C of :func:`_walk`, C itself without
+    ``keep``, skipping None; mode "first" stops at the first item kept.
+    Past the node budget, BudgetExceeded carries the node count and the
+    items kept before it."""
+    found = []
+    try:
+        for c in _walk(g, size, query.node_budget):
+            item = c if keep is None else keep(c)
+            if item is not None:
+                found.append(item)
+                if query.mode == "first":
+                    break
+    except BudgetExceeded as exc:
+        exc.partial = found
+        raise
+    return found
+
+
 def cocliques_of_size(
     g: Graph, size: int, query: CocliqueQuery | None = None
 ) -> list[VertexSet]:
     """All (or the first) sets of :func:`_walk`; past the node budget,
     BudgetExceeded carries the node count and the sets found before it."""
-    query = query or CocliqueQuery()
     if size < 1:
         raise ValueError("size must be >= 1")
-    found: list[VertexSet] = []
-    try:
-        for c in _walk(g, size, query.node_budget):
-            found.append(c)
-            if query.mode == "first":
-                break
-    except BudgetExceeded as exc:
-        exc.partial = found
-        raise
-    return found
+    return _collect(g, size, query or CocliqueQuery())
 
 
 def hoffman_cocliques(

@@ -96,11 +96,6 @@ class _Backjump(Exception):
         self.level = level
 
 
-class _Seen(Exception):
-    def __init__(self, certificate: bytes):
-        self.certificate = certificate
-
-
 def _refine(rows: tuple[int, ...], cells: list[int], queue: list[int]) -> list[int]:
     """Equitable refinement of an ordered partition.
 
@@ -167,6 +162,15 @@ def _refine(rows: tuple[int, ...], cells: list[int], queue: list[int]) -> list[i
     return cells
 
 
+def _find(parent: list[int], x: int) -> int:
+    """The root of x in the union-find forest ``parent``, halving the
+    path on the way."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
 def _target_cell(cells: list[int]) -> int:
     """Index of the first smallest non-singleton cell, or -1 if every
     cell is a singleton."""
@@ -190,11 +194,7 @@ class _NodeOrbits:
         self.folded = 0
 
     def find(self, x: int) -> int:
-        parent = self.parent
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
+        return _find(self.parent, x)
 
     def fold(self, autos: list[tuple[int, ...]]) -> bool:
         """Take in the automorphisms found since the last call; whether
@@ -225,8 +225,9 @@ def _leaf_certificate(n: int, matrix: list[str], order: list[int]) -> bytes:
 class _Search:
     """Depth-first search of one graph's tree, keeping the first and the
     best leaf as (certificate, vertex order, path).  With ``seen``, it
-    stops at a leaf whose certificate is there and collects the distinct
-    leaf certificates in ``reached``.  ``max_leaves`` >= 0 caps its leaves."""
+    stops at a leaf whose certificate is a key there, its value in
+    ``hit``, and collects the distinct leaf certificates in ``reached``.
+    ``max_leaves`` >= 0 caps its leaves.  A stop is ``_Backjump(-1)``."""
 
     def __init__(self, g: Graph, seen: dict[bytes, bytes] | None = None, max_leaves: int = -1):
         self.n = n = g.order
@@ -239,6 +240,7 @@ class _Search:
         self.leaves = 0
         self.backjumps = 0
         self.seen = seen
+        self.hit: bytes | None = None
         self.reached: set[bytes] = set()
         self.max_leaves = max_leaves
 
@@ -248,7 +250,8 @@ class _Search:
         cert = _leaf_certificate(self.n, self.matrix, order)
         if self.seen is not None:
             if cert in self.seen:
-                raise _Seen(self.seen[cert])
+                self.hit = self.seen[cert]
+                raise _Backjump(-1)  # past the root
             self.reached.add(cert)
         path = self.path
         first, best = self.first, self.best
@@ -274,7 +277,15 @@ class _Search:
             self.backjumps += 1
         raise _Backjump(level)
 
-    def node(self, cells: list[int], queue: list[int], depth: int):
+    def run(self) -> None:
+        """Search the tree from the uniform partition to its end or to a stop."""
+        full = (1 << self.n) - 1
+        try:
+            self.node([full], [full])
+        except _Backjump:  # a stop: only level -1 leaves the root
+            pass
+
+    def node(self, cells: list[int], queue: list[int]):
         cells = _refine(self.rows, cells, queue)
         t = _target_cell(cells)
         if t < 0:
@@ -299,12 +310,12 @@ class _Search:
             new = [1 << v, target ^ (1 << v)]
             path.append(v)
             try:
-                self.node(cells[:t] + new + cells[t + 1 :], new, depth + 1)
+                self.node(cells[:t] + new + cells[t + 1 :], new)
             except _Backjump as bj:
-                if bj.level < depth:
-                    path.pop()
+                if bj.level < len(path) - 1:  # above this node
                     raise
-            path.pop()
+            finally:
+                path.pop()
             branched.append(v)
             if orbits is not None:
                 searched.add(orbits.find(v))
@@ -319,12 +330,9 @@ def canonical_form(g: Graph, seen: dict[bytes, bytes] | None = None) -> Canonica
     if n > SIZE_CAP:
         raise SizeCapExceeded(f"canonical_form: order {n} exceeds cap {SIZE_CAP}")
     search = _Search(g, seen)
-    full = (1 << n) - 1
-    try:
-        search.node([full], [full], 0)
-    except _Seen as hit:
-        cert = hit.certificate
-    else:
+    search.run()
+    cert = search.hit
+    if cert is None:
         cert = search.best[0]
         if seen is not None:
             seen.update(dict.fromkeys(search.reached, cert))
@@ -335,11 +343,7 @@ def canonical_form(g: Graph, seen: dict[bytes, bytes] | None = None) -> Canonica
 def _automorphisms(g: Graph, max_leaves: int) -> tuple[tuple[int, ...], ...]:
     """The generators found in the first ``max_leaves`` leaves of the search."""
     search = _Search(g, max_leaves=max_leaves)
-    full = (1 << g.order) - 1
-    try:
-        search.node([full], [full], 0)
-    except _Backjump:
-        pass
+    search.run()
     return tuple(search.autos)
 
 
@@ -349,20 +353,13 @@ def _set_orbits(masks: list[int], generators: tuple[tuple[int, ...], ...]) -> li
     a partial list may split an orbit, but two sets joined are related."""
     index = {m: i for i, m in enumerate(masks)}
     parent = list(range(len(masks)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
     for a in generators:
         image = [1 << w for w in a]
         for i, m in enumerate(masks):
             j = index.get(sum(map(image.__getitem__, bits(m))), i)
-            ri, rj = find(i), find(j)
+            ri, rj = _find(parent, i), _find(parent, j)
             parent[max(ri, rj)] = min(ri, rj)
-    return [find(i) for i in range(len(masks))]
+    return [_find(parent, i) for i in range(len(masks))]
 
 
 def are_isomorphic(g: Graph, h: Graph) -> bool:

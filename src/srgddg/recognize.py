@@ -245,8 +245,10 @@ class DdgParams:
 @dataclass(frozen=True)
 class CanonicalPartition:
     """Disjoint classes of equal size covering all vertices, stored as a
-    tuple of bitsets ordered by smallest member, so that a partition
-    built from a list hashes and compares like one built from a tuple."""
+    tuple of bitsets in the given order, so that a partition built from a
+    list hashes and compares like one built from a tuple.  :class:`_DdgRows`
+    and ``assembly._split`` order the classes by smallest member;
+    ``construct`` keeps the order of ``--partition``, which phi reads."""
 
     classes: tuple[VertexSet, ...]
 

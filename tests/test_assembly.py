@@ -1,3 +1,4 @@
+import bisect
 import collections
 import functools
 import random
@@ -471,6 +472,47 @@ class TestDecompose:
         assert isinstance(info.value.partial, list)
         for d in info.value.partial:
             assert d.ddg_params.tuple6 == (56, 28, 12, 14, 7, 8)
+
+    @pytest.mark.parametrize("twist, cocliques, witnesses", [("4cycle", 79, 1), ("3cycle", 87, 9)])
+    def test_budget_ladder_keeps_a_prefix(self, twist, cocliques, witnesses):
+        # a budget hit counts the node past the budget and carries the
+        # witnesses found before it, a prefix of the full list; mode
+        # "first" stops at its witness, so a hit there has found none
+        g = oracle_graph(f"sp62_{twist}")
+        p = rec.srg_params(g)
+        assert len(cq.hoffman_cocliques(g, p)) == cocliques
+
+        def least_budget(search):
+            """The least budget that search(budget) finishes within."""
+            def finishes(budget):
+                try:
+                    search(budget)
+                except BudgetExceeded:
+                    return False
+                return True
+
+            return bisect.bisect_left(range(cq.DEFAULT_NODE_BUDGET), True, key=finishes)
+
+        # the nodes of the whole walk, and of the walk up to the first witness
+        nodes = least_budget(lambda b: cq.hoffman_cocliques(g, p, cq.CocliqueQuery(node_budget=b)))
+        first = least_budget(lambda b: asm.decompose(g, cq.CocliqueQuery("first", b)))
+        want = asm.decompose(g)
+        assert len(want) == witnesses and first <= nodes
+        kept = []
+        budgets = {1, first - 1, first, nodes // 4, nodes // 2, 3 * nodes // 4, nodes - 1, nodes}
+        for budget in sorted(budgets):
+            for mode in ("all", "first"):
+                try:
+                    got = asm.decompose(g, cq.CocliqueQuery(mode, budget))
+                except BudgetExceeded as exc:
+                    assert exc.nodes == budget + 1
+                    assert exc.partial == want[: len(exc.partial)]
+                    assert mode == "all" or exc.partial == []
+                    kept.append(len(exc.partial))
+                else:
+                    assert got == (want if mode == "all" else want[:1])
+                    assert budget >= (nodes if mode == "all" else first)
+        assert 0 in kept and (first == nodes or max(kept) > 0)
 
     def test_deterministic_order(self, sp42):
         a = asm.decompose(sp42)

@@ -762,6 +762,18 @@ class TestCensus:
         ]
         assert (res["graphs"], res["decomposable"], res["distinct_ddg_certificates"]) == (2, 1, 1)
 
+    def test_over_cap_graph_gives_its_ddg_cap_error(self, tmp_path, capsys):
+        # every family graph above the cap has a DDG above it too: the
+        # Sp(10,2) complement skips its own search, and labeling the DDG
+        # of v = 992 of a witness found within the budget is refused
+        f = tmp_path / "sp102.g6"
+        f.write_bytes(gc.encode_graph6(galois.symplectic_complement(5, galois.fieldspec(2, 1))) + b"\n")
+        code, rep = run_json(capsys, ["census", str(f), "--budget-nodes", "3000"])
+        assert code == 0
+        res = rep["results"]
+        assert res["per_graph"] == [{"error": "canonical_form: order 992 exceeds cap 512"}]
+        assert (res["graphs"], res["decomposable"], res["distinct_ddg_certificates"]) == (1, 0, 0)
+
     def test_budget_hit_labels_orbits_of_the_witnesses_found(self, tmp_path, capsys, sp62):
         # the per-witness path over the same partial witness list is the
         # oracle; some automorphism found maps a witness outside that list
