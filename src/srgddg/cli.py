@@ -503,14 +503,15 @@ def _census_one(g, budget: int):
     cap, ``g``'s own search gives the automorphisms, at one leaf per
     witness.  Above it, the guard only spares that search: every family
     graph with 512 < v <= 5000 has DDGs of at least 552 vertices, so a
-    witness gives the error row of its DDG's size cap.  The labeled DDGs
-    share one ``seen`` dict of leaves."""
-    query = coclique.CocliqueQuery(node_budget=budget)
+    witness gives the error row of its DDG's size cap, and the walk stops
+    at the first one.  The labeled DDGs share one ``seen`` dict of leaves."""
+    mode = "all" if g.order <= iso.SIZE_CAP else "first"
+    query = coclique.CocliqueQuery(mode=mode, node_budget=budget)
     seen: dict[bytes, bytes] = {}
     try:
         decs, flag = _budgeted(lambda: assembly.decompose(g, query))
         reps = decs
-        if len(decs) > 1 and g.order <= iso.SIZE_CAP:
+        if len(decs) > 1:  # mode "all", so g is under the size cap
             roots = iso._set_orbits([d.coclique for d in decs], iso._automorphisms(g, len(decs)))
             reps = [d for i, d in enumerate(decs) if roots[i] == i]
         certs = sorted({iso.canonical_form(d.ddg, seen).certificate.decode() for d in reps})

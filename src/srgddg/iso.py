@@ -23,12 +23,15 @@ found:
   already searched child, under the found automorphisms that fix every
   cell of the node.  Proof: such an automorphism fixes the node and maps
   the searched child's subtree onto the skipped child's.
-* Backjumping: when a leaf's certificate equals that of the first leaf
-  or of the best leaf so far, return to the node where the two paths
-  part.  Proof: the automorphism fixes each vertex individualized above
-  that node (it sits at the same position in both leaves), so it maps
-  the earlier leaf's child of that node, whose subtree is already
-  searched, onto the current child.
+* Backjumping: when a leaf's certificate equals that of any earlier
+  leaf, return to the node where the two paths part.  Proof: the
+  automorphism fixes each vertex individualized above that node (it
+  sits at the same position in both leaves), so it maps the current
+  child of that node onto the earlier leaf's child.  That child is an
+  earlier sibling, and depth-first search has finished its subtree, so
+  every certificate of the current child's subtree is already reached.
+  The search keeps each distinct leaf certificate once, with the first
+  leaf that reached it, so a repeat of any of them is found.
 
 Refinement repeats no work: a partition equitable with respect to a
 vertex set stays equitable when refined further, so a node refines its
@@ -223,56 +226,44 @@ def _leaf_certificate(n: int, matrix: list[str], order: list[int]) -> bytes:
 
 
 class _Search:
-    """Depth-first search of one graph's tree, keeping the first and the
-    best leaf as (certificate, vertex order, path).  With ``seen``, it
-    stops at a leaf whose certificate is a key there, its value in
-    ``hit``, and collects the distinct leaf certificates in ``reached``.
-    ``max_leaves`` >= 0 caps its leaves.  A stop is ``_Backjump(-1)``."""
+    """Depth-first search of one graph's tree, keeping in ``known`` each
+    distinct leaf certificate reached, with the vertex order and path of
+    its first leaf.  With ``seen``, it stops at a leaf whose certificate
+    is a key there, its value in ``hit``.  ``max_leaves`` >= 0 caps its
+    leaves.  A stop is ``_Backjump(-1)``."""
 
     def __init__(self, g: Graph, seen: dict[bytes, bytes] | None = None, max_leaves: int = -1):
         self.n = n = g.order
         self.rows = g.rows
         self.matrix = [format(row, f"0{n}b")[::-1] for row in g.rows]
-        self.first: tuple[bytes, list[int], list[int]] | None = None
-        self.best: tuple[bytes, list[int], list[int]] | None = None
+        self.known: dict[bytes, tuple[list[int], list[int]]] = {}
         self.path: list[int] = []
         self.autos: list[tuple[int, ...]] = []
         self.leaves = 0
         self.backjumps = 0
         self.seen = seen
         self.hit: bytes | None = None
-        self.reached: set[bytes] = set()
         self.max_leaves = max_leaves
 
     def leaf(self, cells: list[int]):
         self.leaves += 1
         order = [cell.bit_length() - 1 for cell in cells]
         cert = _leaf_certificate(self.n, self.matrix, order)
-        if self.seen is not None:
-            if cert in self.seen:
-                self.hit = self.seen[cert]
-                raise _Backjump(-1)  # past the root
-            self.reached.add(cert)
+        if self.seen is not None and cert in self.seen:
+            self.hit = self.seen[cert]
+            raise _Backjump(-1)  # past the root
         path = self.path
-        first, best = self.first, self.best
-        if first is None:
-            self.first = self.best = (cert, order, list(path))
-            return
-        if cert == first[0]:
-            ref = first
-        elif cert == best[0]:
-            ref = best
-        else:
-            if cert < best[0]:
-                self.best = (cert, order, list(path))
+        ref = self.known.get(cert)
+        if ref is None:
+            self.known[cert] = (order, list(path))
             return
         # both orders give the same labeled graph: position i of this
         # leaf to position i of the earlier one is an automorphism
         image = [0] * self.n
-        for v, w in zip(order, ref[1]):
+        for v, w in zip(order, ref[0]):
             image[v] = w
         self.autos.append(tuple(image))
-        level = next(lvl for lvl, (a, b) in enumerate(zip(ref[2], path)) if a != b)
+        level = next(lvl for lvl, (a, b) in enumerate(zip(ref[1], path)) if a != b)
         if level < len(path) - 1:
             self.backjumps += 1
         raise _Backjump(level)
@@ -333,9 +324,9 @@ def canonical_form(g: Graph, seen: dict[bytes, bytes] | None = None) -> Canonica
     search.run()
     cert = search.hit
     if cert is None:
-        cert = search.best[0]
+        cert = min(search.known)
         if seen is not None:
-            seen.update(dict.fromkeys(search.reached, cert))
+            seen.update(dict.fromkeys(search.known, cert))
     autos = search.autos
     return CanonicalForm(cert, tuple(autos), search.leaves, len(autos), search.backjumps)
 

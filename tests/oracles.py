@@ -9,7 +9,9 @@ per-column graph6 encoder that ``srgddg.graphcore.encode_graph6``
 replaced; all five symmetric design axioms checked by brute force, the
 oracle of ``srgddg.designs.verify_design``; and the strongly regular
 parameter sets listed by their eigenvalues, the sweep of
-``srgddg.theory``."""
+``srgddg.theory``; and the labeling search that backjumps only at a
+repeat of the first or the best leaf, the rule ``srgddg.iso._Search``
+widened to every earlier leaf."""
 
 from __future__ import annotations
 
@@ -17,6 +19,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import isqrt
 
+from srgddg import iso
 from srgddg.designs import Violation
 from srgddg.graphcore import pack_graph6
 
@@ -214,3 +217,27 @@ def srg_parameter_sets(v_max):
                 if not rem and v <= v_max:
                     out.append((v, k, mu + r - t, mu))
     return sorted(out)
+
+
+class FirstBestSearch(iso._Search):
+    """``iso._Search`` with automorphisms and backjumps taken only from a
+    leaf whose certificate is that of the first leaf or of the least leaf
+    so far, as nauty does (McKay & Piperno, "Practical graph
+    isomorphism, II", 2014).  A repeat of any other certificate is
+    searched past.  ``known`` still collects every certificate reached."""
+
+    def leaf(self, cells):
+        known = self.known
+        cert = iso._leaf_certificate(self.n, self.matrix, [c.bit_length() - 1 for c in cells])
+        if cert in known and cert not in (next(iter(known)), min(known)):
+            self.leaves += 1
+            return
+        super().leaf(cells)
+
+
+def first_best_form(g):
+    """(certificate, leaves, generators) of the search by
+    :class:`FirstBestSearch`."""
+    search = FirstBestSearch(g)
+    search.run()
+    return min(search.known), search.leaves, tuple(search.autos)

@@ -774,6 +774,23 @@ class TestCensus:
         assert res["per_graph"] == [{"error": "canonical_form: order 992 exceeds cap 512"}]
         assert (res["graphs"], res["decomposable"], res["distinct_ddg_certificates"]) == (1, 0, 0)
 
+    def test_over_cap_graph_row_does_not_depend_on_the_budget(self, monkeypatch):
+        # any witness gives the DDG's cap error, so the walk stops at the
+        # first one: one witness built, whatever the budget
+        sp102 = galois.symplectic_complement(5, galois.fieldspec(2, 1))
+        real = asm.decompose
+        found = []
+
+        def recorded(g, query=None):
+            decs = real(g, query)
+            found.append((query.mode, len(decs)))
+            return decs
+
+        monkeypatch.setattr(asm, "decompose", recorded)
+        rows = [cli._census_one(sp102, budget) for budget in (3000, 100_000)]
+        assert rows[0] == rows[1] == ({"error": "canonical_form: order 992 exceeds cap 512"}, [])
+        assert found == [("first", 1)] * 2
+
     def test_budget_hit_labels_orbits_of_the_witnesses_found(self, tmp_path, capsys, sp62):
         # the per-witness path over the same partial witness list is the
         # oracle; some automorphism found maps a witness outside that list

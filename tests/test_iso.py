@@ -5,10 +5,12 @@ from itertools import combinations, permutations
 
 import pytest
 
-from srgddg import assembly, iso
+from srgddg import assembly, galois, iso
 from srgddg import graphcore as gc
 from srgddg.coclique import CocliqueQuery
 from srgddg.errors import SizeCapExceeded
+
+from oracles import first_best_form
 
 
 def relabel(g, perm):
@@ -367,6 +369,32 @@ class TestCappedSearch:
                 for i, j in combinations(range(len(part)), 2):
                     if got[i] == got[j]:
                         assert want[where[i]] == want[where[j]]
+
+
+class TestBackjumpOnAnyEarlierLeaf:
+    """A leaf that repeats any earlier leaf's certificate backjumps, not
+    only one that repeats the first or the best leaf's."""
+
+    def test_against_the_first_and_best_rule(self, sp43, sp62):
+        ours = theirs = 0
+        for g in certificate_corpus(sp43, sp62):
+            cf = iso.canonical_form(g)
+            cert, leaves, generators = first_best_form(g)
+            assert cf.certificate == cert
+            ours += cf.leaves
+            theirs += leaves
+            for image in cf.generators + generators:
+                assert row_automorphism(g, image)
+        assert ours <= theirs
+
+    def test_ddg_of_sp47(self):
+        # v = 392: 3,239 leaves under the first and best rule, 128 here
+        sp47 = galois.symplectic_complement(2, galois.fieldspec(7, 1))
+        ddg = first_ddg_piece(sp47)[0]
+        assert ddg.order == 392
+        cf = iso.canonical_form(ddg)
+        assert cf.leaves <= 200
+        assert iso.canonical_form(random_relabel(ddg, random.Random(392))) == cf
 
 
 class TestAreIsomorphic:
