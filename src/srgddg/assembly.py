@@ -295,7 +295,21 @@ def decompose(
     that every vertex outside C has n + s neighbours in every class, the
     constant quotient matrix; that also follows from the family
     parameters alone, by the trace argument for :func:`attach_coclique`.
+
+    Checks 1-2 are :func:`_family_gate` and check 3 is :func:`_groups`.
+    ``census`` shares them: :func:`_witness_cocliques` walks as this
+    function does but keeps the cocliques, and :func:`_split` builds the
+    witness of the one coclique it labels per orbit.
     """
+    fam = _family_gate(graph)
+    if fam is None:
+        return []
+    return _collect(graph, fam.m, query or CocliqueQuery(), lambda C: _split(graph, fam, C))
+
+
+def _family_gate(graph: Graph) -> theory.FamilyParams | None:
+    """The family of graph by checks 1-2 of :func:`decompose`, or None
+    for a strongly regular graph that can have no witness."""
     p = srg_params(graph)
     if not p:
         raise AssemblyError(f"not strongly regular: {p.reason}")
@@ -304,30 +318,48 @@ def decompose(
     n, rem = divmod(p.k, -p.s)
     fam = None if rem else theory.family_from(n, p.s)
     if not fam or fam.srg.tuple4 != p.tuple4:
-        return []
-    return _collect(graph, fam.m, query or CocliqueQuery(), lambda C: _split(graph, fam, C))
+        return None
+    return fam
+
+
+def _witness_cocliques(
+    graph: Graph, fam: theory.FamilyParams, query: CocliqueQuery
+) -> list[VertexSet]:
+    """The Hoffman cocliques of the family graph ``graph`` that pass
+    check 3 of :func:`decompose`, its witnesses, walked and cut off as
+    :func:`decompose` walks them, but with no witness built."""
+    return _collect(graph, fam.m, query, lambda C: None if _groups(graph, fam, C) is None else C)
+
+
+def _groups(graph: Graph, fam: theory.FamilyParams, C: VertexSet) -> dict[int, int] | None:
+    """The vertices outside the Hoffman coclique C grouped by N_C(x), as
+    {N_C(x): group}, if check 3 of :func:`decompose` passes, else None.
+    The rest has fam.m * fam.n vertices, so groups of fam.n vertices are
+    fam.m groups.  Ascending x puts the groups in order of smallest
+    member."""
+    rows = graph.rows
+    groups: dict[int, int] = {}
+    for x in bits(((1 << graph.order) - 1) ^ C):
+        key = rows[x] & C
+        groups[key] = groups.get(key, 0) | 1 << x
+    if any(cl.bit_count() != fam.n for cl in groups.values()):
+        return None
+    return groups
 
 
 def _split(graph: Graph, fam: theory.FamilyParams, C: VertexSet) -> Decomposition | None:
     """The witness for one Hoffman coclique C of a family graph, or
-    None; check 3 of :func:`decompose`.  The rest has fam.m * fam.n
-    vertices, so groups of fam.n vertices are fam.m groups.
+    None when check 3 of :func:`decompose` fails (:func:`_groups`).
 
     The classes and the DDG's rows are renumbered onto the vertices
     outside C, and the blocks onto C, by one masked shift per run of
     kept vertices (``graphcore._squeeze``): at most c + 1 runs outside
     a coclique of c vertices, and at most c in it."""
-    rows = graph.rows
-    rest = ((1 << graph.order) - 1) ^ C
-    # classes keyed by coclique neighbourhood; ascending x puts them in
-    # order of smallest member
-    groups: dict[int, int] = {}
-    for x in bits(rest):
-        key = rows[x] & C
-        groups[key] = groups.get(key, 0) | 1 << x
-    classes = tuple(groups.values())
-    if any(cl.bit_count() != fam.n for cl in classes):
+    groups = _groups(graph, fam, C)
+    if groups is None:
         return None
+    rest = ((1 << graph.order) - 1) ^ C
+    classes = tuple(groups.values())
     m, k_blk, lam_d = fam.design_params
     return Decomposition(
         coclique=C,

@@ -4,9 +4,10 @@ bitsets.
 One walk, :func:`_walk`, yields the independent sets of one given size
 as it finds them, and one collector, :func:`_collect`, keeps what a
 function makes of each: :func:`cocliques_of_size` the sets, all or the
-first, and ``assembly.decompose`` the witnesses, up to the first in mode
-"first".  :func:`hoffman_cocliques` takes the Delsarte-Hoffman size
-c = v*s/(s-k), the only size the construction uses.
+first, ``assembly.decompose`` the witnesses and census the witness
+cocliques, up to the first in mode "first".  :func:`hoffman_cocliques`
+takes the Delsarte-Hoffman size c = v*s/(s-k), the only size the
+construction uses.
 Vertices are taken in increasing order, so the sets come out in
 lexicographic order of their sorted members, and the order, the node
 count and the sets found before a budget hit are reproducible.

@@ -8,17 +8,20 @@ all common-neighbour counting, so the representation is chosen for that.
 Vertex sets (cocliques, partition classes, induced-subgraph selectors) are
 plain int bitsets as well; see :func:`bits`, :func:`mask_of`,
 :func:`set_of`.  ``bits`` is the one mask reader, and it has two paths.
-A mask with at least one bit set in eight is scanned in C: one ``bin``,
-one ``bytes.translate`` and one ``itertools.compress`` over
-``range(width)``, at a cost that grows with the width.  A sparser mask
-is read by a loop, one Python step per set bit.  Both stay, because
-each is the faster one on its side of the switch, which is where the
-two cross at widths 16 to 1000 (best of 7 on a 2-core VM, Python
-3.11.7): V∖C of a v = 255 decompose, 240 bits of 240, takes 32.1 µs by
-the loop and 4.2 µs in C, and a 128-of-255 row 16.7 against 4.0 µs; but
-the singleton splitters that canonical labeling refines by would go
-from 0.32 to 2.5 µs in C (bit 200), and a lone bit 4999, the
-breadth-first frontier of ``path(5000)``, from 0.65 to 97 µs.
+A mask wider than 8 bits with at least one bit set in eight is scanned
+in C: one ``bin``, one ``bytes.translate`` and one ``itertools.compress``
+over ``range(width)``, at a cost that grows with the width.  A sparser
+or narrower mask is read by a loop, one Python step per set bit.  Both
+stay, because each is the faster one on its side of the switch, which
+is where the two cross at widths 16 to 1000 (best of 7 on a 2-core VM,
+Python 3.11.7): V∖C of a v = 255 decompose, 240 bits of 240, takes
+32.1 µs by the loop and 4.2 µs in C, and a 128-of-255 row 16.7 against
+4.0 µs; but the singleton splitters that canonical labeling refines by
+would go from 0.32 to 2.5 µs in C (bit 200), and a lone bit 4999, the
+breadth-first frontier of ``path(5000)``, from 0.65 to 97 µs.  The C
+scan's fixed cost, about 0.6 µs, makes the loop win or tie up to width
+8, however dense: ``1 << 3`` takes 0.28 µs by the loop against 0.63 µs
+in C, and ``0xFF`` 0.77 against 0.71 µs.
 
 ``encode_graph6`` builds one int per block of whole upper-triangle
 columns, about 16,384 bits, each column at its offset in the triangle
@@ -71,11 +74,12 @@ _BIT_SELECTORS = bytes.maketrans(b"01", b"\x00\x01")
 def bits(mask: int) -> Iterator[int]:
     """Iterate over the set bit positions of ``mask``, ascending.
 
-    A mask with at least one bit set in eight is scanned in C, at a cost
-    that grows with its width; a sparser one by :func:`_sparse_bits`,
-    at a cost that grows with its set bits (module docstring)."""
+    A mask wider than 8 bits with at least one bit set in eight is
+    scanned in C, at a cost that grows with its width; a sparser or
+    narrower one by :func:`_sparse_bits`, at a cost that grows with its
+    set bits (module docstring)."""
     width = mask.bit_length()
-    if mask.bit_count() << 3 < width:
+    if width <= 8 or mask.bit_count() << 3 < width:
         return _sparse_bits(mask)
     return compress(range(width), bin(mask)[:1:-1].encode().translate(_BIT_SELECTORS))
 

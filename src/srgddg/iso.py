@@ -33,12 +33,36 @@ found:
   The search keeps each distinct leaf certificate once, with the first
   leaf that reached it, so a repeat of any of them is found.
 
-Refinement repeats no work: a partition equitable with respect to a
-vertex set stays equitable when refined further, so a node refines its
-parent's equitable partition with only the two cells made by
-individualization, and the cells split off after them, as splitters.
-Splitting by any other splitter would change nothing, so the cells and
-their order are those of refining with every cell.
+Refinement repeats no work.  Call a vertex set settled when the
+partition is equitable with respect to it: the number of neighbours in
+it is constant on every cell.  A settled set stays settled as the
+partition is refined further, and a union of settled sets is settled.
+The plain procedure pops splitters from a LIFO queue, splits every cell
+by its number of neighbours in the splitter, and queues every part, so
+each splitter is settled once processed.  A node refines its parent's
+equitable partition, every cell of which is settled, so only the two
+cells made by individualization, {v} and T - {v} for the target cell T,
+are queued.  :func:`_refine` pops only splitters that may split
+something, so its cells and their order are those of the plain
+procedure, which stays in the tests as the oracle.  Two rules:
+
+* When a cell X that is settled, or is the splitter being processed,
+  splits into parts P0, P1, ..., Pr, in ascending order of their
+  counts, P0 is not queued.  Proof: the queue is LIFO, so P1..Pr are
+  queued above the place of P0 and popped before P0 would have been,
+  and each is settled from then on, as X is.  So when P0 would have
+  been popped, the count in P0 is the count in X less those in P1..Pr,
+  constant on every cell, and P0 splits nothing.  At a child node T is
+  settled, so {v} is not queued.  The one splitter left, T - {v},
+  needs no count: the count in T is constant on every cell, so the
+  count in T - {v} splits each cell into the neighbours of v and the
+  rest, in that order (``_Search.child``).
+* A popped splitter that has split since it was queued is skipped.
+  Proof: it was still queued when it split, so not yet known to be
+  settled, and all its parts were queued above it and popped before
+  it.  Each part is settled since its pop: processed, or skipped and
+  settled by this same argument.  So their union, the splitter, is
+  settled and splits nothing.
 
 A caller that labels many graphs can pass :func:`canonical_form` one
 dict ``seen`` that maps leaf certificates to canonical certificates.  A
@@ -99,15 +123,21 @@ class _Backjump(Exception):
         self.level = level
 
 
-def _refine(rows: tuple[int, ...], cells: list[int], queue: list[int]) -> list[int]:
-    """Equitable refinement of an ordered partition.
+def _refine(
+    rows: tuple[int, ...], cells: list[int], queue: list[int], unsettled: set[int]
+) -> list[int]:
+    """Equitable refinement of an ordered partition, by the rules of the
+    module docstring.
 
-    ``queue`` must hold every cell of ``cells`` with respect to which
-    ``cells`` may not be equitable yet.  Each popped splitter splits every
-    cell by the number of neighbours in the splitter; the sub-cells, in
-    ascending order of that count, take the cell's place and join the
-    queue.  This order keeps the procedure isomorphism-invariant.  Once
-    every cell is a singleton, no splitter can change anything.
+    ``unsettled`` holds every cell not known to be settled, ``queue`` the
+    splitters still to pop; a cell of ``unsettled`` that is not queued
+    must be settled once the queued ones are, as a part left off the
+    queue is.  Both are updated in place.  Each popped splitter splits
+    every cell by the number of neighbours in the splitter; the
+    sub-cells, in ascending order of that count, take the cell's place
+    and join the queue, all but the first when the cell was settled.
+    This order keeps the procedure isomorphism-invariant.  Once every
+    cell is a singleton, no splitter can change anything.
 
     The counts are bit-sliced: bit v of ``planes[i]`` is bit i of the
     count for vertex v, and each splitter vertex adds its row with a
@@ -116,6 +146,9 @@ def _refine(rows: tuple[int, ...], cells: list[int], queue: list[int]) -> list[i
     multi = [i for i, cell in enumerate(cells) if cell & (cell - 1)]  # non-singletons
     while queue and multi:
         splitter = queue.pop()
+        if splitter not in unsettled:
+            continue  # split since it was queued, so it splits nothing
+        unsettled.remove(splitter)  # cells stay equitable with respect to it
         planes: list[int] = []
         for u in bits(splitter):
             carry = rows[u]
@@ -152,7 +185,12 @@ def _refine(rows: tuple[int, ...], cells: list[int], queue: list[int]) -> list[i
                 parts = split
             if len(parts) > 1:
                 splits.append((i, parts))
-                queue += parts
+                if cell in unsettled:
+                    unsettled.remove(cell)
+                    queue += parts
+                else:
+                    queue += parts[1:]
+                unsettled.update(parts)
         if splits:
             out: list[int] = []
             start = 0
@@ -270,14 +308,39 @@ class _Search:
 
     def run(self) -> None:
         """Search the tree from the uniform partition to its end or to a stop."""
-        full = (1 << self.n) - 1
         try:
-            self.node([full], [full])
+            self.node(self.root())
         except _Backjump:  # a stop: only level -1 leaves the root
             pass
 
-    def node(self, cells: list[int], queue: list[int]):
-        cells = _refine(self.rows, cells, queue)
+    def root(self) -> list[int]:
+        """The refined uniform partition."""
+        full = (1 << self.n) - 1
+        return _refine(self.rows, [full], [full], {full})
+
+    def child(self, cells: list[int], t: int, v: int) -> list[int]:
+        """The refined partition of the child of the refined partition
+        ``cells`` that takes v out of its target cell ``cells[t]`` and
+        puts it before the rest.  The first splitter, the target less v,
+        splits each cell into its neighbours and non-neighbours of v, in
+        that order (module docstring); :func:`_refine` goes on from
+        there."""
+        row = self.rows[v]
+        out: list[int] = []
+        queue: list[int] = []
+        unsettled: set[int] = set()  # the parent's cells and {v} are settled
+        for cell in cells[:t] + [1 << v, cells[t] ^ (1 << v)] + cells[t + 1 :]:
+            near = cell & row
+            if near and near != cell:
+                out += (near, cell ^ near)
+                queue.append(cell ^ near)
+                unsettled.update((near, cell ^ near))
+            else:
+                out.append(cell)
+        return _refine(self.rows, out, queue, unsettled)
+
+    def node(self, cells: list[int]):
+        """Search below the refined partition ``cells``."""
         t = _target_cell(cells)
         if t < 0:
             self.leaf(cells)
@@ -298,10 +361,9 @@ class _Search:
                     searched = {orbits.find(u) for u in branched}
                 if orbits.find(v) in searched:
                     continue
-            new = [1 << v, target ^ (1 << v)]
             path.append(v)
             try:
-                self.node(cells[:t] + new + cells[t + 1 :], new)
+                self.node(self.child(cells, t, v))
             except _Backjump as bj:
                 if bj.level < len(path) - 1:  # above this node
                     raise

@@ -9,9 +9,11 @@ per-column graph6 encoder that ``srgddg.graphcore.encode_graph6``
 replaced; all five symmetric design axioms checked by brute force, the
 oracle of ``srgddg.designs.verify_design``; and the strongly regular
 parameter sets listed by their eigenvalues, the sweep of
-``srgddg.theory``; and the labeling search that backjumps only at a
+``srgddg.theory``; the labeling search that backjumps only at a
 repeat of the first or the best leaf, the rule ``srgddg.iso._Search``
-widened to every earlier leaf."""
+widened to every earlier leaf; and the equitable refinement that pops
+every queued splitter, which ``srgddg.iso._refine`` replaced by one that
+queues no splitter that splits nothing."""
 
 from __future__ import annotations
 
@@ -21,7 +23,7 @@ from math import isqrt
 
 from srgddg import iso
 from srgddg.designs import Violation
-from srgddg.graphcore import pack_graph6
+from srgddg.graphcore import bits, pack_graph6
 
 
 @dataclass(frozen=True)
@@ -241,3 +243,74 @@ def first_best_form(g):
     search = FirstBestSearch(g)
     search.run()
     return min(search.known), search.leaves, tuple(search.autos)
+
+
+def plain_refine(rows, cells, queue):
+    """Equitable refinement of an ordered partition by every queued
+    splitter: each popped splitter splits every cell by the number of
+    neighbours in it, the sub-cells take the cell's place in ascending
+    order of that count, and every sub-cell joins the queue."""
+    multi = [i for i, cell in enumerate(cells) if cell & (cell - 1)]
+    while queue and multi:
+        splitter = queue.pop()
+        planes = []
+        for u in bits(splitter):
+            carry = rows[u]
+            for i, plane in enumerate(planes):
+                planes[i] = plane ^ carry
+                carry &= plane
+                if not carry:
+                    break
+            else:
+                if carry:
+                    planes.append(carry)
+        if not planes:
+            continue
+        touched = 0
+        for plane in planes:
+            touched |= plane
+        planes.reverse()
+        splits = []
+        for i in multi:
+            cell = cells[i]
+            if not cell & touched:
+                continue
+            parts = [cell]
+            for plane in planes:
+                if not cell & plane or cell & plane == cell:
+                    continue
+                split = []
+                for part in parts:
+                    high = part & plane
+                    if high and high != part:
+                        split += (part ^ high, high)
+                    else:
+                        split.append(part)
+                parts = split
+            if len(parts) > 1:
+                splits.append((i, parts))
+                queue += parts
+        if splits:
+            out = []
+            start = 0
+            for i, parts in splits:
+                out += cells[start:i]
+                out += parts
+                start = i + 1
+            cells = out + cells[start:]
+            multi = [i for i, cell in enumerate(cells) if cell & (cell - 1)]
+    return cells
+
+
+class PlainSearch(iso._Search):
+    """``iso._Search`` refining by :func:`plain_refine`: from the uniform
+    partition at the root, and at a child from the parent's cells with
+    the target cell cut into v and the rest, both queued."""
+
+    def root(self):
+        full = (1 << self.n) - 1
+        return plain_refine(self.rows, [full], [full])
+
+    def child(self, cells, t, v):
+        new = [1 << v, cells[t] ^ (1 << v)]
+        return plain_refine(self.rows, cells[:t] + new + cells[t + 1 :], list(new))

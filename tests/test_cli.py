@@ -661,6 +661,26 @@ class TestCensus:
             if labeled is not None:
                 assert len(calls) == labeled
 
+    def test_one_ddg_built_per_orbit(self, monkeypatch, sp43, sp62):
+        # the walk keeps decompose's witness cocliques and builds none;
+        # census then builds the DDG of the first witness of each orbit
+        dec = asm.decompose(sp62, cq.CocliqueQuery(mode="first"))[0]
+        twisted = [asm.attach_coclique(dec.ddg, dec.ddg_partition, dec.design, phi)
+                   for phi in ((1, 2, 0, 3, 4, 5, 6), (1, 2, 3, 0, 4, 5, 6))]
+        built = counting(monkeypatch, asm, "induced_subgraph")
+        for g, witnesses, orbits in ((sp43, 40, 1), (twisted[0], 9, 5), (twisted[1], 1, 1)):
+            built.clear()
+            found = asm._witness_cocliques(g, asm._family_gate(g), cq.CocliqueQuery())
+            assert not built and len(found) == witnesses
+            assert found == [d.coclique for d in asm.decompose(g)]
+            roots = iso._set_orbits(found, iso._automorphisms(g, len(found)))
+            firsts = [C for i, C in enumerate(found) if roots[i] == i]
+            assert len(firsts) == orbits
+            built.clear()
+            assert cli._census_one(g, cq.DEFAULT_NODE_BUDGET)[0] == {"decompositions": witnesses}
+            rest = (1 << g.order) - 1
+            assert [keep for _, keep in built] == [rest ^ C for C in firsts]
+
     def test_census_threads_same_counts(self, tmp_path, sp42, grid66):
         f = tmp_path / "cat.g6"
         f.write_bytes(gc.encode_graph6(sp42) + b"\n" + gc.encode_graph6(grid66) + b"\n")
@@ -778,15 +798,15 @@ class TestCensus:
         # any witness gives the DDG's cap error, so the walk stops at the
         # first one: one witness built, whatever the budget
         sp102 = galois.symplectic_complement(5, galois.fieldspec(2, 1))
-        real = asm.decompose
+        real = asm._witness_cocliques
         found = []
 
-        def recorded(g, query=None):
-            decs = real(g, query)
-            found.append((query.mode, len(decs)))
-            return decs
+        def recorded(g, fam, query):
+            cocliques = real(g, fam, query)
+            found.append((query.mode, len(cocliques)))
+            return cocliques
 
-        monkeypatch.setattr(asm, "decompose", recorded)
+        monkeypatch.setattr(asm, "_witness_cocliques", recorded)
         rows = [cli._census_one(sp102, budget) for budget in (3000, 100_000)]
         assert rows[0] == rows[1] == ({"error": "canonical_form: order 992 exceeds cap 512"}, [])
         assert found == [("first", 1)] * 2

@@ -355,6 +355,14 @@ class TestBits:
             assert list(gc.bits(mask)) == gc.set_of(mask) == bit_positions(mask, w)
         assert [isinstance(gc.bits(m), compress) for m in at_switch] == [False, False, True, True]
 
+    def test_narrow_masks_take_the_loop(self):
+        # the C scan's fixed cost loses up to width 8, however dense
+        narrow = [1 << 3, 0xFF, 0x80, 0b1011, 1]
+        wide = [0x1FF, 0x100 | 0x80, (1 << 16) - 1]
+        for mask in narrow + wide:
+            assert list(gc.bits(mask)) == bit_positions(mask, mask.bit_length())
+        assert [isinstance(gc.bits(m), compress) for m in narrow + wide] == [False] * 5 + [True] * 3
+
 
 class TestInducedSubgraph:
     def test_identity(self):
