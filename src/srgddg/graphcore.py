@@ -35,9 +35,15 @@ and 46.8 ms for ``complete(5000)``; a block takes 0.156 and 43.9 ms
 ``Graph`` is a frozen dataclass of ``order``, ``rows`` and ``label``,
 checked once, where it is built: ``Graph(...)`` checks range and loops
 row by row, and symmetry by one comparison of the rows with their
-transpose, taken as bit strings.  ``_trusted_graph`` is the only way
-round those checks, for rows that are valid by construction: those of
-the graph6 decoder, ``induced_subgraph``, ``complete``, ``edgeless``,
+transpose, taken by ``_transpose_bits`` in 128 x 128 tiles of one int
+each, all-zero tiles skipped.  Besides the rows it holds one band of 128
+rows as bytes, one 2 KB tile and an output buffer the size of the rows.
+The check of Sp(8,2)ᶜ (v = 255) takes 0.30-0.47 ms, against 1.0-1.2 ms
+by one ``zip`` over the rows as "0"/"1" strings, and of Sp(10,2)ᶜ
+(v = 1023) 2.7-4.3 against 14-15 ms (best of 11, two runs, 2-core VM,
+Python 3.11.7).  ``_trusted_graph`` is the only way round
+those checks, for rows that are valid by construction: those of the
+graph6 decoder, ``induced_subgraph``, ``complete``, ``edgeless``,
 ``triangular``, ``grid``, ``composition``, ``complement_of`` and
 ``Graph.with_label``.  ``from_edges``, and with it ``cycle`` and
 ``path``, keeps them.  Unpickling restores the fields of a graph without
@@ -58,8 +64,8 @@ from __future__ import annotations
 
 import binascii
 from dataclasses import dataclass, field
-from itertools import combinations, compress, zip_longest
-from typing import Callable, Iterable, Iterator
+from itertools import accumulate, combinations, compress
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import Graph6Error, SizeCapExceeded
 
@@ -105,15 +111,60 @@ def set_of(mask: VertexSet) -> list[int]:
 
 # -- bit matrices ------------------------------------------------------
 #
-# A 0/1 matrix is held as one string of "0"/"1" per row, whose character
-# y is entry y of the row, so its transpose is one zip over the strings,
-# run in C.
+# A 0/1 matrix is held as its rows, one int each, bit y of row x for
+# entry y; a 128 x 128 tile of it as one int, its row r at bit 128r.
+
+_TILE = 128
 
 
-def _transpose(lines: list[str]) -> Iterator[str]:
-    """The rows of the transpose, made one at a time, so no n^2 tuple is
-    held.  Lines shorter than the longest are taken as padded with "0"."""
-    return map("".join, zip_longest(*lines, fillvalue="0"))
+def _every(period: int, width: int) -> int:
+    """The int with bits 0, period, 2 * period, ... below width."""
+    return ((1 << width) - 1) // ((1 << period) - 1)
+
+
+# round j swaps the entries (r, c) with bit j clear in r and set in c
+# with those (r + j, c - j), 127j bits above them: (shift, entries)
+_TILE_SWAPS = tuple(
+    (127 * j, _every(2 * j * _TILE, _TILE**2) * _every(_TILE, j * _TILE)
+     * (_every(2 * j, _TILE) * ((1 << j) - 1) << j))
+    for j in (64, 32, 16, 8, 4, 2, 1)
+)
+
+
+def _transpose_bits(rows: Sequence[int]) -> list[int]:
+    """The rows of the transpose of the square bit matrix with these rows.
+
+    Each band of 128 rows is written out as bytes, each row padded to
+    whole tiles, and each tile of it gathered into one int by two
+    strided copies of 8-byte words.  A tile that is not all zero is
+    transposed in place by the 7 rounds of masked swaps of Warren,
+    Hacker's Delight, 2nd ed., section 7-3, and copied into an output
+    buffer the size of the rows, which gives each row by one
+    ``from_bytes``."""
+    n = len(rows)
+    tiles = -(-n // _TILE)
+    width = 2 * tiles  # 8-byte words in a padded row
+    out = bytearray(8 * width * _TILE * tiles)
+    out_words = memoryview(out).cast("Q")
+    tile = bytearray(_TILE**2 // 8)
+    tile_words = memoryview(tile).cast("Q")
+    for i in range(tiles):
+        band = b"".join([row.to_bytes(8 * width, "little") for row in rows[i * _TILE : (i + 1) * _TILE]])
+        band_words = memoryview(band.ljust(8 * width * _TILE, b"\0")).cast("Q")
+        for j in range(tiles):
+            tile_words[0::2] = band_words[2 * j :: width]
+            tile_words[1::2] = band_words[2 * j + 1 :: width]
+            t = int.from_bytes(tile, "little")
+            if not t:
+                continue
+            for shift, mask in _TILE_SWAPS:
+                swap = (t ^ t >> shift) & mask
+                t ^= swap | swap << shift
+            done = memoryview(t.to_bytes(len(tile), "little")).cast("Q")
+            start = j * _TILE * width + 2 * i
+            out_words[start : start + _TILE * width : width] = done[0::2]
+            out_words[start + 1 : start + _TILE * width : width] = done[1::2]
+    return [int.from_bytes(out_words[y * width : (y + 1) * width], "little") for y in range(n)]
 
 
 @dataclass(frozen=True, slots=True)
@@ -141,10 +192,7 @@ class Graph:
                 raise ValueError(f"adjacency row {x} has bits outside 0..{order - 1}")
             if row >> x & 1:
                 raise ValueError(f"loop at vertex {x}")
-        # symmetric iff each row equals the same row of the transpose
-        fmt = f"0{order}b"
-        lines = [format(row, fmt)[::-1] for row in rows]
-        if not all(map(str.__eq__, _transpose(lines), lines)):
+        if _transpose_bits(rows) != list(rows):
             x, y = next((x, y) for x, row in enumerate(rows) for y in bits(row) if not rows[y] >> x & 1)
             raise ValueError(f"adjacency not symmetric at pair ({x}, {y})")
         object.__setattr__(self, "rows", rows)
@@ -252,7 +300,7 @@ def adjacency_matrix(g: Graph) -> list[list[int]]:
 
 # -- generators --------------------------------------------------------
 
-# n bitset rows, then n strings of n characters in Graph: memory grows as n^2
+# n bitset rows, and as many bytes again to transpose them: memory grows as n^2
 GRAPH_SIZE_CAP = 5000
 
 
@@ -421,10 +469,9 @@ def induced_subgraph(g: Graph, keep: VertexSet) -> Graph:
 #
 # A 6-bit group offset by 63 is a base64 digit under a byte translation,
 # so both directions run through ``binascii``: no Python loop visits a
-# bit.  The decoder cuts the bits into the columns of the upper triangle
-# and gets the rest of each row from a transpose of those columns, taken
-# a block of columns at a time, so its rows are symmetric by construction
-# and skip the checks of ``Graph``.
+# bit.  The decoder cuts the bits into the columns of the upper triangle,
+# the rows below the diagonal, and ORs in their transpose, so its rows
+# are symmetric by construction and skip the checks of ``Graph``.
 
 _G6_MAX = 68719476735  # 2^36 - 1
 
@@ -528,16 +575,8 @@ def _decode_order(data: bytes) -> tuple[int, int]:
     return n, width
 
 
-_DECODE_BLOCK = 128  # upper-triangle columns transposed at a time by decode_graph6
-
-
-def _bit_field(data: bytes, start: int, width: int) -> str:
-    """Bits ``start`` .. ``start + width - 1`` of ``data`` as a "0"/"1"
-    string; bit 0 is the high bit of byte 0."""
-    end = start + width
-    lo, hi = start // 8, -(-end // 8)
-    value = int.from_bytes(data[lo:hi], "big") >> (8 * hi - end)
-    return format(value & ((1 << width) - 1), f"0{width}b")
+# each byte to the byte with its bits in reverse order
+_REVERSED_BITS = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
 def decode_graph6(data: bytes | str) -> Graph:
@@ -563,19 +602,16 @@ def decode_graph6(data: bytes | str) -> Graph:
     if bad:
         raise Graph6Error(f"invalid graph6 byte {bad[0]:#x}", pos + body.index(bad[0]))
     packed = binascii.a2b_base64(body.translate(_G6_TO_B64) + b"A" * (-nbytes % 4))
+    # bit t of the triangle as bit t % 8 of byte t // 8, not the high bit
+    triangle = packed.translate(_REVERSED_BITS)
     # the padding fills part of the last byte only
-    if "1" in _bit_field(packed, nbits, 6 * nbytes - nbits):
+    if int.from_bytes(triangle[nbits >> 3 :], "little") >> (nbits & 7):
         raise Graph6Error("nonzero padding bits", pos + nbytes - 1)
-    # column j holds x(0, j) .. x(j - 1, j): row j below the diagonal, and
-    # entry j of rows 0 .. j - 1 above it.  Columns are cut from the bytes
-    # and transposed a block at a time, so about n * _DECODE_BLOCK
-    # characters are held, never a byte for each bit of the graph.
-    rows = [0] * n
-    for lo in range(1, n, _DECODE_BLOCK):
-        columns = [_bit_field(packed, j * (j - 1) // 2, j) for j in range(lo, min(lo + _DECODE_BLOCK, n))]
-        for j, column in enumerate(columns, lo):
-            rows[j] |= int(column[::-1], 2)
-        for x, above in enumerate(_transpose(columns)):
-            rows[x] |= int(above[::-1], 2) << lo
+    # column j, x(0, j) .. x(j - 1, j) from bit j(j - 1)/2 on, is row j
+    # below the diagonal, and entry j of rows 0 .. j - 1 above it
+    lower = [
+        int.from_bytes(triangle[t >> 3 : (t + j + 7) >> 3], "little") >> (t & 7) & ((1 << j) - 1)
+        for j, t in enumerate(accumulate(range(n - 1), initial=0))
+    ]
     # built symmetric, loop-free and in range
-    return _trusted_graph(n, rows)
+    return _trusted_graph(n, map(int.__or__, lower, _transpose_bits(lower)))

@@ -67,8 +67,12 @@ def _pair_counts(
     count is one too many for its key, found holding the counts before it."""
     found: tuple[set[int], set[int]] = (set(), set())
     for x, counts in enumerate(_pair_rows(rows)):
-        if (found[0] & found[1]).issuperset(counts):
-            continue  # each count fits under either key, as when lambda = mu
+        if len(found[0]) == 1 and found[0] == found[1]:
+            (c,) = found[0]
+            if counts.count(c) == len(counts):
+                continue  # one count under both keys, as when lambda = mu
+        elif (found[0] & found[1]).issuperset(counts):
+            continue  # each count fits under either key
         keys = _pair_keys(related[x], x, len(counts))
         fits = found[0].issuperset(compress(counts, keys.translate(_KEY0)))
         if fits and found[1].issuperset(compress(counts, keys.translate(_KEY1))):

@@ -6,8 +6,11 @@ arithmetic on the digits of the elements, the oracle of the tables of
 which evaluate the form of every pair of points one field operation at a
 time; the pairwise builder of ``srgddg.graphcore.triangular``; the
 per-column graph6 encoder that ``srgddg.graphcore.encode_graph6``
-replaced; all five symmetric design axioms checked by brute force, the
-oracle of ``srgddg.designs.verify_design``; and the strongly regular
+replaced; the block-wise graph6 decoder and the transposer of "0"/"1"
+strings that ``srgddg.graphcore.decode_graph6`` and
+``srgddg.graphcore._transpose_bits`` replaced; all five symmetric
+design axioms checked by brute force, the oracle of
+``srgddg.designs.verify_design``; and the strongly regular
 parameter sets listed by their eigenvalues, the sweep of
 ``srgddg.theory``; the labeling search that backjumps only at a
 repeat of the first or the best leaf, the rule ``srgddg.iso._Search``
@@ -17,12 +20,14 @@ queues no splitter that splits nothing."""
 
 from __future__ import annotations
 
+import binascii
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, zip_longest
 from math import isqrt
 
-from srgddg import iso
+from srgddg import graphcore as gc, iso
 from srgddg.designs import Violation
+from srgddg.errors import Graph6Error
 from srgddg.graphcore import bits, pack_graph6
 
 
@@ -170,6 +175,70 @@ def column_graph6(g):
     return pack_graph6(
         g.order, (format(g.rows[j] & ((1 << j) - 1), f"0{j}b")[::-1] for j in range(1, g.order))
     )
+
+
+def string_transpose(lines):
+    """The rows of the transpose of a 0/1 matrix held as one "0"/"1"
+    string per row, character y for entry y, by one zip over the strings,
+    made one at a time.  Lines shorter than the longest are taken as
+    padded with "0"."""
+    return map("".join, zip_longest(*lines, fillvalue="0"))
+
+
+def string_transpose_rows(rows):
+    """The transpose of a square bit matrix given by int rows, taken as
+    strings by :func:`string_transpose`."""
+    fmt = f"0{len(rows)}b"
+    return [int(line[::-1], 2) for line in string_transpose([format(row, fmt)[::-1] for row in rows])]
+
+
+def _bit_field(data, start, width):
+    """Bits ``start`` .. ``start + width - 1`` of ``data`` as a "0"/"1"
+    string; bit 0 is the high bit of byte 0."""
+    end = start + width
+    lo, hi = start // 8, -(-end // 8)
+    value = int.from_bytes(data[lo:hi], "big") >> (8 * hi - end)
+    return format(value & ((1 << width) - 1), f"0{width}b")
+
+
+_DECODE_BLOCK = 128  # upper-triangle columns transposed at a time
+
+
+def block_decode_graph6(data):
+    """graph6 decoding with the columns of the upper triangle cut as
+    strings and transposed by :func:`string_transpose`, a block of
+    columns at a time."""
+    if isinstance(data, str):
+        data = data.encode("ascii", errors="surrogateescape")
+    if data.startswith(b">>graph6<<"):
+        data = data[10:]
+    n, pos = gc._decode_order(data)
+    if n == 0:
+        raise Graph6Error("order-0 graph6 input not supported", 0)
+    nbits = n * (n - 1) // 2
+    nbytes = (nbits + 5) // 6
+    if len(data) - pos < nbytes:
+        raise Graph6Error(
+            f"truncated adjacency data: need {nbytes} bytes, have {len(data) - pos}",
+            len(data),
+        )
+    if len(data) - pos > nbytes:
+        raise Graph6Error("trailing bytes after adjacency data", pos + nbytes)
+    body = data[pos:]
+    bad = body.translate(None, gc._G6_BYTES)
+    if bad:
+        raise Graph6Error(f"invalid graph6 byte {bad[0]:#x}", pos + body.index(bad[0]))
+    packed = binascii.a2b_base64(body.translate(gc._G6_TO_B64) + b"A" * (-nbytes % 4))
+    if "1" in _bit_field(packed, nbits, 6 * nbytes - nbits):
+        raise Graph6Error("nonzero padding bits", pos + nbytes - 1)
+    rows = [0] * n
+    for lo in range(1, n, _DECODE_BLOCK):
+        columns = [_bit_field(packed, j * (j - 1) // 2, j) for j in range(lo, min(lo + _DECODE_BLOCK, n))]
+        for j, column in enumerate(columns, lo):
+            rows[j] |= int(column[::-1], 2)
+        for x, above in enumerate(string_transpose(columns)):
+            rows[x] |= int(above[::-1], 2) << lo
+    return gc._trusted_graph(n, rows)
 
 
 def design_axioms(d):

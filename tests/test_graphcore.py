@@ -8,7 +8,13 @@ import pytest
 from srgddg import galois, graphcore as gc
 from srgddg.errors import Graph6Error, SizeCapExceeded
 
-from oracles import column_graph6, symplectic_rows, triangular_rows
+from oracles import (
+    block_decode_graph6,
+    column_graph6,
+    string_transpose_rows,
+    symplectic_rows,
+    triangular_rows,
+)
 
 
 def random_graph(n, p, rng):
@@ -36,8 +42,8 @@ def bit_positions(mask, width):
     return [y for y in range(width) if mask >> y & 1]
 
 
-# -- oracles: the per-bit decoder and the per-edge symmetry check that the
-# -- bit-string versions in graphcore replace
+# -- oracles: the per-bit decoder and the per-edge symmetry check, against
+# -- which the decoder and the checks of Graph in graphcore are tested
 
 
 def bit_loop_decode(data):
@@ -144,7 +150,7 @@ class TestGraphInvariants:
             raise AssertionError("unpickled graph checked again")
 
         monkeypatch.setattr(gc.Graph, "__init__", refuse)
-        monkeypatch.setattr(gc, "_transpose", refuse)
+        monkeypatch.setattr(gc, "_transpose_bits", refuse)
         back = pickle.loads(data)
         assert back == g and back.label == "Petersen" and type(back.rows) is tuple
 
@@ -527,14 +533,40 @@ class TestEncoderAgainstColumnLoop:
             self.check(n, rng)
 
 
+class TestTileTransposeAgainstStrings:
+    """_transpose_bits and decode_graph6 against the string transposer
+    and the block-wise decoder of ``oracles``, on rows of densities 0,
+    1/2 and 1: orders 1 to 300 cross the first tile edges, and 1023,
+    4369 and 5000 end inside, near and at the cap."""
+
+    ORDERS = (*range(1, 301), 1023, 4369, 5000)
+
+    def test_transpose(self):
+        rng = random.Random(128)
+        for n in self.ORDERS:
+            for rows in ([0] * n, [rng.getrandbits(n) for _ in range(n)], [(1 << n) - 1] * n):
+                assert gc._transpose_bits(rows) == string_transpose_rows(rows)
+
+    def test_decoder(self):
+        rng = random.Random(129)
+        for n in self.ORDERS:
+            for data in (
+                gc.encode_graph6(gc.edgeless(n)),
+                TestEncoderAgainstColumnLoop.random_graph6(n, rng),
+                gc.encode_graph6(gc.complete(n)),
+            ):
+                assert gc.decode_graph6(data).rows == block_decode_graph6(data).rows
+
+
 @pytest.fixture(scope="module")
 def sp10_2():
     return galois.symplectic_complement(5, galois.fieldspec(2, 1))
 
 
 class TestDecoderAgainstBitLoop:
-    # 129 and 257 end on the first column of a decoder block
-    ORDERS = (1, 2, 3, 62, 63, 64, 65, 129, 130, 255, 257)
+    # 127, 128 and 129 (and 255, 256 and 257) rows of the triangle end a
+    # row before a tile edge of the transpose, on it and a row past it
+    ORDERS = (1, 2, 3, 62, 63, 64, 65, 127, 128, 129, 130, 255, 256, 257)
 
     def graphs(self):
         rng = random.Random(2024)
@@ -662,6 +694,23 @@ class TestValidationAgainstEdgeLoop:
             rows = list(random_graph(n, rng.random(), rng).rows)
             rows[rng.randrange(n)] |= 1 << (n + rng.randrange(3))
             self.check(n, rows)
+
+    def test_missing_mirror_bit_at_tile_edges(self):
+        # pairs that straddle an edge of the transpose's 128 x 128 tiles,
+        # or sit in the corner tiles of order 5000, each bit of the pair
+        # missing in turn
+        rng = random.Random(10)
+        cases = [(256, random_graph(256, 0.5, rng).rows, (127, 128))]
+        cases += [(5000, gc.cycle(5000).rows, p) for p in [(127, 128), (0, 4999), (4998, 4999)]]
+        for n, rows, (x, y) in cases:
+            rows = list(rows)
+            rows[x] |= 1 << y
+            rows[y] |= 1 << x
+            for a, b in ((x, y), (y, x)):
+                bad = list(rows)
+                bad[a] ^= 1 << b
+                assert edge_loop_error(n, bad) == f"adjacency not symmetric at pair ({b}, {a})"
+                self.check(n, bad)
 
     def test_asymmetric_pair_order(self):
         # (0, 2) comes before (1, 0): row 0 is scanned first

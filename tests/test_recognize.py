@@ -574,6 +574,22 @@ SMALL_CASES = {
 }
 
 
+def late_switch(g):
+    """g with edges a - b and c - d, among its last twelve vertices,
+    switched to a - d and c - b: every degree stays."""
+    n, rows = g.order, list(g.rows)
+    late = range(max(n - 12, 0), n)
+    a, b, c, d = next(
+        (a, b, c, d)
+        for a, b, c, d in combinations(late, 4)
+        if rows[a] >> b & rows[c] >> d & 1 and not (rows[a] >> d | rows[c] >> b) & 1
+    )
+    for x, y in ((a, b), (c, d), (a, d), (c, b)):
+        rows[x] ^= 1 << y
+        rows[y] ^= 1 << x
+    return gc.Graph(n, rows)
+
+
 class TestPairCountsAgainstLoops:
     @pytest.mark.parametrize("name", SMALL_CASES)
     def test_small_graphs(self, name):
@@ -627,6 +643,35 @@ class TestPairCountsAgainstLoops:
         (dp, part), = loop_ddg_recognize(ddg)
         assert dp.tuple6 == (240, 120, 56, 60, 15, 16)
         assert rec.ddg_recognize(ddg) == [(dp, part)]
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_single_count_rows(self, d):
+        # lambda = mu in Sp(2d, 2)^c: after row 0 both keys hold that one
+        # count, and a row fits when each of its counts is that count
+        g = gf.symplectic_complement(d, gf.field_by_order(2))
+        n = g.order
+        # one count too many in pair (n - 3, n - 1) alone, by a common
+        # neighbour n outside the matrix
+        rows = list(g.rows)
+        rows[n - 3] |= 1 << n
+        rows[n - 1] |= 1 << n
+        for limit in (1, 2):
+            assert rec._pair_counts(rows, rows, limit) == loop_pair_counts(rows, rows, limit)
+        assert rec._pair_counts(rows, rows)[1] == (n - 3, n - 1)
+        # a regular graph whose first pair off the count falls after row 0
+        switched = late_switch(g)
+        assert switched.regular_degree() == g.regular_degree()
+        got = rec.srg_params(switched)
+        assert not got and got.pair[0] > 0
+        assert got == loop_srg_params(switched)
+        assert rec._pair_counts(switched.rows, switched.rows) == loop_pair_counts(switched.rows, switched.rows, 1)
+        assert rec.deza_params(switched) == loop_deza_params(switched)
+
+    @pytest.mark.parametrize("name", ["petersen", "t7", "grid66"])
+    def test_lambda_not_mu(self, name):
+        g = {"petersen": gc.petersen, "t7": lambda: gc.triangular(7), "grid66": lambda: gc.grid(6, 6)}[name]()
+        for h in (g, late_switch(g)):
+            assert_recognition_matches_loops(h)
 
     def test_ddg_partitions_with_a_swap(self):
         rnd = random.Random(7)
