@@ -36,18 +36,18 @@ and 46.8 ms for ``complete(5000)``; a block takes 0.156 and 43.9 ms
 checked once, where it is built: ``Graph(...)`` checks range and loops
 row by row, and symmetry by one comparison of the rows with their
 transpose, taken by ``_transpose_bits`` in 128 x 128 tiles of one int
-each, all-zero tiles skipped.  Besides the rows it holds one band of 128
-rows as bytes, one 2 KB tile and an output buffer the size of the rows.
-The check of Sp(8,2)ᶜ (v = 255) takes 0.30-0.47 ms, against 1.0-1.2 ms
-by one ``zip`` over the rows as "0"/"1" strings, and of Sp(10,2)ᶜ
+each, all-zero tiles skipped.  Besides the rows it holds a band of 128
+rows as bytes, a 2 KB tile, an output buffer of the rows padded to
+whole tiles and the transposed rows, about twice the rows again.  The
+check of Sp(8,2)ᶜ (v = 255) takes 0.30-0.47 ms, against 1.0-1.2 ms by
+one ``zip`` over the rows as "0"/"1" strings, and of Sp(10,2)ᶜ
 (v = 1023) 2.7-4.3 against 14-15 ms (best of 11, two runs, 2-core VM,
-Python 3.11.7).  ``_trusted_graph`` is the only way round
-those checks, for rows that are valid by construction: those of the
-graph6 decoder, ``induced_subgraph``, ``complete``, ``edgeless``,
-``triangular``, ``grid``, ``composition``, ``complement_of`` and
-``Graph.with_label``.  ``from_edges``, and with it ``cycle`` and
-``path``, keeps them.  Unpickling restores the fields of a graph without
-checking them again.
+Python 3.11.7).  ``_trusted_graph`` is the only way round those checks,
+for rows that are valid by construction: those of the graph6 decoder,
+``induced_subgraph``, ``complete``, ``edgeless``, ``triangular``,
+``grid``, ``composition``, ``complement_of`` and ``Graph.with_label``.
+``from_edges``, and with it ``cycle`` and ``path``, keeps them.
+Unpickling restores the fields of a graph without checking them again.
 
 All generators document a deterministic vertex numbering so results are
 reproducible across runs, and refuse an order above ``GRAPH_SIZE_CAP``
@@ -300,7 +300,8 @@ def adjacency_matrix(g: Graph) -> list[list[int]]:
 
 # -- generators --------------------------------------------------------
 
-# n bitset rows, and as many bytes again to transpose them: memory grows as n^2
+# n bitset rows and, to check or decode them, about twice their bytes again
+# (complete(5000): an 8.8 MB peak for 3.5 MB of rows): memory grows as n^2
 GRAPH_SIZE_CAP = 5000
 
 
@@ -613,5 +614,6 @@ def decode_graph6(data: bytes | str) -> Graph:
         int.from_bytes(triangle[t >> 3 : (t + j + 7) >> 3], "little") >> (t & 7) & ((1 << j) - 1)
         for j, t in enumerate(accumulate(range(n - 1), initial=0))
     ]
+    del body, packed, triangle  # the transpose holds the rows, not these
     # built symmetric, loop-free and in range
     return _trusted_graph(n, map(int.__or__, lower, _transpose_bits(lower)))

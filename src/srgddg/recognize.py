@@ -71,8 +71,6 @@ def _pair_counts(
             (c,) = found[0]
             if counts.count(c) == len(counts):
                 continue  # one count under both keys, as when lambda = mu
-        elif (found[0] & found[1]).issuperset(counts):
-            continue  # each count fits under either key
         keys = _pair_keys(related[x], x, len(counts))
         fits = found[0].issuperset(compress(counts, keys.translate(_KEY0)))
         if fits and found[1].issuperset(compress(counts, keys.translate(_KEY1))):
