@@ -19,6 +19,9 @@ that row ``{"error": ...}`` and the run goes on.  A search that runs out
 of its node budget keeps what it found and flags its row
 ``budget_exhausted``.
 
+The argparse tree is built once per process, on the first :func:`run`,
+and holds no per-run state, so in-process callers pay for it once.
+
 Exit codes: 0 success, 1 domain error (reported in the JSON), 2 usage.
 """
 
@@ -430,6 +433,8 @@ def _s_range(text: str) -> tuple[int, int]:
 
 
 def _cmd_feasible(args, t0):
+    if args.n_max is not None and args.n_max < 0:
+        raise _Usage(f"--n-max must be >= 0, got {args.n_max}")
     s_min, s_max = args.s_range or (args.s, args.s)
     rows = []
     for s in range(s_min, s_max + 1):
@@ -583,7 +588,14 @@ BUDGET_HELP = (
 )
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built on the first call and reused
+    by every later one.  Reuse carries nothing from one run to the next:
+    each ``parse_args`` fills a fresh Namespace, no action has a mutable
+    default or appends, argparse reads ``sys.stdout``, ``sys.stderr`` and
+    the terminal width when it prints, not when it is built, and
+    ``set_defaults(fn=...)`` binds the ``_cmd_*`` functions of this module."""
     ap = argparse.ArgumentParser(
         prog="srgddg",
         description="strongly regular graphs <-> Hoffman coclique + divisible design graph",
@@ -652,7 +664,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: list[str]) -> int:
-    """Entry point; returns the exit code instead of calling sys.exit."""
+    """Entry point; returns the exit code instead of calling sys.exit.
+    The parser is built on the first call in a process and reused."""
     ap = _build_parser()
     try:
         args = ap.parse_args(argv)

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import io
 import json
@@ -575,6 +576,18 @@ class TestFeasible:
     def test_needs_s(self, capsys):
         assert cli.run(["feasible", "--n-max", "5"]) == 2
 
+    @pytest.mark.parametrize("value", ["-1", "-40"])
+    def test_negative_n_max_is_usage_error(self, capsys, value):
+        # an empty answer would read as a complete one
+        assert cli.run(["feasible", "--s", "-6", "--n-max", value]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and f"--n-max must be >= 0, got {value}" in err
+
+    @pytest.mark.parametrize("n_max", [0, 1, 2])
+    def test_n_max_below_every_family_is_an_empty_answer(self, capsys, n_max):
+        code, rep = run_json(capsys, ["feasible", "--s-range=-6..-2", "--n-max", str(n_max)])
+        assert code == 0 and rep["results"]["families"] == []
+
     @pytest.mark.parametrize("argv", [
         ["--s-range=-5..x"],
         ["--s-range=-5"],
@@ -1119,3 +1132,70 @@ class TestOneReader:
         else:
             assert inputs == {"sha256": hashlib.sha256(raw).hexdigest()}
             assert len(results["graphs"]) == 4
+
+
+class TestParserReuse:
+    """``cli.run`` builds its parser once per process; a run leaves
+    nothing in it that the next run sees."""
+
+    @staticmethod
+    def untimed(capsys, argv):
+        """Exit code and report text of one run, less its timing_ms line."""
+        code = cli.run(argv)
+        out = capsys.readouterr().out
+        return code, "".join(line for line in out.splitlines(True) if '"timing_ms"' not in line)
+
+    def test_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    @pytest.mark.parametrize("before,after", [
+        (["decompose", "{f}", "--first"], ["decompose", "{f}"]),
+        (["coclique", "{f}", "--mode", "first", "--target", "3"], ["coclique", "{f}"]),
+        (["census", "{f}", "--budget-nodes", "30"], ["census", "{f}"]),
+        (["spectrum", "{bad}", "--keep-going"], ["spectrum", "{bad}"]),
+    ], ids=["decompose", "coclique", "census", "spectrum"])
+    def test_a_run_leaves_nothing_for_the_next(self, tmp_path, capsys, sp42, petersen, before, after):
+        f, bad = tmp_path / "sp42.g6", tmp_path / "bad.g6"
+        f.write_bytes(gc.encode_graph6(sp42) + b"\n")
+        bad.write_bytes(gc.encode_graph6(petersen) + b"\nnot-graph6!!\x01\n")
+        paths = {"f": str(f), "bad": str(bad)}
+        before, after = ([arg.format(**paths) for arg in argv] for argv in (before, after))
+        cli._build_parser.cache_clear()
+        self.untimed(capsys, before)
+        reused = self.untimed(capsys, after)
+        assert cli._build_parser.cache_info().misses == 1
+        cli._build_parser.cache_clear()
+        assert reused == self.untimed(capsys, after)
+        if after[0] == "spectrum":
+            assert reused[0] == 1 and '"error": "line 2: ' in reused[1]
+
+    @pytest.mark.parametrize("argv", [["--help"], ["census", "--help"]])
+    def test_help_twice(self, capsys, argv):
+        first = cli.run(argv), capsys.readouterr().out
+        assert first[0] == 0 and first[1]
+        assert (cli.run(argv), capsys.readouterr().out) == first
+
+    @pytest.mark.parametrize("argv", [
+        ["census", "{f}", "--threads", "0"],
+        ["census", "{f}", "--threads", "many"],
+    ])
+    def test_usage_error_then_a_valid_run(self, tmp_path, capsys, sp42, argv):
+        f = tmp_path / "sp42.g6"
+        f.write_bytes(gc.encode_graph6(sp42) + b"\n")
+        assert cli.run([arg.format(f=f) for arg in argv]) == 2
+        assert capsys.readouterr().out == ""
+        code, rep = run_json(capsys, ["census", str(f)])
+        assert code == 0 and rep["results"]["per_graph"] == [{"decompositions": 15}]
+
+    def test_no_mutable_default(self):
+        # a list, dict or set default would be shared by every run
+        def parsers(ap):
+            yield ap
+            for action in ap._actions:
+                if isinstance(action, argparse._SubParsersAction):
+                    for sub in action.choices.values():
+                        yield from parsers(sub)
+
+        for ap in parsers(cli._build_parser()):
+            defaults = [action.default for action in ap._actions] + list(ap._defaults.values())
+            assert not [d for d in defaults if isinstance(d, (list, dict, set))], ap.prog
