@@ -92,7 +92,6 @@ a_j = lambda/(-s) = n + s for every j.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from . import theory
 from .coclique import CocliqueQuery, _collect
@@ -201,7 +200,11 @@ def _glue(ddg_rows, classes, blocks, phi) -> list[int]:
     return rows
 
 
-@lru_cache(maxsize=1)
+# The last piece proven, (ddg, partition, design, m): written by
+# _premises once its checks pass and by _split for the witness it proves.
+_proven: tuple[Graph, CanonicalPartition, SymmetricDesign, int] | None = None
+
+
 def _premises(ddg: Graph, partition: CanonicalPartition, design: SymmetricDesign) -> int:
     """The class count m, once the checks of :func:`attach_coclique` that
     do not read phi pass: the DDG proven by :func:`ddg_recognize`, its
@@ -209,12 +212,18 @@ def _premises(ddg: Graph, partition: CanonicalPartition, design: SymmetricDesign
     phi means), the family pattern of its parameters, the design axioms
     and the family's design parameters.
 
-    The verdict is a pure function of the three frozen values (a Graph
-    compares by order and rows, not label), so it is kept for the last
-    piece: gluing every phi onto one piece checks the piece once.  A hit
-    is confirmed by equality, not by hash alone, and a failed check
-    raises, which lru_cache never stores, so a bad piece is refused on
-    every call."""
+    The verdict is a pure function of the three frozen values, so the
+    last piece proven is kept in ``_proven`` and a piece equal to it by
+    ``==`` in all three (a Graph compares by order and rows, not label)
+    is not checked again.  Gluing every phi onto one piece checks it
+    once, and a piece that :func:`_split` has just proven, none: checks
+    1-3 of :func:`decompose` are its proof.  Any other piece gets the
+    full checks.  A failed check raises and stores nothing, so a bad
+    piece is refused on every call."""
+    global _proven
+    last = _proven
+    if last is not None and last[:3] == (ddg, partition, design):
+        return last[3]
     partition.validate(ddg.order)
     wits = ddg_recognize(ddg)
     if not wits:
@@ -232,6 +241,7 @@ def _premises(ddg: Graph, partition: CanonicalPartition, design: SymmetricDesign
         raise DesignMismatch(f"design axioms fail: {ok.axiom} {ok.detail}")
     if design.params != fam.design_params:
         raise DesignMismatch(f"design parameters {design.params}, need {fam.design_params}")
+    _proven = (ddg, partition, design, dp.m)
     return dp.m
 
 
@@ -247,13 +257,15 @@ def attach_coclique(
     design points as vertices V..V+m-1.  Once the inputs pass their
     checks, the output is strongly regular with the family parameters by
     the proof in the module docstring; it is proven, not recognized.
-    The checks that do not read phi run once per consecutive (ddg,
-    partition, design), in :func:`_premises`; phi is checked on every
-    call.
+    The checks that do not read phi run in :func:`_premises`: once per
+    consecutive (ddg, partition, design), and not at all for the
+    witness :func:`decompose` last proved.  phi is checked on every
+    call: a bijection on 0..m-1 whose entries are ints (not floats or
+    bools).
     """
     m = _premises(ddg, partition, design)
     phi = tuple(phi)
-    if sorted(phi) != list(range(m)):
+    if any(type(i) is not int for i in phi) or sorted(phi) != list(range(m)):
         raise PhiNotBijective(f"phi = {phi} is not a bijection on 0..{m - 1}")
     return _trusted_graph(ddg.order + m, _glue(ddg.rows, partition.classes, design.blocks, phi))
 
@@ -354,14 +366,20 @@ def _split(graph: Graph, fam: theory.FamilyParams, C: VertexSet) -> Decompositio
     The classes and the DDG's rows are renumbered onto the vertices
     outside C, and the blocks onto C, by one masked shift per run of
     kept vertices (``graphcore._squeeze``): at most c + 1 runs outside
-    a coclique of c vertices, and at most c in it."""
+    a coclique of c vertices, and at most c in it.
+
+    Checks 1-3 have proven the witness's DDG, classes and design, so
+    its piece is stored as the last one proven (``_proven``), and
+    :func:`attach_coclique` glues any phi onto it with no check but
+    phi's."""
+    global _proven
     groups = _groups(graph, fam, C)
     if groups is None:
         return None
     rest = ((1 << graph.order) - 1) ^ C
     classes = tuple(groups.values())
     m, k_blk, lam_d = fam.design_params
-    return Decomposition(
+    dec = Decomposition(
         coclique=C,
         partition=CanonicalPartition(classes),
         ddg_partition=CanonicalPartition(tuple(map(_squeeze(rest), classes))),
@@ -369,3 +387,5 @@ def _split(graph: Graph, fam: theory.FamilyParams, C: VertexSet) -> Decompositio
         ddg=induced_subgraph(graph, rest),
         design=SymmetricDesign(m, tuple(map(_squeeze(C), groups)), k_blk, lam_d),
     )
+    _proven = (dec.ddg, dec.ddg_partition, dec.design, fam.m)
+    return dec

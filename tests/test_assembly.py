@@ -256,8 +256,8 @@ def piece43(sp43):
 @pytest.fixture
 def premise_calls(monkeypatch):
     """Calls of the two premise checks that read the whole piece, each
-    counted under its name, with the premise cache emptied first."""
-    asm._premises.cache_clear()
+    counted under its name, with the last proven piece forgotten first."""
+    asm._proven = None
     calls = collections.Counter()
     for name in ("ddg_recognize", "verify_design"):
         def counted(*args, _real=getattr(asm, name), _name=name):
@@ -266,7 +266,7 @@ def premise_calls(monkeypatch):
 
         monkeypatch.setattr(asm, name, counted)
     yield calls
-    asm._premises.cache_clear()
+    asm._proven = None
 
 
 def family_srg(d):
@@ -309,7 +309,7 @@ class TestPremisesOncePerPiece:
             asm.attach_coclique(d.ddg, d.ddg_partition, d.design, (0, 0, 2, 3))
         after = asm.attach_coclique(d.ddg, d.ddg_partition, d.design, (1, 0, 2, 3))
         assert premise_calls["ddg_recognize"] == 1
-        asm._premises.cache_clear()
+        asm._proven = None
         assert asm.attach_coclique(d.ddg, d.ddg_partition, d.design, (1, 0, 2, 3)) == after
         assert premise_calls["ddg_recognize"] == 2
         assert rec.srg_params(after).tuple4 == family_srg(d)
@@ -357,6 +357,111 @@ class TestPremisesOncePerPiece:
         assert listed == asm.attach_coclique(d.ddg, d.ddg_partition, d.design, phi)
         assert premise_calls == {"ddg_recognize": 1, "verify_design": 1}
         assert rec.srg_params(listed).tuple4 == family_srg(d)
+
+
+def toggled(graph, x, y):
+    """graph with the pair {x, y} flipped between edge and non-edge."""
+    rows = list(graph.rows)
+    rows[x] ^= 1 << y
+    rows[y] ^= 1 << x
+    return gc.Graph(graph.order, rows)
+
+
+# one value of the piece differs from the witness decompose just proved:
+# (ddg, partition, design) from the witness d
+UNPROVEN_PIECES = {
+    "classes_reversed": lambda d: (d.ddg, rec.CanonicalPartition(d.ddg_partition.classes[::-1]), d.design),
+    "blocks_permuted": lambda d: (d.ddg, d.ddg_partition, ds.SymmetricDesign(
+        d.design.v_pts, d.design.blocks[1:] + d.design.blocks[:1], d.design.k_blk, d.design.lam)),
+    "another_design": lambda d: (d.ddg, d.ddg_partition, ds.all_ksubsets_design(4)),
+    "edge_toggled": lambda d: (toggled(d.ddg, 0, d.ddg.order - 1), d.ddg_partition, d.design),
+}
+
+
+class TestProvenPiece:
+    """decompose stores the piece of each witness it proves, so gluing
+    onto it checks only phi; a piece differing in any one value gets the
+    full checks, which give what the stored verdict gives."""
+
+    def test_a_piece_decompose_proved_is_not_checked_again(self, sp43, premise_calls):
+        d = asm.decompose(sp43, cq.CocliqueQuery(mode="first"))[0]
+        graphs = {asm.attach_coclique(d.ddg, d.ddg_partition, d.design, phi)
+                  for phi in permutations(range(4))}
+        assert premise_calls == {}
+        assert len(graphs) == 24
+        assert {rec.srg_params(g).tuple4 for g in graphs} == {family_srg(d)}
+
+    @pytest.mark.parametrize("change", sorted(UNPROVEN_PIECES))
+    def test_one_differing_value_gets_the_full_checks(self, sp43, premise_calls, change):
+        d = asm.decompose(sp43, cq.CocliqueQuery(mode="first"))[0]
+        piece = UNPROVEN_PIECES[change](d)
+        assert piece != (d.ddg, d.ddg_partition, d.design)
+        phi = (1, 2, 3, 0)
+        if change == "edge_toggled":
+            for _ in range(2):
+                with pytest.raises(asm.ParameterMismatch):
+                    asm.attach_coclique(*piece, phi)
+            assert premise_calls == {"ddg_recognize": 2}
+            return
+        built = [asm.attach_coclique(*piece, phi) for _ in range(2)]
+        assert premise_calls == {"ddg_recognize": 1, "verify_design": 1}
+        assert built[0] == built[1]
+        assert rec.srg_params(built[0]).tuple4 == family_srg(d)
+
+    def test_a_failed_check_leaves_the_proven_piece(self, sp43, premise_calls):
+        d = asm.decompose(sp43, cq.CocliqueQuery(mode="first"))[0]
+        phi = (3, 2, 1, 0)
+        bad_ddg = toggled(d.ddg, 0, 1)
+        lam3 = ds.SymmetricDesign(d.design.v_pts, d.design.blocks, d.design.k_blk, d.design.lam + 1)
+        with pytest.raises(asm.ParameterMismatch):
+            asm.attach_coclique(bad_ddg, d.ddg_partition, d.design, phi)
+        with pytest.raises(asm.DesignMismatch):
+            asm.attach_coclique(d.ddg, d.ddg_partition, lam3, phi)
+        assert premise_calls == {"ddg_recognize": 2, "verify_design": 1}
+        built = asm.attach_coclique(d.ddg, d.ddg_partition, d.design, phi)
+        assert premise_calls == {"ddg_recognize": 2, "verify_design": 1}
+        assert rec.srg_params(built).tuple4 == family_srg(d)
+
+    @pytest.mark.parametrize("phi", [
+        (1.0, 0.0, 2.0, 3.0),
+        (1, 0, 2, 3.0),
+        (True, False, 2, 3),
+        ("1", "0", "2", "3"),
+        ("1", 0, 2, 3),
+    ], ids=["floats", "one_float", "bools", "strs", "one_str"])
+    def test_phi_entries_must_be_ints(self, piece43, premise_calls, phi):
+        # the first call runs the full checks and stores the piece, the
+        # second finds it stored; phi is refused on both
+        d = piece43
+        for _ in range(2):
+            with pytest.raises(asm.PhiNotBijective, match="not a bijection"):
+                asm.attach_coclique(d.ddg, d.ddg_partition, d.design, phi)
+        assert premise_calls == {"ddg_recognize": 1, "verify_design": 1}
+
+
+@pytest.mark.parametrize("name, count", ORACLE_CASES, ids=[c[0] for c in ORACLE_CASES])
+def test_proven_piece_glues_as_the_full_checks_do(name, count, premise_calls):
+    """For every witness: re-run _split to store its piece and glue its
+    phi and a swapped phi with no check of the piece; then forget the
+    piece and glue both again through the full checks.  Both paths give
+    the same graphs and the same m."""
+    graph = oracle_graph(name)
+    decs = asm.decompose(graph)
+    assert len(decs) == count
+    fam = asm._family_gate(graph) if decs else None
+    for d in decs:
+        phis = [d.phi, (d.phi[1], d.phi[0]) + d.phi[2:]]
+        assert asm._split(graph, fam, d.coclique) == d
+        fast = [asm.attach_coclique(d.ddg, d.ddg_partition, d.design, phi) for phi in phis]
+        fast_m = asm._premises(d.ddg, d.ddg_partition, d.design)
+        assert premise_calls["ddg_recognize"] == 0
+        asm._proven = None
+        full = [asm.attach_coclique(d.ddg, d.ddg_partition, d.design, phi) for phi in phis]
+        full_m = asm._premises(d.ddg, d.ddg_partition, d.design)
+        assert premise_calls == {"ddg_recognize": 1, "verify_design": 1}
+        assert fast == full
+        assert fast_m == full_m == d.m
+        premise_calls.clear()
 
 
 class TestDecompose:
